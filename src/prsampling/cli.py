@@ -83,6 +83,16 @@ def _fresh_seed() -> int:
     return _random.SystemRandom().randrange(2 ** 63)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -114,83 +124,63 @@ def _stats_trailer(seed: int, kind: str, runs) -> dict:
 # --- sample -------------------------------------------------------------------
 
 
-def _cmd_sample_instance(args) -> int:
-    instance = load_instance(args.file)
-    kind = _SAMPLER_NAMES[args.sampler]
+def _draw_generic(args, instance, config):
+    return run_sampler(_SAMPLER_NAMES[args.sampler], instance, config)
+
+
+# ``sample`` target -> (read input, draw one, format one, trailer name); a
+# trailer name of None means the ``--sampler`` choice.
+_SAMPLE_TARGETS = {
+    "instance": (
+        lambda args: load_instance(args.file),
+        _draw_generic,
+        lambda args, instance, sigma: " ".join(str(v) for v in sigma),
+        None,
+    ),
+    "cnf": (
+        lambda args: cnf_to_instance(_read_cnf(args.file)),
+        _draw_generic,
+        lambda args, instance, sigma: format_assignment(sigma, args.format),
+        None,
+    ),
+    "sink-free": (
+        lambda args: _read_graph(args.graph),
+        lambda args, graph, config: sink_popping(graph, config),
+        lambda args, graph, orientation: "".join(str(b) for b in orientation),
+        "sink_popping",
+    ),
+    "spanning-tree": (
+        lambda args: _read_graph(args.graph),
+        lambda args, graph, config: cycle_popping(graph, args.root, config),
+        lambda args, graph, arrows: " ".join(str(a) for a in arrows),
+        "cycle_popping",
+    ),
+    "hardcore": (
+        lambda args: (_read_graph(args.graph), parse_rational(args.lam)),
+        lambda args, graph_lam, config: hardcore_sample(*graph_lam, config),
+        lambda args, graph_lam, occupied: "".join(
+            "1" if v in occupied else "0" for v in range(graph_lam[0].num_vertices)
+        ),
+        "hardcore",
+    ),
+}
+
+
+def _cmd_sample(args) -> int:
+    read, draw, fmt, name = _SAMPLE_TARGETS[args.what]
+    source = read(args)
+    kind = name or _SAMPLER_NAMES[args.sampler]
     seed = args.seed if args.seed is not None else _fresh_seed()
     runs = []
     for i in range(args.count):
-        sigma, stats = run_sampler(
-            kind, instance, _run_config(seed, i, args.round_cap)
+        config = SamplerConfig(
+            seed=derive_seed(seed, i), round_cap=args.round_cap, record_log=False
         )
+        out, stats = draw(args, source, config)
         runs.append(stats)
-        print(" ".join(str(v) for v in sigma))
+        print(fmt(args, source, out))
     _emit_json(_stats_trailer(seed, kind, runs))
     return 0
-
-
-def _cmd_sample_cnf(args) -> int:
-    formula = _read_cnf(args.file)
-    instance = cnf_to_instance(formula)
-    kind = _SAMPLER_NAMES[args.sampler]
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    runs = []
-    for i in range(args.count):
-        sigma, stats = run_sampler(
-            kind, instance, _run_config(seed, i, args.round_cap)
-        )
-        runs.append(stats)
-        print(format_assignment(sigma, args.format))
-    _emit_json(_stats_trailer(seed, kind, runs))
-    return 0
-
-
-def _cmd_sample_sink_free(args) -> int:
-    graph = _read_graph(args.graph)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    runs = []
-    for i in range(args.count):
-        config = _run_config(seed, i, args.round_cap)
-        orientation, stats = sink_popping(graph, config)
-        runs.append(stats)
-        print("".join(str(b) for b in orientation))
-    _emit_json(_stats_trailer(seed, "sink_popping", runs))
-    return 0
-
-
-def _cmd_sample_spanning_tree(args) -> int:
-    graph = _read_graph(args.graph)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    runs = []
-    for i in range(args.count):
-        config = _run_config(seed, i, args.round_cap)
-        arrows, stats = cycle_popping(graph, args.root, config)
-        runs.append(stats)
-        print(" ".join(str(a) for a in arrows))
-    _emit_json(_stats_trailer(seed, "cycle_popping", runs))
-    return 0
-
-
-def _cmd_sample_hardcore(args) -> int:
-    graph = _read_graph(args.graph)
-    lam = parse_rational(args.lam)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    runs = []
-    for i in range(args.count):
-        config = _run_config(seed, i, args.round_cap)
-        occupied, stats = hardcore_sample(graph, lam, config)
-        runs.append(stats)
-        print(
-            "".join("1" if v in occupied else "0" for v in range(graph.num_vertices))
-        )
-    _emit_json(_stats_trailer(seed, "hardcore", runs))
-    return 0
-
-
-def _run_config(seed: int, index: int, round_cap: int) -> SamplerConfig:
-    return SamplerConfig(
-        seed=derive_seed(seed, index), round_cap=round_cap, record_log=False
-    )
 
 
 # --- analyze ------------------------------------------------------------------
@@ -345,20 +335,11 @@ def _cmd_verify_uniformity(args) -> int:
     return 0 if all_ok else 3
 
 
-def _cmd_verify_expected_resamples(args) -> int:
+def _cmd_verify_case_law(args) -> int:
+    """``verify expected-resamples`` and ``verify first-round`` on a named case."""
     instance = _verify_case_instance(args.case)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    report = expected_resamples_test(instance, n=args.n, base_seed=seed)
-    report["seed"] = seed
-    report["case"] = args.case
-    _emit_json(report)
-    return 0 if report["passed"] else 3
-
-
-def _cmd_verify_first_round(args) -> int:
-    instance = _verify_case_instance(args.case)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    report = first_round_test(instance, n=args.n, base_seed=seed)
+    report = args.law(instance, n=args.n, base_seed=seed)
     report["seed"] = seed
     report["case"] = args.case
     _emit_json(report)
@@ -499,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     sample_sub = sample.add_subparsers(dest="what", required=True)
 
     def _common_sample(p, sampler: bool) -> None:
-        p.add_argument("--count", type=int, default=1, help="number of samples")
+        p.add_argument(
+            "--count", type=_positive_int, default=1, help="number of samples"
+        )
         p.add_argument("--seed", type=int, default=None, help="base seed (reported)")
         p.add_argument(
             "--round-cap",
@@ -514,34 +497,30 @@ def build_parser() -> argparse.ArgumentParser:
                 default="general",
                 help="resampling strategy",
             )
+        p.set_defaults(func=_cmd_sample)
 
     p = sample_sub.add_parser("instance", help="sample a JSON instance")
     p.add_argument("--file", required=True)
     _common_sample(p, sampler=True)
-    p.set_defaults(func=_cmd_sample_instance)
 
     p = sample_sub.add_parser("cnf", help="sample satisfying assignments (DIMACS)")
     p.add_argument("--file", required=True)
     p.add_argument("--format", choices=("bits", "literals"), default="bits")
     _common_sample(p, sampler=True)
-    p.set_defaults(func=_cmd_sample_cnf)
 
     p = sample_sub.add_parser("sink-free", help="sample sink-free orientations")
     p.add_argument("--graph", required=True, help="edge-list file")
     _common_sample(p, sampler=False)
-    p.set_defaults(func=_cmd_sample_sink_free)
 
     p = sample_sub.add_parser("spanning-tree", help="sample rooted spanning trees")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--root", type=int, default=0)
     _common_sample(p, sampler=False)
-    p.set_defaults(func=_cmd_sample_spanning_tree)
 
     p = sample_sub.add_parser("hardcore", help="sample weighted independent sets")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--lam", "--lambda", required=True, help="fugacity, e.g. 1/10")
     _common_sample(p, sampler=False)
-    p.set_defaults(func=_cmd_sample_hardcore)
 
     # analyze
     analyze = top.add_parser("analyze", help="exact analysis reports (JSON)")
@@ -624,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="two-events", choices=("two-events", "sink-c3"))
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_expected_resamples)
+    p.set_defaults(func=_cmd_verify_case_law, law=expected_resamples_test)
 
     p = verify_sub.add_parser(
         "first-round", help="first-round occurring-set law vs exact values"
@@ -632,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="two-events", choices=("two-events", "sink-c3"))
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_first_round)
+    p.set_defaults(func=_cmd_verify_case_law, law=first_round_test)
 
     p = verify_sub.add_parser(
         "res-set", help="structural properties of the resampling-set selector"

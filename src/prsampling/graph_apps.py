@@ -27,11 +27,10 @@ from fractions import Fraction
 from math import sqrt
 
 from .certified import sqrt_e_leq
-from .errors import RoundCapError
 from .graphs import Graph, make_graph, simple_cycles
 from .model import Instance, make_event, uniform_variable, VariableSpec
 from .rng import cumulative_table, derive_seed, draw_index, make_rng
-from .sampler import RunStats, SamplerConfig
+from .sampler import SamplerConfig, resample_until_valid
 
 
 def _exact(lam, name: str = "lam") -> Fraction:
@@ -56,12 +55,10 @@ def sink_popping(graph: Graph, config: SamplerConfig):
     rng = make_rng(config.seed)
     table = cumulative_table((Fraction(1, 2), Fraction(1, 2)))
     orient = [draw_index(rng, table) for _ in graph.edges]
-    stats = RunStats(event_resamples=[0] * graph.num_vertices)
-    if not config.record_log:
-        stats.log = stats.var_log = None
+    incident = graph.incident_edges
 
     def is_sink(v: int) -> bool:
-        inc = graph.incident_edges[v]
+        inc = incident[v]
         if not inc:
             return False
         for eid in inc:
@@ -70,28 +67,16 @@ def sink_popping(graph: Graph, config: SamplerConfig):
                 return False
         return True
 
-    while True:
-        sinks = [v for v in range(graph.num_vertices) if is_sink(v)]
-        if not sinks:
-            stats.halted = True
-            return tuple(orient), stats
-        if stats.rounds >= config.round_cap:
-            raise RoundCapError(
-                "round cap %d reached; the graph may have no sink-free "
-                "orientation (tree component)" % config.round_cap,
-                stats,
-            )
-        redraw = sorted({eid for v in sinks for eid in graph.incident_edges[v]})
-        for eid in redraw:
-            orient[eid] = draw_index(rng, table)
-        stats.rounds += 1
-        stats.total_resamples += len(sinks)
-        for v in sinks:
-            stats.event_resamples[v] += 1
-        stats.variable_resamples += len(redraw)
-        if stats.log is not None:
-            stats.log.append(tuple(sinks))
-            stats.var_log.append(tuple(redraw))
+    _, stats = resample_until_valid(
+        config,
+        orient,
+        lambda eid: draw_index(rng, table),
+        lambda _redrawn: [v for v in range(graph.num_vertices) if is_sink(v)],
+        lambda sinks: (sinks, sorted({e for v in sinks for e in incident[v]})),
+        num_events=graph.num_vertices,
+        note="; the graph may have no sink-free orientation (tree component)",
+    )
+    return tuple(orient), stats
 
 
 def encode_sink_free(graph: Graph) -> Instance:
@@ -132,13 +117,12 @@ def is_arrow_tree(graph: Graph, root: int, arrows) -> bool:
     return True
 
 
-def _cycle_vertices(graph: Graph, root: int, arrows) -> tuple[list[int], int]:
-    """Vertices lying on directed cycles, plus the number of cycles."""
+def _cycles(graph: Graph, root: int, arrows) -> list[list[int]]:
+    """The directed cycles of an arrow map, each as its list of vertices."""
     n = graph.num_vertices
     color = [0] * n  # 0 new, 1 on current walk, 2 finished
     pos: dict[int, int] = {}
-    on_cycles: list[int] = []
-    num_cycles = 0
+    cycles: list[list[int]] = []
     for s in range(n):
         if color[s] != 0 or s == root:
             continue
@@ -148,8 +132,7 @@ def _cycle_vertices(graph: Graph, root: int, arrows) -> tuple[list[int], int]:
             if v == root or color[v] == 2:
                 break
             if color[v] == 1:
-                on_cycles.extend(path[pos[v]:])
-                num_cycles += 1
+                cycles.append(path[pos[v]:])
                 break
             color[v] = 1
             pos[v] = len(path)
@@ -158,7 +141,7 @@ def _cycle_vertices(graph: Graph, root: int, arrows) -> tuple[list[int], int]:
         for u in path:
             color[u] = 2
         pos.clear()
-    return on_cycles, num_cycles
+    return cycles
 
 
 def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
@@ -179,30 +162,21 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
         for v in range(graph.num_vertices)
         if v != root
     }
-    arrows = [-1] * graph.num_vertices
-    for v in range(graph.num_vertices):
-        if v != root:
-            arrows[v] = graph.adjacency[v][draw_index(rng, tables[v])]
-    stats = RunStats(event_resamples=None, log=None)
-    if not config.record_log:
-        stats.var_log = None
-    while True:
-        popped, num_cycles = _cycle_vertices(graph, root, arrows)
-        if not popped:
-            stats.halted = True
-            return tuple(arrows), stats
-        if stats.rounds >= config.round_cap:
-            raise RoundCapError(
-                "round cap %d reached in cycle popping" % config.round_cap, stats
-            )
-        redraw = sorted(popped)
-        for v in redraw:
-            arrows[v] = graph.adjacency[v][draw_index(rng, tables[v])]
-        stats.rounds += 1
-        stats.total_resamples += num_cycles
-        stats.variable_resamples += len(redraw)
-        if stats.var_log is not None:
-            stats.var_log.append(tuple(redraw))
+
+    def draw(v: int) -> int:
+        return graph.adjacency[v][draw_index(rng, tables[v])]
+
+    arrows = [-1 if v == root else draw(v) for v in range(graph.num_vertices)]
+    _, stats = resample_until_valid(
+        config,
+        arrows,
+        draw,
+        lambda _redrawn: _cycles(graph, root, arrows),
+        lambda cycles: (cycles, sorted(v for cyc in cycles for v in cyc)),
+        note=" in cycle popping",
+        logged=None,
+    )
+    return tuple(arrows), stats
 
 
 def spanning_tree_variables(graph: Graph, root: int) -> tuple[int, ...]:
@@ -300,51 +274,43 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     rng = make_rng(config.seed)
     table = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
     occ = [draw_index(rng, table) for _ in range(graph.num_vertices)]
-    stats = RunStats(event_resamples=None)
-    if not config.record_log:
-        stats.log = stats.var_log = None
-    adjacency = graph.adjacency
-    bad_edges = [
-        eid for eid, (u, v) in enumerate(graph.edges) if occ[u] and occ[v]
-    ]
-    while True:
-        if not bad_edges:
-            stats.halted = True
-            return frozenset(v for v in range(graph.num_vertices) if occ[v]), stats
-        if stats.rounds >= config.round_cap:
-            raise RoundCapError(
-                "round cap %d reached in hard-core sampling" % config.round_cap, stats
-            )
-        bad_vs = set()
-        for eid in bad_edges:
-            u, v = graph.edges[eid]
-            bad_vs.add(u)
-            bad_vs.add(v)
-        res_vs = set(bad_vs)
-        for v in bad_vs:
-            res_vs.update(adjacency[v])
-        redraw = sorted(res_vs)
-        resampled_events = 0
-        for v in redraw:
-            for u in adjacency[v]:
-                if u > v and u in res_vs:
-                    resampled_events += 1
-        for v in redraw:
-            occ[v] = draw_index(rng, table)
-        stats.rounds += 1
-        stats.total_resamples += resampled_events
-        stats.variable_resamples += len(redraw)
-        if stats.log is not None:
-            stats.log.append(tuple(bad_edges))
-            stats.var_log.append(tuple(redraw))
+    adjacency, edges = graph.adjacency, graph.edges
+
+    def find_bad(redrawn):
+        if redrawn is None:
+            return [eid for eid, (u, v) in enumerate(edges) if occ[u] and occ[v]]
         # Only edges touching a redrawn vertex can change badness.
         nxt = set()
-        for v in redraw:
+        for v in redrawn:
             for eid in graph.incident_edges[v]:
-                u, w = graph.edges[eid]
+                u, w = edges[eid]
                 if occ[u] and occ[w]:
                     nxt.add(eid)
-        bad_edges = sorted(nxt)
+        return sorted(nxt)
+
+    def choose(bad_edges):
+        res_vs = set()
+        for eid in bad_edges:
+            for v in edges[eid]:
+                res_vs.add(v)
+                res_vs.update(adjacency[v])
+        redraw = sorted(res_vs)
+        # The resampled events: edges with both endpoints redrawn.
+        resampled = [
+            (v, u) for v in redraw for u in adjacency[v] if u > v and u in res_vs
+        ]
+        return resampled, redraw
+
+    _, stats = resample_until_valid(
+        config,
+        occ,
+        lambda v: draw_index(rng, table),
+        find_bad,
+        choose,
+        note=" in hard-core sampling",
+        logged="bad",
+    )
+    return frozenset(v for v in range(graph.num_vertices) if occ[v]), stats
 
 
 def encode_hardcore(graph: Graph, lam) -> Instance:

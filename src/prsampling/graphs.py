@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .errors import BudgetError
 
 MAX_CYCLE_SPACE_DIM = 20
@@ -115,6 +113,8 @@ def complete_graph(n: int) -> Graph:
 
 def random_regular_graph(d: int, n: int, seed: int) -> Graph:
     """A uniformly sampled simple d-regular graph on n vertices."""
+    import networkx as nx
+
     g = nx.random_regular_graph(d, n, seed=seed)
     return make_graph(n, g.edges())
 
@@ -135,6 +135,8 @@ def simple_cycles(
             "cycle space dimension %d exceeds cap %d; too many cycles to enumerate"
             % (graph.cycle_space_dim, max_dim)
         )
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(graph.num_vertices))
     g.add_edges_from(graph.edges)

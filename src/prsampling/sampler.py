@@ -12,16 +12,20 @@ event occurs, and return the final assignment plus run statistics.
 * ``general_prs``: redraw the variables of the resampling set chosen by
   :func:`select_resampling_set` per round. Exact on every instance.
 
+All of them, and the specialized graph samplers in
+:mod:`prsampling.graph_apps`, run the one round loop
+:func:`resample_until_valid` and differ only in the initial draw, the
+occurrence finder, the choice of what to resample and the per-variable draw.
+
 Exactness here means the output is distributed as the product distribution
 conditioned on no event occurring. Fresh values are drawn lazily, variable
 by variable in ascending id order, so independently written specialized
-samplers can stay stream-aligned with these loops.
+samplers can stay stream-aligned with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import RoundCapError
 from .model import (
@@ -53,9 +57,15 @@ class RunStats:
     """What one run did.
 
     ``rounds`` counts resampling steps (one event for ``moser_tardos``, one
-    round for the others); ``event_resamples[i]`` counts how often event i
-    was resampled; ``total_resamples`` is their sum; ``log`` records the
-    resampled event ids per round and ``var_log`` the redrawn variable ids.
+    round for the others); ``total_resamples`` counts resampled events over
+    all rounds, and ``event_resamples[i]`` how often event i was resampled
+    (None for ``cycle_popping`` and ``hardcore_sample``, whose events are
+    cycles and edges). ``var_log`` records the redrawn variable ids per
+    round, and ``log`` one tuple per round that depends on the sampler: the
+    resampled event ids for the three generic samplers and ``sink_popping``
+    (sink vertices), the bad edge ids for ``hardcore_sample``, and nothing
+    for ``cycle_popping``, whose ``log`` is None. Both logs are None when
+    ``SamplerConfig.record_log`` is off.
     """
 
     rounds: int = 0
@@ -82,39 +92,97 @@ class RunStats:
         return out
 
 
-def _occurring(instance: Instance, sigma) -> list[int]:
-    return [e.id for e in instance.events if occurs(e, sigma)]
+def resample_until_valid(
+    config: SamplerConfig,
+    sigma,
+    draw,
+    find_bad,
+    choose,
+    num_events: int | None = None,
+    note: str = " without a valid assignment",
+    logged: str | None = "resampled",
+):
+    """The partial-rejection round loop that every sampler runs.
 
+    ``sigma`` is the initial product draw, updated in place. Each round
+    ``find_bad(redrawn)`` returns the occurring bad events, where
+    ``redrawn`` holds the variables redrawn in the previous round (None
+    before the first), so a finder may re-check only what changed. The loop
+    halts when none occur; otherwise ``choose(bad)`` returns the resampled
+    events and the variables to redraw, and each of those variables v gets
+    ``draw(v)``, in the order given.
 
-def moser_tardos(instance: Instance, config: SamplerConfig):
-    """Resample one uniformly chosen occurring event per step."""
-    rng = make_rng(config.seed)
-    tables = cumulative_tables(instance)
-    sigma = sample_product(instance, rng, tables)
-    stats = RunStats(event_resamples=[0] * instance.num_events)
+    ``num_events`` sizes ``RunStats.event_resamples`` (None leaves it
+    unset); ``logged`` says what ``RunStats.log`` records per round:
+    ``"resampled"`` events, the ``"bad"`` ones, or nothing (None). A run
+    that reaches ``config.round_cap`` rounds raises RoundCapError with
+    ``note`` appended to its message and the partial stats attached.
+    Returns ``(sigma, stats)``.
+    """
+    stats = RunStats(event_resamples=None if num_events is None else [0] * num_events)
+    if logged is None:
+        stats.log = None
     if not config.record_log:
         stats.log = stats.var_log = None
+    redraw = None
     while True:
-        bad = _occurring(instance, sigma)
+        bad = find_bad(redraw)
         if not bad:
             stats.halted = True
             return sigma, stats
         if stats.rounds >= config.round_cap:
             raise RoundCapError(
-                "round cap %d reached without a valid assignment" % config.round_cap,
-                stats,
+                "round cap %d reached%s" % (config.round_cap, note), stats
             )
-        i = bad[rng.randrange(len(bad))]
-        vbl = instance.events[i].vbl
-        for v in vbl:
-            sigma[v] = draw_index(rng, tables[v])
+        resampled, redraw = choose(bad)
+        for v in redraw:
+            sigma[v] = draw(v)
         stats.rounds += 1
-        stats.total_resamples += 1
-        stats.event_resamples[i] += 1
-        stats.variable_resamples += len(vbl)
+        stats.total_resamples += len(resampled)
+        if stats.event_resamples is not None:
+            for i in resampled:
+                stats.event_resamples[i] += 1
+        stats.variable_resamples += len(redraw)
         if stats.log is not None:
-            stats.log.append((i,))
-            stats.var_log.append(tuple(vbl))
+            stats.log.append(tuple(bad if logged == "bad" else resampled))
+        if stats.var_log is not None:
+            stats.var_log.append(tuple(redraw))
+
+
+def _occurring(instance: Instance, sigma) -> list[int]:
+    return [e.id for e in instance.events if occurs(e, sigma)]
+
+
+def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
+    """Run an instance through the round loop.
+
+    ``choose_events(sigma, bad, rng)`` picks the events to resample; the
+    union of their variables is redrawn in ascending id order.
+    """
+    rng = make_rng(config.seed)
+    tables = cumulative_tables(instance)
+    sigma = sample_product(instance, rng, tables)
+    events = instance.events
+
+    def choose(bad):
+        chosen = choose_events(sigma, bad, rng)
+        return chosen, sorted({v for i in chosen for v in events[i].vbl})
+
+    return resample_until_valid(
+        config,
+        sigma,
+        lambda v: draw_index(rng, tables[v]),
+        lambda _redrawn: _occurring(instance, sigma),
+        choose,
+        num_events=instance.num_events,
+    )
+
+
+def moser_tardos(instance: Instance, config: SamplerConfig):
+    """Resample one uniformly chosen occurring event per step."""
+    return _resample_events(
+        instance, config, lambda sigma, bad, rng: [bad[rng.randrange(len(bad))]]
+    )
 
 
 def select_resampling_set(
@@ -168,38 +236,6 @@ def select_resampling_set(
     return sorted(in_r)
 
 
-def _round_loop(instance: Instance, config: SamplerConfig, choose_set):
-    """Shared round structure of the two partial-resampling samplers."""
-    rng = make_rng(config.seed)
-    tables = cumulative_tables(instance)
-    sigma = sample_product(instance, rng, tables)
-    stats = RunStats(event_resamples=[0] * instance.num_events)
-    if not config.record_log:
-        stats.log = stats.var_log = None
-    while True:
-        bad = _occurring(instance, sigma)
-        if not bad:
-            stats.halted = True
-            return sigma, stats
-        if stats.rounds >= config.round_cap:
-            raise RoundCapError(
-                "round cap %d reached without a valid assignment" % config.round_cap,
-                stats,
-            )
-        chosen = choose_set(sigma, bad)
-        redraw = sorted({v for i in chosen for v in instance.events[i].vbl})
-        for v in redraw:
-            sigma[v] = draw_index(rng, tables[v])
-        stats.rounds += 1
-        stats.total_resamples += len(chosen)
-        for i in chosen:
-            stats.event_resamples[i] += 1
-        stats.variable_resamples += len(redraw)
-        if stats.log is not None:
-            stats.log.append(tuple(chosen))
-            stats.var_log.append(tuple(redraw))
-
-
 def extremal_prs(
     instance: Instance, config: SamplerConfig, graph: DependencyGraph | None = None
 ):
@@ -214,7 +250,7 @@ def extremal_prs(
             "instance is not extremal; this sampler would be biased "
             "(use general_prs, or disable check_extremal to demonstrate)"
         )
-    return _round_loop(instance, config, lambda sigma, bad: bad)
+    return _resample_events(instance, config, lambda sigma, bad, rng: bad)
 
 
 def general_prs(
@@ -228,10 +264,10 @@ def general_prs(
     """
     if graph is None:
         graph = build_dependency_graph(instance)
-    return _round_loop(
+    return _resample_events(
         instance,
         config,
-        lambda sigma, bad: select_resampling_set(instance, sigma, graph, _bad=bad),
+        lambda sigma, bad, rng: select_resampling_set(instance, sigma, graph, _bad=bad),
     )
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.stats import chi2 as _chi2
+from mpmath import gammainc, inf
 
 from .cnf import CnfFormula, cnf_to_instance
 from .errors import BudgetError
@@ -115,6 +115,12 @@ class UniformityVerdict:
         }
 
 
+def chi2_sf(stat: float, dof: int) -> float:
+    """P(X >= stat) for X chi-square with ``dof`` degrees of freedom, as the
+    regularized upper incomplete gamma Q(dof/2, stat/2)."""
+    return float(gammainc(dof / 2, stat / 2, inf, regularized=True))
+
+
 def empirical_distribution_test(
     draw,
     target: dict,
@@ -142,7 +148,7 @@ def empirical_distribution_test(
         elif counts.get(k, 0):
             stat = math.inf
     dof = max(len(target) - 1, 1)
-    p_value = float(_chi2.sf(stat, dof)) if math.isfinite(stat) else 0.0
+    p_value = chi2_sf(stat, dof) if math.isfinite(stat) else 0.0
     return UniformityVerdict(
         n=n,
         num_outcomes=len(target),
@@ -211,30 +217,32 @@ def expected_resamples_test(
     and checks each mean against its prediction within ``sigma_factor``
     standard errors.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     graph = build_dependency_graph(instance)
     if not is_extremal(instance, graph):
         raise ValueError("expected-resamples law requires an extremal instance")
     per_exact = expected_resamples_per_event(graph, event_probabilities(instance))
     total_exact = sum(per_exact, Fraction(0))
-    m = instance.num_events
-    totals = np.zeros(n)
-    per = np.zeros((n, m))
+    totals = []
+    per = []
     for i in range(n):
         cfg = SamplerConfig(seed=derive_seed(base_seed, i), record_log=False)
         _, stats = extremal_prs(instance, cfg, graph)
-        totals[i] = stats.total_resamples
-        per[i] = stats.event_resamples
-    def banded(sample: np.ndarray, exact: Fraction) -> dict:
-        mean = float(sample.mean())
-        se = float(sample.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        totals.append(stats.total_resamples)
+        per.append(stats.event_resamples)
+
+    def banded(sample, exact: Fraction) -> dict:
+        mean = statistics.fmean(sample)
+        se = statistics.stdev(sample) / math.sqrt(n) if n > 1 else 0.0
         err = abs(mean - float(exact))
         ok = err <= sigma_factor * se if se > 0 else err == 0
-        return {"exact": str(exact), "mean": mean, "se": se, "ok": bool(ok)}
+        return {"exact": str(exact), "mean": mean, "se": se, "ok": ok}
 
     report = {
         "n": n,
         "total": banded(totals, total_exact),
-        "per_event": [banded(per[:, j], per_exact[j]) for j in range(m)],
+        "per_event": [banded(col, exact) for col, exact in zip(zip(*per), per_exact)],
     }
     report["passed"] = report["total"]["ok"] and all(
         r["ok"] for r in report["per_event"]
@@ -596,8 +604,16 @@ def round_scaling_experiment(
     graph and aggregates rounds, resampled events per event, and the pooled
     per-round bad-edge decay ratio. Fits mean rounds against log(num
     events) and flags super-logarithmic growth (final residual beyond
-    3 residual standard deviations).
+    3 residual standard deviations). The fit needs at least two distinct
+    sizes, so that the graphs have at least two distinct edge counts.
     """
+    if len(set(sizes)) < 2:
+        raise ValueError(
+            "round scaling needs at least two distinct sizes to fit rounds "
+            "against log(edges), got %s" % ",".join(map(str, sizes))
+        )
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     per_size = []
     decay_pairs = []
     for si, n in enumerate(sizes):
@@ -605,40 +621,37 @@ def round_scaling_experiment(
             degree, n, seed=derive_seed(base_seed, 10 ** 9 + si)
         )
         m = graph.num_edges
-        rounds = np.zeros(trials)
-        resamples = np.zeros(trials)
+        rounds = []
+        resamples = []
         for t in range(trials):
             cfg = SamplerConfig(seed=derive_seed(base_seed, si * trials + t))
             _, stats = hardcore_sample(graph, lam, cfg)
-            rounds[t] = stats.rounds
-            resamples[t] = stats.total_resamples
+            rounds.append(stats.rounds)
+            resamples.append(stats.total_resamples)
             bad_counts = [len(s) for s in stats.log]
-            decay_pairs.extend(
-                (bad_counts[i], bad_counts[i + 1]) for i in range(len(bad_counts) - 1)
-            )
+            decay_pairs.extend(zip(bad_counts, bad_counts[1:]))
         per_size.append(
             {
                 "n": n,
                 "m": m,
                 "trials": trials,
-                "mean_rounds": float(rounds.mean()),
-                "se_rounds": float(rounds.std(ddof=1) / math.sqrt(trials))
+                "mean_rounds": statistics.fmean(rounds),
+                "se_rounds": statistics.stdev(rounds) / math.sqrt(trials)
                 if trials > 1
                 else 0.0,
-                "resamples_per_event": float(resamples.mean() / m),
+                "resamples_per_event": statistics.fmean(resamples) / m,
             }
         )
-    logs = np.array([math.log(row["m"]) for row in per_size])
-    means = np.array([row["mean_rounds"] for row in per_size])
-    b, a = np.polyfit(logs, means, 1)
-    residuals = means - (a + b * logs)
-    resid_std = float(residuals.std(ddof=0)) or 1e-12
-    super_log = bool(residuals[-1] > 3 * resid_std)
+    logs = [math.log(row["m"]) for row in per_size]
+    means = [row["mean_rounds"] for row in per_size]
+    b, a = statistics.linear_regression(logs, means)
+    residuals = [y - (a + b * x) for x, y in zip(logs, means)]
+    resid_std = statistics.pstdev(residuals) or 1e-12
+    super_log = residuals[-1] > 3 * resid_std
     if decay_pairs:
-        xs = np.array([p[0] for p in decay_pairs], dtype=float)
-        ys = np.array([p[1] for p in decay_pairs], dtype=float)
-        ratio = float(ys.sum() / xs.sum())
-        se = float(math.sqrt(((ys - ratio * xs) ** 2).sum()) / xs.sum())
+        total = sum(x for x, _ in decay_pairs)
+        ratio = sum(y for _, y in decay_pairs) / total
+        se = math.sqrt(math.fsum((y - ratio * x) ** 2 for x, y in decay_pairs)) / total
     else:
         ratio, se = 0.0, 0.0
     return {
@@ -646,9 +659,9 @@ def round_scaling_experiment(
         "degree": degree,
         "sizes": per_size,
         "fit": {
-            "a": float(a),
-            "b": float(b),
-            "residuals": [float(r) for r in residuals],
+            "a": a,
+            "b": b,
+            "residuals": residuals,
             "resid_std": resid_std,
             "super_logarithmic": super_log,
         },

@@ -229,6 +229,19 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "cnf", "--file", str(bad))
         assert code == 1 and "repeated" in err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "what,option",
+        [("instance", "--file"), ("sink-free", "--graph"), ("hardcore", "--graph")],
+    )
+    def test_count_below_one_exit_one(self, capsys, triangle_file, what, option, count):
+        extra = ["--lam", "1"] if what == "hardcore" else []
+        code, out, err = run_cli(
+            capsys, "sample", what, option, triangle_file, *extra, "--count", count
+        )
+        assert code == 1 and out == ""
+        assert "argument --count: must be at least 1, got %s" % count in err
+
 
 class TestAnalyze:
     def test_instance_report(self, capsys, two_events_file):
@@ -514,6 +527,11 @@ class TestExperiment:
         )
         assert code == 1 and "at least one" in err
 
+    def test_single_size_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "round-scaling", "--sizes", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "two distinct sizes" in err
+
     def test_round_scaling_app_flag(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -564,12 +582,11 @@ def _assert_reports_holds_false(proc):
     assert json.loads(proc.stdout)["holds"] is False, proc.stderr
 
 
-def _run_module(args, cwd):
-    """Run ``python -m prsampling`` from the tree under test.
+def _run_python(args, cwd):
+    """Run a fresh interpreter that imports prsampling from the tree under test.
 
-    ``python -m prsampling`` is the console script without installing. The
-    tree under test goes first on the child's path, so neither the working
-    directory nor another installed copy decides what runs.
+    The tree under test goes first on the child's path, so neither the
+    working directory nor another installed copy decides what runs.
     """
     package_root = str(Path(prsampling.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
@@ -578,12 +595,13 @@ def _run_module(args, cwd):
         package_root + os.pathsep + inherited if inherited else package_root
     )
     return subprocess.run(
-        [sys.executable, "-m", "prsampling", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env
     )
+
+
+def _run_module(args, cwd):
+    """Run ``python -m prsampling``, the console script without installing."""
+    return _run_python(["-m", "prsampling", *args], cwd)
 
 
 class TestEntryPoint:
@@ -594,6 +612,18 @@ class TestEntryPoint:
         proc = _run_module([], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage: prsampling ")
+
+    def test_import_loads_no_heavy_dependency(self, tmp_path):
+        proc = _run_python(
+            [
+                "-c",
+                "import sys, prsampling, prsampling.cli; "
+                "print(sorted(set(sys.modules) & {'scipy', 'numpy', 'networkx'}))",
+            ],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_declaration(self):
         tomllib = pytest.importorskip("tomllib")

@@ -242,13 +242,23 @@ class TestEncodeSpanningTree:
         assert is_extremal(encode_spanning_tree(complete_graph(4), 0))
 
     def test_matches_specialized_sampler(self):
-        for g, root in [(complete_graph(4), 0), (cycle_graph(4), 1)]:
+        cases = [(complete_graph(4), 0), (cycle_graph(4), 1), (complete_graph(6), 0)]
+        for g, root in cases:
             inst = encode_spanning_tree(g, root)
+            vertex_of = spanning_tree_variables(g, root)
             for i in range(60):
                 seed = derive_seed(8, i)
-                arrows, _ = cycle_popping(g, root, cfg(seed))
-                sigma, _ = general_prs(inst, cfg(seed))
+                arrows, st_s = cycle_popping(g, root, cfg(seed))
+                sigma, st_g = general_prs(inst, cfg(seed))
                 assert assignment_to_arrows(g, root, sigma) == arrows
+                # One occurring event per directed cycle, so the round
+                # accounting agrees too.
+                assert st_s.rounds == st_g.rounds
+                assert st_s.total_resamples == st_g.total_resamples
+                assert st_s.variable_resamples == st_g.variable_resamples
+                assert st_s.var_log == [
+                    tuple(vertex_of[k] for k in redrawn) for redrawn in st_g.var_log
+                ]
 
     def test_requires_connected(self):
         with pytest.raises(ValueError, match="connected"):

@@ -21,6 +21,7 @@ from prsampling.sampler import (
     extremal_prs,
     general_prs,
     moser_tardos,
+    resample_until_valid,
     run_sampler,
     select_resampling_set,
 )
@@ -38,6 +39,64 @@ def unsatisfiable_instance():
         (uniform_variable(0, 2),),
         (make_event(0, (0,), [(0,), (1,)]),),
     )
+
+
+class TestResampleUntilValid:
+    """The round loop itself, on a toy system: variable v is bad while 0."""
+
+    def run(self, draws, choose, **kw):
+        sigma = [0, 1, 0]
+        values = iter(draws)
+        seen, drawn = [], []
+
+        def find_bad(redrawn):
+            seen.append(redrawn)
+            return [v for v in range(3) if sigma[v] == 0]
+
+        def draw(v):
+            drawn.append(v)
+            return next(values)
+
+        config = SamplerConfig(
+            seed=0,
+            round_cap=kw.pop("round_cap", 10),
+            record_log=kw.pop("record_log", True),
+        )
+        out, stats = resample_until_valid(config, sigma, draw, find_bad, choose, **kw)
+        assert out is sigma
+        return sigma, stats, seen, drawn
+
+    def test_rounds_redraws_and_stats(self):
+        sigma, stats, seen, drawn = self.run(
+            [0, 1, 1], lambda bad: (bad, sorted(bad, reverse=True)), num_events=3
+        )
+        assert sigma == [1, 1, 1] and stats.halted
+        # The finder sees the previous round's redraw; draws follow its order.
+        assert seen == [None, [2, 0], [2]]
+        assert drawn == [2, 0, 2]
+        assert (stats.rounds, stats.total_resamples, stats.variable_resamples) == (2, 3, 3)
+        assert stats.event_resamples == [1, 0, 2]
+        assert stats.log == [(0, 2), (2,)]
+        assert stats.var_log == [(2, 0), (2,)]
+
+    @pytest.mark.parametrize(
+        "logged,log", [("resampled", [(0, 1, 2)]), ("bad", [(0, 2)]), (None, None)]
+    )
+    def test_logged(self, logged, log):
+        def choose(bad):  # resample event 1 as well as the bad 0 and 2
+            return bad[:1] + [1] + bad[1:], [0, 1, 2]
+
+        _, stats, _, _ = self.run([1, 1, 1], choose, logged=logged)
+        assert stats.event_resamples is None and stats.total_resamples == 3
+        assert stats.log == log and stats.var_log == [(0, 1, 2)]
+        _, stats, _, _ = self.run([1, 1, 1], choose, logged=logged, record_log=False)
+        assert stats.log is None and stats.var_log is None
+
+    def test_round_cap(self):
+        with pytest.raises(RoundCapError, match="^round cap 1 reached in a toy$") as err:
+            self.run([0, 0], lambda bad: (bad, bad), round_cap=1, note=" in a toy")
+        assert err.value.stats.rounds == 1 and not err.value.stats.halted
+        assert err.value.stats.var_log == [(0, 2)]
 
 
 class TestMoserTardos:

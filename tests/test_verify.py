@@ -18,6 +18,7 @@ from prsampling.shearer import q_empty
 from prsampling.verify import (
     biased_stub,
     chain_cnf,
+    chi2_sf,
     cross_order_report,
     empirical_distribution_test,
     enumerate_valid,
@@ -76,6 +77,76 @@ class TestEnumerateValid:
         assert enumerate_valid(inst).q_empty_check > q_empty(
             graph, event_probabilities(inst)
         )
+
+
+# (statistic, dof, scipy.stats.chi2.sf(statistic, dof)) from scipy 1.17.1,
+# frozen before scipy was dropped; seven of the p-values are below 1e-30.
+CHI2_SF_GRID = [
+    (0.0, 1, 1.0),
+    (0.5, 1, 0.47950012218695337),
+    (1.0, 1, 0.31731050786291115),
+    (2.0, 1, 0.15729920705028105),
+    (3.7, 1, 0.054412467991601404),
+    (80.0, 1, 3.744097384202887e-19),
+    (400.0, 1, 5.507248237212379e-89),
+    (0.0, 2, 1.0),
+    (0.5, 2, 0.7788007830714049),
+    (2.0, 2, 0.36787944117144245),
+    (3.7, 2, 0.1572371663136276),
+    (4.0, 2, 0.1353352832366127),
+    (80.0, 2, 4.248354255291595e-18),
+    (400.0, 2, 1.383896526736753e-87),
+    (0.0, 3, 1.0),
+    (0.5, 3, 0.9188914116546758),
+    (3.0, 3, 0.3916251762710877),
+    (3.7, 3, 0.29573403237527585),
+    (6.0, 3, 0.11161022509471268),
+    (80.0, 3, 3.0692774861724164e-17),
+    (400.0, 3, 2.2138865931011112e-86),
+    (0.0, 7, 1.0),
+    (0.5, 7, 0.9994464813904249),
+    (3.7, 7, 0.8136101095426413),
+    (7.0, 7, 0.42887985755305486),
+    (14.0, 7, 0.051181353413065414),
+    (80.0, 7, 1.377501829742618e-14),
+    (400.0, 7, 2.3852710811123476e-82),
+    (0.0, 30, 1.0),
+    (0.5, 30, 1.0),
+    (3.7, 30, 0.9999999986177982),
+    (30.0, 30, 0.4656537089440098),
+    (60.0, 30, 0.0009206823961486636),
+    (80.0, 30, 1.9756232434910563e-06),
+    (400.0, 30, 2.7954938576565057e-66),
+    (0.0, 99, 1.0),
+    (3.7, 99, 1.0),
+    (80.0, 99, 0.9191878735980901),
+    (99.0, 99, 0.4810969124082639),
+    (198.0, 99, 1.3802761283351001e-08),
+    (400.0, 99, 8.372893780664211e-38),
+    (0.0, 500, 1.0),
+    (80.0, 500, 1.0),
+    (400.0, 500, 0.9996379295417103),
+    (500.0, 500, 0.491589373031009),
+    (1000.0, 500, 1.2085183611328796e-35),
+]
+
+
+class TestChiSquarePValue:
+    @pytest.mark.parametrize("stat,dof,expected", CHI2_SF_GRID)
+    def test_matches_frozen_scipy_values(self, stat, dof, expected):
+        assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_grid_reaches_tiny_p_values(self):
+        assert sum(1 for _, _, p in CHI2_SF_GRID if p < 1e-30) >= 5
+
+    def test_verdict_uses_it(self):
+        verdict = empirical_distribution_test(
+            lambda seed: make_rng(seed).random() < 0.57,
+            {False: F(1, 2), True: F(1, 2)},
+            2_000,
+            base_seed=7,
+        )
+        assert verdict.p_value == chi2_sf(verdict.chi2, verdict.dof)
 
 
 class TestEmpiricalDistributionTest:
@@ -154,6 +225,10 @@ class TestExpectedResamplesTest:
     def test_requires_extremal(self):
         with pytest.raises(ValueError, match="extremal"):
             expected_resamples_test(cnf_to_instance(chain_cnf()), 10, 0)
+
+    def test_requires_a_run(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            expected_resamples_test(two_adjacent_events_instance(), 0, 0)
 
 
 class TestFirstRoundTest:
@@ -259,6 +334,15 @@ class TestRoundScaling:
         a = round_scaling_experiment([16, 32], F(1, 10), 3, base_seed=1)
         b = round_scaling_experiment([16, 32], F(1, 10), 3, base_seed=2)
         assert a != b
+
+    @pytest.mark.parametrize("sizes", [[10], [16, 16]])
+    def test_needs_two_distinct_sizes(self, sizes):
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            round_scaling_experiment(sizes, F(1, 10), 2, base_seed=1)
+
+    def test_requires_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            round_scaling_experiment([16, 32], F(1, 10), 0, base_seed=1)
 
 
 class TestTruncatedSumConvergence:
