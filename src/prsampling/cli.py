@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         help="named sampler/oracle pair (p5-hardcore is an alias of hardcore-p5)",
     )
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--tv-max",
@@ -609,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "first-round", help="first-round occurring-set law vs exact values"
     )
     p.add_argument("--case", default="two-events", choices=("two-events", "sink-c3"))
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify_case_law, law=first_round_test)
 
@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify_sub.add_parser(
         "negative-control", help="a deliberately biased sampler must fail"
     )
-    p.add_argument("--n", type=int, default=20_000)
+    p.add_argument("--n", type=_positive_int, default=20_000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify_negative_control)
 
@@ -665,10 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = experiment_sub.add_parser(
         "disjoint-paths", help="hard-core runs on disjoint fixed-length paths"
     )
-    p.add_argument("--n", type=int, required=True, help="total vertices (multiple of L)")
+    p.add_argument("--n", type=_positive_int, required=True, help="total vertices (multiple of L)")
     p.add_argument("--L", type=int, required=True, help="vertices per path")
     p.add_argument("--lam", "--lambda", default="1")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--round-cap", type=int, default=DEFAULT_ROUND_CAP)
     p.add_argument("--csv", default=None, help="write per-trial rows to this file")

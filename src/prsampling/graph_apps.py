@@ -48,9 +48,12 @@ def _exact(lam, name: str = "lam") -> Fraction:
 def sink_popping(graph: Graph, config: SamplerConfig):
     """Sample a uniform sink-free orientation.
 
-    Each round re-orients every edge adjacent to a sink. On graphs where
-    some component is a tree no sink-free orientation exists and the round
-    cap is eventually hit.
+    Each round re-orients every edge adjacent to a sink. The first round
+    tests every vertex; later rounds re-test only the endpoints of the edges
+    just re-oriented, since any other vertex kept all its edges and every
+    old sink had all of its edges redrawn. On graphs where some component
+    is a tree no sink-free orientation exists and the round cap is
+    eventually hit.
     """
     rng = make_rng(config.seed)
     table = cumulative_table((Fraction(1, 2), Fraction(1, 2)))
@@ -67,11 +70,17 @@ def sink_popping(graph: Graph, config: SamplerConfig):
                 return False
         return True
 
+    def find_sinks(redrawn):
+        if redrawn is None:
+            return [v for v in range(graph.num_vertices) if is_sink(v)]
+        ends = {v for eid in redrawn for v in graph.edges[eid]}
+        return [v for v in sorted(ends) if is_sink(v)]
+
     _, stats = resample_until_valid(
         config,
         orient,
         lambda eid: draw_index(rng, table),
-        lambda _redrawn: [v for v in range(graph.num_vertices) if is_sink(v)],
+        find_sinks,
         lambda sinks: (sinks, sorted({e for v in sinks for e in incident[v]})),
         num_events=graph.num_vertices,
         note="; the graph may have no sink-free orientation (tree component)",
@@ -103,75 +112,77 @@ def is_arrow_tree(graph: Graph, root: int, arrows) -> bool:
                 return False
         elif arrows[v] not in graph.adjacency[v]:
             return False
-    reached = [False] * graph.num_vertices
+    state = [0] * graph.num_vertices  # 1 on the current walk, 2 reaches the root
     for s in range(graph.num_vertices):
         path = []
         v = s
-        while v != root and not reached[v]:
-            if v in path:
+        while v != root and state[v] != 2:
+            if state[v] == 1:
                 return False
+            state[v] = 1
             path.append(v)
             v = arrows[v]
         for u in path:
-            reached[u] = True
+            state[u] = 2
     return True
-
-
-def _cycles(graph: Graph, root: int, arrows) -> list[list[int]]:
-    """The directed cycles of an arrow map, each as its list of vertices."""
-    n = graph.num_vertices
-    color = [0] * n  # 0 new, 1 on current walk, 2 finished
-    pos: dict[int, int] = {}
-    cycles: list[list[int]] = []
-    for s in range(n):
-        if color[s] != 0 or s == root:
-            continue
-        path = []
-        v = s
-        while True:
-            if v == root or color[v] == 2:
-                break
-            if color[v] == 1:
-                cycles.append(path[pos[v]:])
-                break
-            color[v] = 1
-            pos[v] = len(path)
-            path.append(v)
-            v = arrows[v]
-        for u in path:
-            color[u] = 2
-        pos.clear()
-    return cycles
 
 
 def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
     """Sample a uniform spanning in-tree rooted at ``root``.
 
     Every non-root vertex draws a uniform neighbor arrow; each round pops
-    (redraws) all vertices currently lying on directed cycles.
+    (redraws) all vertices currently lying on directed cycles. Only cycle
+    vertices are redrawn, so a vertex whose arrows lead to the root keeps
+    leading there and stays marked. The first round walks from every
+    vertex; later rounds walk only from the vertices just redrawn, since
+    any new cycle passes through one, and each walk stops at a marked
+    vertex or at one already walked this round.
     """
     if not graph.is_connected():
         raise ValueError("cycle popping requires a connected graph")
     if not 0 <= root < graph.num_vertices:
         raise ValueError("root %d out of range" % root)
     rng = make_rng(config.seed)
+    n = graph.num_vertices
+    # One uniform table per degree, not per vertex.
     tables = {
-        v: cumulative_table(
-            (Fraction(1, len(graph.adjacency[v])),) * len(graph.adjacency[v])
-        )
-        for v in range(graph.num_vertices)
-        if v != root
+        d: cumulative_table((Fraction(1, d),) * d)
+        for d in {len(graph.adjacency[v]) for v in range(n) if v != root}
     }
 
     def draw(v: int) -> int:
-        return graph.adjacency[v][draw_index(rng, tables[v])]
+        nbrs = graph.adjacency[v]
+        return nbrs[draw_index(rng, tables[len(nbrs)])]
 
-    arrows = [-1 if v == root else draw(v) for v in range(graph.num_vertices)]
+    arrows = [-1 if v == root else draw(v) for v in range(n)]
+    rooted = [v == root for v in range(n)]
+    walk_of = [0] * n  # the last walk that visited each vertex
+    walks = 0
+
+    def find_cycles(redrawn):
+        nonlocal walks
+        first = walks + 1  # walks of this round are numbered from here
+        cycles = []
+        for s in range(n) if redrawn is None else redrawn:
+            walks += 1
+            path = []
+            v = s
+            while not rooted[v] and walk_of[v] < first:
+                walk_of[v] = walks
+                path.append(v)
+                v = arrows[v]
+            if rooted[v]:
+                for u in path:
+                    rooted[u] = True
+            elif walk_of[v] == walks:
+                cycles.append(path[path.index(v):])
+        return cycles
+
     _, stats = resample_until_valid(
         config,
         arrows,
         draw,
-        lambda _redrawn: _cycles(graph, root, arrows),
+        find_cycles,
         lambda cycles: (cycles, sorted(v for cyc in cycles for v in cyc)),
         note=" in cycle popping",
         logged=None,

@@ -573,6 +573,36 @@ class TestUsageErrors:
         assert code == 0
         assert "usage" in out.lower()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["verify", "uniformity"], "--n"),
+            (["verify", "first-round"], "--n"),
+            (["verify", "negative-control"], "--n"),
+            (["experiment", "disjoint-paths", "--n", "8", "--L", "4"], "--trials"),
+            (["experiment", "disjoint-paths", "--L", "4", "--trials", "1"], "--n"),
+        ],
+    )
+    def test_run_count_below_one_exit_one(self, capsys, argv, option, value):
+        code, out, err = run_cli(capsys, *argv, option, value)
+        assert code == 1 and out == ""
+        assert "argument %s: must be at least 1, got %s" % (option, value) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "uniformity", "--case", "sink-c3", "--n", "50"],
+            ["verify", "first-round", "--n", "50"],
+            ["verify", "negative-control", "--n", "50"],
+            ["experiment", "disjoint-paths", "--n", "8", "--L", "4", "--trials", "2"],
+        ],
+    )
+    def test_seed_zero_accepted(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "0")
+        assert code in (0, 3) and err == ""
+        assert json.loads(out)["seed"] == 0
+
 
 CONDITION_ARGS = ["analyze", "condition", "--kind", "extremal-cnf", "--k", "3", "--d", "2"]
 

@@ -1,6 +1,9 @@
 """Sink-free orientations, spanning trees, hard-core, and path analytics."""
 
+import hashlib
 import itertools
+import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -47,6 +50,42 @@ F = Fraction
 
 def cfg(seed, **kw):
     return SamplerConfig(seed=seed, record_log=kw.pop("record_log", True), **kw)
+
+
+def random_cubic_graph(n, seed):
+    """A connected simple 3-regular graph from the pairing model.
+
+    Stdlib only, so the graphs (and the frozen digests built on them) do not
+    depend on the networkx version.
+    """
+    rng = random.Random(seed)
+    points = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(points)
+        pairs = [(points[k], points[k + 1]) for k in range(0, len(points), 2)]
+        if all(u != v for u, v in pairs):
+            g = make_graph(n, pairs)
+            if g.num_edges == len(pairs) and g.is_connected():
+                return g
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(10, outer + spokes + inner)
+
+
+def grid_graph(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return make_graph(rows * cols, edges)
 
 
 def brute_hardcore(k, lam):
@@ -128,15 +167,23 @@ class TestEncodeSinkFree:
         assert inst.num_events == 2
 
     def test_matches_specialized_sampler(self):
-        g = cycle_graph(4)
-        inst = encode_sink_free(g)
-        for i in range(60):
-            seed = derive_seed(4, i)
-            orient, st_s = sink_popping(g, cfg(seed))
-            sigma, st_g = extremal_prs(inst, cfg(seed))
-            assert tuple(sigma) == orient
-            assert st_s.var_log == st_g.var_log
-            assert st_s.log == st_g.log
+        # extremal_prs re-tests every event each round, so it checks the
+        # incremental sink finder of sink_popping round by round.
+        cases = [
+            cycle_graph(4),
+            complete_graph(4),
+            random_cubic_graph(50, 50),
+            random_cubic_graph(200, 200),
+        ]
+        for g in cases:
+            inst = encode_sink_free(g)
+            for i in range(60):
+                seed = derive_seed(4, i)
+                orient, st_s = sink_popping(g, cfg(seed))
+                sigma, st_g = extremal_prs(inst, cfg(seed))
+                assert tuple(sigma) == orient
+                assert st_s.var_log == st_g.var_log
+                assert st_s.log == st_g.log
 
 
 class TestCyclePopping:
@@ -193,6 +240,16 @@ class TestIsArrowTree:
     def test_rejects_wrong_root_arrow(self):
         assert not is_arrow_tree(cycle_graph(3), 0, (1, 0, 0))
 
+    def test_long_walks(self):
+        # One walk of n - 1 vertices: linear, where a list membership test
+        # on the walk would be quadratic.
+        n = 20_000
+        path = tuple(range(1, n)) + (-1,)
+        assert is_arrow_tree(path_graph(n), n - 1, path)
+        # The same long walk ending in the 2-cycle n-2 <-> n-1.
+        arrows = (-1,) + tuple(range(2, n)) + (n - 2,)
+        assert not is_arrow_tree(cycle_graph(n), 0, arrows)
+
 
 class TestEncodeSpanningTree:
     def test_triangle_encoding(self):
@@ -242,7 +299,13 @@ class TestEncodeSpanningTree:
         assert is_extremal(encode_spanning_tree(complete_graph(4), 0))
 
     def test_matches_specialized_sampler(self):
-        cases = [(complete_graph(4), 0), (cycle_graph(4), 1), (complete_graph(6), 0)]
+        cases = [
+            (complete_graph(4), 0),
+            (cycle_graph(4), 1),
+            (complete_graph(6), 0),
+            (petersen_graph(), 7),
+            (grid_graph(3, 3), 4),
+        ]
         for g, root in cases:
             inst = encode_spanning_tree(g, root)
             vertex_of = spanning_tree_variables(g, root)
@@ -263,6 +326,83 @@ class TestEncodeSpanningTree:
     def test_requires_connected(self):
         with pytest.raises(ValueError, match="connected"):
             encode_spanning_tree(make_graph(4, [(0, 1), (2, 3)]), 0)
+
+
+# sha256 of (sample, stats.to_json(include_log=True)) for the runs in
+# TestFrozenStream, recorded before the occurrence finders of sink_popping
+# and cycle_popping became incremental. Any change here changes the stream.
+FROZEN_POPPING_DIGESTS = {
+    ("sink", 200): [
+        "cf866d6e17a3dd3329702b4cc2d22eb68164c4c545ad81801d276644aa4eaecc",
+        "f491a465c34b0d58ba89ea282cb871c25ee652517ff5dac6e33825ea2c91e2c2",
+        "1aee8088be28a766e5214f16539209befb47aaa9f0dc7c2ddacd1c4fbd7a6d72",
+        "2ab5caa57defacc1f6d0e6d811fdfce94ab22c73834f9019796c9b05edffff1b",
+        "42014285aa002d0a69cb774464709f899af95d2348001cc1c5b74dd902ff3e9f",
+        "154c0dfefd0974fd2e85d2f19ab75cd4a605d72f4a88577ed68a7a9499cd543b",
+        "755865e826ad8049cf1eb62f8e7cb0b4de3c099ea4b4a9b327b84562af1934dd",
+        "1e6d4b0a7d264e5f76f0a30b4930e8afabd13ffdfac41710447fdfea42430f10",
+        "6075960bca3db1de1d61f37078eb3d92df113bd829ab679df016e0e4339e30d4",
+        "f6b56ed79638b89b7401844b4c38cb9ce7016a1b84092ec4927a6153459b568c",
+    ],
+    ("sink", 2000): [
+        "ebf9cbdaa7f7e660a48ea650222d04980e1353386cb47f3ca81463b375ed8d7a",
+        "eb193f2b7179f571c00812ce00bcb70d7bf7ff759e9ba3dad91b9f056900fb2f",
+        "21855a5d8835d0901ae6cb8c693c8e78da9faa0403d06e263dbd64398377f8ff",
+        "06b37606adbe54465e2a32876640b18865ae286fcba9c6b3579f38bb481dd59c",
+        "fd17cff17f82aca2412458a0733db0d1457b8eeacfe6d15980d54385ec450f52",
+        "2ab7583f2084552863b66c3a75f48e9b4c292e20024ceba040a00aaa542c7e05",
+        "193737a3a5ece8c44971d39d6a33775b4ae6eb03cdd0c1360fffabef26bd3cba",
+        "b6c2cd5c5246cbfa627e52b14cd78e18d6c6f83d6beae7fa00fba03baba44e28",
+        "71935b06f152c76e58947447f457444b791995136d06d27920f5968bc3422d50",
+        "61a8f89274f09ed6814535752107623722cb4c0b695a05b7a1a6a1968a5a3238",
+    ],
+    ("cycle", 200): [
+        "04c20f33fc01d242b15765dd52c634f8db18e9279be33c67582d9def80c978cd",
+        "4ea6f90b4c8d747b396763ebdc30ee1425502e697c2ca83f03e85b79be09f2a3",
+        "2eddb6c2981873f9382416620ab0c72f3628b8082eee205b328e4ae65382b59b",
+        "619364d81f31dd1c8f41d45d2f16b8e1e3e993fb552f71417a43e3a31c7408dc",
+        "9eab778bf68cf0081699b8c5fb767d6efcf490f964116c6e044b5a781a4984fb",
+        "35d9ce034b84f6a1481fad73d0547e4221dd630229e97608de15ac67d9cea4ab",
+        "3895f9f734c8500c5dcdcf27b57b13f0a8ff1f345071d7d5f647045b84115fe7",
+        "cd8003e936da01a9f3715cd52c4049fec56de91527b57a335186ab61feb6c776",
+        "54b650a1cd2db1e187073f0d6ec46f886d0d0c98e1cc4e66d606e2bc82b15a0d",
+        "bd75e100548e49da0e68a7274d70a2dfceabc5f105521d00de62a4c97cd69c6c",
+    ],
+    ("cycle", 2000): [
+        "1c7fa9346713d6026fb23b3b31e658db0b1b155bb2c34f6428be7700d1935881",
+        "29247caea43dcb0298a8a94ce320edf297107784b4e0e55147b0f710b05dabac",
+        "50a2c36f98d1b4f38ca0dabef9df3a1dcfaf2a7c4e7ce89ea4a52d9fc38df9d5",
+        "43422cff849b75f91f87ab6a4afb9a7a261cf59af0c65e60c20e6651b5b3a0a6",
+        "1657ec2c1389cf0137ed95f400c1d9b70572026a34d58ca987301cda6104a7c8",
+        "4dc2d455fa4521ad9e499bd2e2df25583f4e488d564cfdde8f8a1d9f5e1a16fc",
+        "8c306e91c4f2cf656c23fecb5ca9e4496213692502a41455f099f31794c87860",
+        "427da1ff16458f5a74d5d086101dcbb63993082e555099f81b5c029daf8f59dc",
+        "c636c423edbd914c8d2f0bf7ad54eac1377a00869c14f66bbd8b1253c6248f77",
+        "cc84d42c421326bbecde7a2c94abec92f016d2eacedf3fd511f9395fa7a4c7b7",
+    ],
+}
+
+
+def run_digest(sample, stats):
+    blob = json.dumps(
+        [list(sample), stats.to_json(include_log=True)], separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestFrozenStream:
+    @pytest.mark.parametrize("sampler,n", sorted(FROZEN_POPPING_DIGESTS))
+    def test_popping_stream_unchanged(self, sampler, n):
+        digests = []
+        for i in range(10):
+            g = random_cubic_graph(n, derive_seed(n, i))
+            config = cfg(derive_seed(41, i))
+            if sampler == "sink":
+                sample, stats = sink_popping(g, config)
+            else:
+                sample, stats = cycle_popping(g, (7 * i) % n, config)
+            digests.append(run_digest(sample, stats))
+        assert digests == FROZEN_POPPING_DIGESTS[sampler, n]
 
 
 class TestHardcoreSampler:
