@@ -373,13 +373,7 @@ def _cmd_verify_cross_order(args) -> int:
 
 
 def _cmd_verify_truncated_sum(args) -> int:
-    from .model import (
-        Instance,
-        build_dependency_graph,
-        event_probabilities,
-        make_event,
-        uniform_variable,
-    )
+    from .model import Instance, event_probabilities, make_event, uniform_variable
 
     if args.case == "single":
         instance = Instance(
@@ -387,9 +381,8 @@ def _cmd_verify_truncated_sum(args) -> int:
         )
     else:
         instance = two_adjacent_events_instance()
-    graph = build_dependency_graph(instance)
     report = truncated_sum_convergence_test(
-        graph, event_probabilities(instance), max_len=args.max_len
+        instance.dependency_graph, event_probabilities(instance), max_len=args.max_len
     )
     report["case"] = args.case
     _emit_json(report)
@@ -616,14 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify_sub.add_parser(
         "res-set", help="structural properties of the resampling-set selector"
     )
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify_res_set)
 
     p = verify_sub.add_parser(
         "cross-order", help="selector agreement under reversed scan order"
     )
-    p.add_argument("--trials", type=int, default=2_000)
+    p.add_argument("--trials", type=_positive_int, default=2_000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify_cross_order)
 
@@ -631,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         "truncated-sum", help="truncated series vs closed form, exact arithmetic"
     )
     p.add_argument("--case", default="two-events", choices=("single", "two-events"))
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=_positive_int, default=12)
     p.set_defaults(func=_cmd_verify_truncated_sum)
 
     p = verify_sub.add_parser(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -107,7 +108,13 @@ def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int
 
 @dataclass(frozen=True)
 class Instance:
-    """A product distribution plus bad events over its variables."""
+    """A product distribution plus bad events over its variables.
+
+    What the samplers derive from an instance (the variable-to-events index,
+    the dependency graph, the sampling tables and the extremality verdict)
+    is built on first use and kept for every later call on the same object;
+    the instance is immutable, so none of it can go stale.
+    """
 
     variables: tuple[VariableSpec, ...]
     events: tuple[EventSpec, ...]
@@ -146,6 +153,30 @@ class Instance:
     def num_events(self) -> int:
         return len(self.events)
 
+    @cached_property
+    def var_events(self) -> tuple[tuple[int, ...], ...]:
+        """For each variable, the ids of the events depending on it, ascending."""
+        index: list[list[int]] = [[] for _ in self.variables]
+        for e in self.events:
+            for v in e.vbl:
+                index[v].append(e.id)
+        return tuple(map(tuple, index))
+
+    @cached_property
+    def dependency_graph(self) -> DependencyGraph:
+        """:func:`build_dependency_graph` of this instance."""
+        return build_dependency_graph(self)
+
+    @cached_property
+    def sampling_tables(self) -> tuple[tuple[float, ...], ...]:
+        """:func:`cumulative_tables` of this instance."""
+        return cumulative_tables(self)
+
+    @cached_property
+    def extremal(self) -> bool:
+        """:func:`is_extremal` with its default state cap."""
+        return is_extremal(self)
+
 
 @dataclass(frozen=True)
 class DependencyGraph:
@@ -168,12 +199,8 @@ class DependencyGraph:
 
 def build_dependency_graph(instance: Instance) -> DependencyGraph:
     """Pairwise shared-variable dependency graph of the instance's events."""
-    by_var: dict[int, list[int]] = {}
-    for e in instance.events:
-        for v in e.vbl:
-            by_var.setdefault(v, []).append(e.id)
     neigh: list[set[int]] = [set() for _ in instance.events]
-    for ids in by_var.values():
+    for ids in instance.var_events:
         for i in ids:
             for j in ids:
                 if i != j:
@@ -234,7 +261,7 @@ def is_extremal(
     space of each dependent pair is capped to keep certification honest.
     """
     if graph is None:
-        graph = build_dependency_graph(instance)
+        graph = instance.dependency_graph
     for i, j in graph.dependent_pairs():
         ei, ej = instance.events[i], instance.events[j]
         union = sorted(set(ei.vbl) | set(ej.vbl))
@@ -273,7 +300,7 @@ def r_matrix(
     """For each ordered dependent pair (i, j): the probability that a fresh
     draw of the shared variables leaves event j still able to occur."""
     if graph is None:
-        graph = build_dependency_graph(instance)
+        graph = instance.dependency_graph
     out: dict[tuple[int, int], Fraction] = {}
     for i in range(graph.num_events):
         for j in graph.adjacency[i]:
@@ -298,14 +325,22 @@ def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
 
 
 def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:
-    """Per-variable cumulative sampling tables (built once per run)."""
-    return tuple(cumulative_table(v.weights) for v in instance.variables)
+    """Per-variable cumulative sampling tables.
+
+    Variables with equal weight vectors share one table object. Samplers
+    read them through ``Instance.sampling_tables``, built once per instance.
+    """
+    shared: dict[tuple[Fraction, ...], tuple[float, ...]] = {}
+    for v in instance.variables:
+        if v.weights not in shared:
+            shared[v.weights] = cumulative_table(v.weights)
+    return tuple(shared[v.weights] for v in instance.variables)
 
 
 def sample_product(instance: Instance, rng, tables=None) -> list[int]:
     """Draw a total assignment from the product distribution."""
     if tables is None:
-        tables = cumulative_tables(instance)
+        tables = instance.sampling_tables
     return [draw_index(rng, t) for t in tables]
 
 

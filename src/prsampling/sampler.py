@@ -17,6 +17,13 @@ All of them, and the specialized graph samplers in
 :func:`resample_until_valid` and differ only in the initial draw, the
 occurrence finder, the choice of what to resample and the per-variable draw.
 
+The three generic samplers read the sampling tables, the dependency graph
+and the extremality verdict from the instance, which builds each on the
+first draw and keeps it for every later one. Their finder tests every event
+once, before the first round; after that it re-tests only the events that
+depend on a variable redrawn in the previous round, since no other event
+can have changed.
+
 Exactness here means the output is distributed as the product distribution
 conditioned on no event occurring. Fresh values are drawn lazily, variable
 by variable in ascending id order, so independently written specialized
@@ -28,15 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import RoundCapError
-from .model import (
-    DependencyGraph,
-    Instance,
-    build_dependency_graph,
-    cumulative_tables,
-    is_extremal,
-    occurs,
-    sample_product,
-)
+from .model import DependencyGraph, Instance, occurs, sample_product
 from .rng import draw_index, make_rng
 
 DEFAULT_ROUND_CAP = 10 ** 6
@@ -149,30 +148,45 @@ def resample_until_valid(
             stats.var_log.append(tuple(redraw))
 
 
-def _occurring(instance: Instance, sigma) -> list[int]:
-    return [e.id for e in instance.events if occurs(e, sigma)]
+def _occurring(instance: Instance, sigma, events=None) -> list[int]:
+    """The ids among ``events`` (default: all) of the events occurring under sigma."""
+    ids = range(instance.num_events) if events is None else events
+    return [i for i in ids if occurs(instance.events[i], sigma)]
 
 
 def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
     """Run an instance through the round loop.
 
-    ``choose_events(sigma, bad, rng)`` picks the events to resample; the
-    union of their variables is redrawn in ascending id order.
+    ``choose_events(sigma, bad, rng)`` picks the events to resample from the
+    occurring ones, given in ascending id order; the union of their
+    variables is redrawn in ascending id order. The occurring set is kept
+    across rounds: each round re-tests only the events that depend on a
+    redrawn variable.
     """
     rng = make_rng(config.seed)
-    tables = cumulative_tables(instance)
+    tables = instance.sampling_tables
     sigma = sample_product(instance, rng, tables)
-    events = instance.events
+    events, var_events = instance.events, instance.var_events
+    bad: set[int] = set()
 
-    def choose(bad):
-        chosen = choose_events(sigma, bad, rng)
+    def find_bad(redrawn):
+        if redrawn is None:
+            touched = None
+        else:
+            touched = {i for v in redrawn for i in var_events[v]}
+            bad.difference_update(touched)
+        bad.update(_occurring(instance, sigma, touched))
+        return sorted(bad)
+
+    def choose(occurring):
+        chosen = choose_events(sigma, occurring, rng)
         return chosen, sorted({v for i in chosen for v in events[i].vbl})
 
     return resample_until_valid(
         config,
         sigma,
         lambda v: draw_index(rng, tables[v]),
-        lambda _redrawn: _occurring(instance, sigma),
+        find_bad,
         choose,
         num_events=instance.num_events,
     )
@@ -206,7 +220,7 @@ def select_resampling_set(
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc', got %r" % order)
     if graph is None:
-        graph = build_dependency_graph(instance)
+        graph = instance.dependency_graph
     bad = _occurring(instance, sigma) if _bad is None else _bad
     in_r = set(bad)
     marked = set(bad)
@@ -236,16 +250,15 @@ def select_resampling_set(
     return sorted(in_r)
 
 
-def extremal_prs(
-    instance: Instance, config: SamplerConfig, graph: DependencyGraph | None = None
-):
+def extremal_prs(instance: Instance, config: SamplerConfig):
     """Resample all occurring events each round; exact on extremal instances.
 
     Raises ValueError for non-extremal instances unless
     ``config.check_extremal`` is False (that override exists only so tests
-    can demonstrate the resulting bias).
+    can demonstrate the resulting bias). The verdict is computed once per
+    instance.
     """
-    if config.check_extremal and not is_extremal(instance, graph):
+    if config.check_extremal and not instance.extremal:
         raise ValueError(
             "instance is not extremal; this sampler would be biased "
             "(use general_prs, or disable check_extremal to demonstrate)"
@@ -253,21 +266,18 @@ def extremal_prs(
     return _resample_events(instance, config, lambda sigma, bad, rng: bad)
 
 
-def general_prs(
-    instance: Instance, config: SamplerConfig, graph: DependencyGraph | None = None
-):
+def general_prs(instance: Instance, config: SamplerConfig):
     """Resample the selected resampling set each round; exact on every instance.
 
     On an extremal instance the selector returns exactly the occurring
     events, so this coincides with ``extremal_prs`` round by round under
-    the same seed.
+    the same seed. The selector walks the instance's dependency graph,
+    built once per instance.
     """
-    if graph is None:
-        graph = build_dependency_graph(instance)
     return _resample_events(
         instance,
         config,
-        lambda sigma, bad, rng: select_resampling_set(instance, sigma, graph, _bad=bad),
+        lambda sigma, bad, rng: select_resampling_set(instance, sigma, _bad=bad),
     )
 
 

@@ -28,11 +28,9 @@ from .model import (
     DependencyGraph,
     Instance,
     assignment_probability,
-    build_dependency_graph,
     compatible,
     enumerate_assignments,
     event_probabilities,
-    is_extremal,
     make_event,
     occurring_events,
     sample_product,
@@ -219,16 +217,17 @@ def expected_resamples_test(
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    graph = build_dependency_graph(instance)
-    if not is_extremal(instance, graph):
+    if not instance.extremal:
         raise ValueError("expected-resamples law requires an extremal instance")
-    per_exact = expected_resamples_per_event(graph, event_probabilities(instance))
+    per_exact = expected_resamples_per_event(
+        instance.dependency_graph, event_probabilities(instance)
+    )
     total_exact = sum(per_exact, Fraction(0))
     totals = []
     per = []
     for i in range(n):
         cfg = SamplerConfig(seed=derive_seed(base_seed, i), record_log=False)
-        _, stats = extremal_prs(instance, cfg, graph)
+        _, stats = extremal_prs(instance, cfg)
         totals.append(stats.total_resamples)
         per.append(stats.event_resamples)
 
@@ -258,10 +257,9 @@ def first_round_test(
     On an extremal instance the set of occurring events after the initial
     product draw hits independent set I with probability exactly q_I.
     """
-    graph = build_dependency_graph(instance)
-    if not is_extremal(instance, graph):
+    if not instance.extremal:
         raise ValueError("first-round law requires an extremal instance")
-    qs = all_q_values(graph, event_probabilities(instance))
+    qs = all_q_values(instance.dependency_graph, event_probabilities(instance))
     counts: Counter = Counter()
     for i in range(n):
         rng = make_rng(derive_seed(base_seed, i))
@@ -531,7 +529,7 @@ def res_set_property_tests(trials: int, base_seed: int) -> dict:
             instance = random_instance(rng)
         else:
             instance = random_weighted_instance(rng)
-        graph = build_dependency_graph(instance)
+        graph = instance.dependency_graph
         sigma = sample_product(instance, rng)
         bad = occurring_events(instance, sigma)
         res = select_resampling_set(instance, sigma, graph, _bad=bad)
@@ -579,10 +577,9 @@ def cross_order_report(trials: int, base_seed: int) -> dict:
         instance = (
             random_instance(rng) if t % 2 else random_extremal_instance(rng)
         )
-        graph = build_dependency_graph(instance)
         sigma = sample_product(instance, rng)
-        asc = select_resampling_set(instance, sigma, graph, order="asc")
-        desc = select_resampling_set(instance, sigma, graph, order="desc")
+        asc = select_resampling_set(instance, sigma, order="asc")
+        desc = select_resampling_set(instance, sigma, order="desc")
         if asc != desc:
             differing += 1
     return {"trials": trials, "order_dependent_cases": differing}
@@ -605,13 +602,23 @@ def round_scaling_experiment(
     per-round bad-edge decay ratio. Fits mean rounds against log(num
     events) and flags super-logarithmic growth (final residual beyond
     3 residual standard deviations). The fit needs at least two distinct
-    sizes, so that the graphs have at least two distinct edge counts.
+    sizes, so that the graphs have at least two distinct edge counts, and a
+    ``degree``-regular graph needs ``degree >= 1``, ``n > degree`` and an even
+    ``n * degree``; every size is checked before any graph is built.
     """
     if len(set(sizes)) < 2:
         raise ValueError(
             "round scaling needs at least two distinct sizes to fit rounds "
             "against log(edges), got %s" % ",".join(map(str, sizes))
         )
+    if degree < 1:
+        raise ValueError("degree must be >= 1, got %d" % degree)
+    for n in sizes:
+        if n <= degree or n * degree % 2:
+            raise ValueError(
+                "no %d-regular graph on %d vertices: it needs more than %d "
+                "vertices and an even n * degree" % (degree, n, degree)
+            )
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
     per_size = []

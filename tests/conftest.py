@@ -1,7 +1,11 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and digest helpers for the test suite."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
+from prsampling.graphs import make_graph
 from prsampling.model import Instance, make_event, uniform_variable, VariableSpec
 
 
@@ -26,3 +30,28 @@ def hardcore_instance(edges, num_vertices, lam=Fraction(1)):
         make_event(eid, (u, v), [(1, 1)]) for eid, (u, v) in enumerate(edges)
     )
     return Instance(variables, events)
+
+
+def random_cubic_graph(n, seed):
+    """A connected simple 3-regular graph from the pairing model.
+
+    Stdlib only, so the graphs (and the frozen digests built on them) do not
+    depend on the networkx version.
+    """
+    rng = random.Random(seed)
+    points = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(points)
+        pairs = [(points[k], points[k + 1]) for k in range(0, len(points), 2)]
+        if all(u != v for u, v in pairs):
+            g = make_graph(n, pairs)
+            if g.num_edges == len(pairs) and g.is_connected():
+                return g
+
+
+def run_digest(sample, stats):
+    """sha256 of (sample, stats.to_json(include_log=True)): one run's stream."""
+    blob = json.dumps(
+        [list(sample), stats.to_json(include_log=True)], separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()

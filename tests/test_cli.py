@@ -532,6 +532,21 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "two distinct sizes" in err
 
+    @pytest.mark.parametrize(
+        "sizes,degree,message",
+        [
+            ("10,20", "0", "degree must be >= 1, got 0"),
+            ("9,11", "3", "no 3-regular graph on 9 vertices"),
+            ("3,4", "3", "no 3-regular graph on 3 vertices"),
+        ],
+    )
+    def test_round_scaling_impossible_graph_exit_one(self, capsys, sizes, degree, message):
+        code, out, err = run_cli(
+            capsys, "experiment", "round-scaling", "--sizes", sizes, "--degree", degree
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_round_scaling_app_flag(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -582,6 +597,9 @@ class TestUsageErrors:
             (["verify", "negative-control"], "--n"),
             (["experiment", "disjoint-paths", "--n", "8", "--L", "4"], "--trials"),
             (["experiment", "disjoint-paths", "--L", "4", "--trials", "1"], "--n"),
+            (["verify", "res-set"], "--trials"),
+            (["verify", "cross-order"], "--trials"),
+            (["verify", "truncated-sum"], "--max-len"),
         ],
     )
     def test_run_count_below_one_exit_one(self, capsys, argv, option, value):

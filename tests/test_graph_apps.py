@@ -1,14 +1,12 @@
 """Sink-free orientations, spanning trees, hard-core, and path analytics."""
 
-import hashlib
 import itertools
-import json
-import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_cubic_graph, run_digest
 from prsampling.errors import RoundCapError
 from prsampling.graph_apps import (
     alpha,
@@ -50,23 +48,6 @@ F = Fraction
 
 def cfg(seed, **kw):
     return SamplerConfig(seed=seed, record_log=kw.pop("record_log", True), **kw)
-
-
-def random_cubic_graph(n, seed):
-    """A connected simple 3-regular graph from the pairing model.
-
-    Stdlib only, so the graphs (and the frozen digests built on them) do not
-    depend on the networkx version.
-    """
-    rng = random.Random(seed)
-    points = [v for v in range(n) for _ in range(3)]
-    while True:
-        rng.shuffle(points)
-        pairs = [(points[k], points[k + 1]) for k in range(0, len(points), 2)]
-        if all(u != v for u, v in pairs):
-            g = make_graph(n, pairs)
-            if g.num_edges == len(pairs) and g.is_connected():
-                return g
 
 
 def petersen_graph():
@@ -381,13 +362,6 @@ FROZEN_POPPING_DIGESTS = {
         "cc84d42c421326bbecde7a2c94abec92f016d2eacedf3fd511f9395fa7a4c7b7",
     ],
 }
-
-
-def run_digest(sample, stats):
-    blob = json.dumps(
-        [list(sample), stats.to_json(include_log=True)], separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class TestFrozenStream:

@@ -31,7 +31,7 @@ from prsampling.model import (
     save_instance,
     uniform_variable,
 )
-from prsampling.rng import derive_seed, make_rng
+from prsampling.rng import cumulative_table, derive_seed, make_rng
 
 HALF = Fraction(1, 2)
 
@@ -126,6 +126,44 @@ class TestInstance:
     def test_value_out_of_range(self):
         with pytest.raises(ValueError):
             Instance((uniform_variable(0, 2),), (make_event(0, (0,), [(2,)]),))
+
+
+class TestCompiledArtifacts:
+    def test_var_events(self):
+        # The fourth variable is in no clause.
+        inst = clause_instance([(1, 2), (-2, 3), (1, 3)], 4)
+        assert inst.var_events == ((0, 2), (0, 1), (1, 2), ())
+
+    def test_built_once_and_equal_to_the_functions(self):
+        inst = hardcore_p3(Fraction(1, 3))
+        graph = inst.dependency_graph
+        assert graph is inst.dependency_graph
+        assert graph == build_dependency_graph(inst)
+        assert inst.sampling_tables is inst.sampling_tables
+        assert inst.sampling_tables == tuple(
+            cumulative_table(v.weights) for v in inst.variables
+        )
+        assert inst.extremal is False
+        assert inst.extremal == is_extremal(inst)
+
+    def test_tables_shared_by_weight_vector(self):
+        third = (Fraction(2, 3), Fraction(1, 3))
+        inst = Instance(
+            (
+                uniform_variable(0, 2),
+                VariableSpec(1, 2, third),
+                uniform_variable(2, 2),
+                VariableSpec(3, 2, third),
+            ),
+            (),
+        )
+        t = inst.sampling_tables
+        assert t[0] is t[2] and t[1] is t[3] and t[0] != t[1]
+
+    def test_equality_ignores_compiled_artifacts(self):
+        a, b = hardcore_p3(), hardcore_p3()
+        a.dependency_graph, a.sampling_tables, a.extremal
+        assert a == b and hash(a) == hash(b)
 
 
 class TestDependencyGraph:

@@ -1,12 +1,15 @@
 """The three resampling algorithms and the resampling-set selector."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import clause_instance, hardcore_instance
+import prsampling.model as model
+from conftest import clause_instance, hardcore_instance, random_cubic_graph, run_digest
 from prsampling.errors import RoundCapError
+from prsampling.graph_apps import encode_hardcore, encode_sink_free
 from prsampling.model import (
     Instance,
     build_dependency_graph,
@@ -232,9 +235,7 @@ class TestExtremalPrs:
                 continue  # the generator may emit (x) and (not x) together
             checked += 1
             graph = build_dependency_graph(inst)
-            _, stats = extremal_prs(
-                inst, cfg(derive_seed(12, rng.randrange(2 ** 32))), graph
-            )
+            _, stats = extremal_prs(inst, cfg(derive_seed(12, rng.randrange(2 ** 32))))
             log = stats.log
             for s in log:
                 assert is_independent(graph, s)
@@ -324,3 +325,152 @@ class TestDeterminism:
         inst = clause_instance([(1, 2)], 2)
         with pytest.raises(ValueError, match="unknown sampler"):
             run_sampler("gibbs", inst, cfg(0))
+
+
+def random_cnf_instance(num_vars, num_clauses, k, seed):
+    """A seeded random non-extremal k-CNF: k distinct variables per clause."""
+    rng = random.Random(seed)
+    while True:
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), k))
+            for _ in range(num_clauses)
+        ]
+        instance = clause_instance(clauses, num_vars)
+        if not is_extremal(instance):
+            return instance
+
+
+def stream_input(name):
+    """The instances of the frozen generic-sampler streams, by name."""
+    if name == "cnf":
+        return random_cnf_instance(200, 100, 5, 5)
+    encoding, n = name.split("-")
+    g = random_cubic_graph(int(n), derive_seed(int(n), 0))
+    return encode_hardcore(g, F(1, 4)) if encoding == "hardcore" else encode_sink_free(g)
+
+
+def generic_stream_digests(kind, name):
+    """Digests of five logged runs, with five seeds, on one instance object."""
+    instance = stream_input(name)
+    return [
+        run_digest(*run_sampler(kind, instance, cfg(derive_seed(43, i))))
+        for i in range(5)
+    ]
+
+
+# run_digest of the runs in generic_stream_digests, recorded before the
+# generic samplers compiled each instance once and re-tested only the events
+# touching redrawn variables; a change here is a change of the random stream.
+FROZEN_GENERIC_DIGESTS = {
+    ('extremal_prs', 'sink-200'): [
+        "e2e9ae52c1a28b332b813675fc02c790aa31e97110ce71d6f605f2305ca0d3e8",
+        "57bb4c8ffe23ca45dc353f1ec86739a6c6bfe3754e60c78441650e3b9e2ef75d",
+        "1580683c34a7893d64b3b38198352d53a58f5aff84239bc26c8bbd2049323d2d",
+        "25c3812b889de4d5d5825e19b25db71c32bfb184bfdd47306b684ebe64c798fe",
+        "10542b95f9714d75fab3241dbf143ab1d148d9718fbd69a0dc5d76e6896c7a9b",
+    ],
+    ('extremal_prs', 'sink-2000'): [
+        "cce38e197fd315eb9e6afaa3ff3db6e77e3b125b9f4be2467e2a655db0fa1de8",
+        "0b85e7ba18f2f1eb1f9a568685250d82faa871ae4cbae8b12b41f89df7571eb9",
+        "9dd71171332d8a150b3974b36c6c623fbfc924c9067a84704f5a05f61c3ab68d",
+        "3ab890920e2d1c33ff67c8f1debbd009fdee68a8a365ffeb635eb0c2cd1b4415",
+        "d2909ab89178f30987d50df1e62bfae9174798ba1e61f12aff7a200c4b4b7514",
+    ],
+    ('general_prs', 'cnf'): [
+        "3efdf211b092180dd9f73df55c6eddeb034487cc818a83ed9bf49d2014fb14ec",
+        "a3212d999b06437b9f1becbfa16a0f2e2a9c37de26462290511062bcd7991c15",
+        "c706d2b0dc8c25a784199795ccc5faa9cccd23c775ea0d6cabc30281870d0a45",
+        "7839a66a6b30f210e75cfaba0a32ff13a237f78147317cb12829b9455930474f",
+        "93a3e6f7cfcc9f8885f0a84ff1207555d51cd49be24dd8fc652f62da6b8796a8",
+    ],
+    ('general_prs', 'hardcore-200'): [
+        "8bfc12e77abdbbd050b175a0f7ebd3181e2e0a27ac5f76804222bd1ac0d72730",
+        "e38e746859c6c4c758107ef36fa718675ca26eb2d00aa3a5e5d196af42de72f6",
+        "35036755a158ee733cfe85f49a4775f5a7d72cd5e627d8643b3676ec4f4b5f4a",
+        "a210939d73083b14452bf4fd26cb2be03d630a0e8931405d9c99cbd9e4ee4770",
+        "df59ca0f6e77e695b71d0156f19c4317d7ee76e2b09c91b7cda35a4bf409dc9d",
+    ],
+    ('general_prs', 'hardcore-2000'): [
+        "078d9a9670c1e054b6b1e02d228612f40706d2cd62891ed20ffb4f5b59f4012e",
+        "c135194a92a776a7488cc7e2dc482ebf4a6f37acce83913725881befac5a7d76",
+        "d1cdc9c70cb0b5f22279e8058629fae252aec2e1f8d49dbea48ad4126d121c9e",
+        "b407eca03382e6ac48662b188c6d4f41eaed386bf82bb8bfc4dbb789366f9c23",
+        "772aa5fc579b3543e5253d5ede40110e348c80f60edde43e396d4d141201d1c7",
+    ],
+    ('general_prs', 'sink-200'): [
+        "e2e9ae52c1a28b332b813675fc02c790aa31e97110ce71d6f605f2305ca0d3e8",
+        "57bb4c8ffe23ca45dc353f1ec86739a6c6bfe3754e60c78441650e3b9e2ef75d",
+        "1580683c34a7893d64b3b38198352d53a58f5aff84239bc26c8bbd2049323d2d",
+        "25c3812b889de4d5d5825e19b25db71c32bfb184bfdd47306b684ebe64c798fe",
+        "10542b95f9714d75fab3241dbf143ab1d148d9718fbd69a0dc5d76e6896c7a9b",
+    ],
+    ('general_prs', 'sink-2000'): [
+        "cce38e197fd315eb9e6afaa3ff3db6e77e3b125b9f4be2467e2a655db0fa1de8",
+        "0b85e7ba18f2f1eb1f9a568685250d82faa871ae4cbae8b12b41f89df7571eb9",
+        "9dd71171332d8a150b3974b36c6c623fbfc924c9067a84704f5a05f61c3ab68d",
+        "3ab890920e2d1c33ff67c8f1debbd009fdee68a8a365ffeb635eb0c2cd1b4415",
+        "d2909ab89178f30987d50df1e62bfae9174798ba1e61f12aff7a200c4b4b7514",
+    ],
+    ('moser_tardos', 'cnf'): [
+        "155e00b223a3bf6d3bab8d6e86cdf4b6a447d87800ba99bb7a883b76a21278f8",
+        "8c210fab9725ea15173c2f9674b97831ff49b45d41720c9384304788e1d6549e",
+        "c706d2b0dc8c25a784199795ccc5faa9cccd23c775ea0d6cabc30281870d0a45",
+        "d80f398fd717791e63ccfde1e8674fdb3c8be7a7d89b277862912f166e2f8396",
+        "31100e1481d9d6b0dde2dc0c3710e4752b7f5fe482d6046da5b9d0b8b3df7aab",
+    ],
+    ('moser_tardos', 'hardcore-200'): [
+        "b53d035cd9f8a8b02ab244e7f60e643cf370dec799b4f9cda2df302d9ab3d6b6",
+        "3c82e8695e80adb3997157423d4a6dc3f9e9a2d52f4860d11d1017607b417b1f",
+        "bd9f8f83054af28806c67470d4e84f13278df4ff083548f897ef848f830e8495",
+        "a7f543be69bdfe95beafb7c013dc6fccf5d68d88853f898c06a8fe5313857cbb",
+        "2398eaea012400e41135b2f3313afe4fe7ad8fd383b72b4da4ebd3187f3b32bd",
+    ],
+    ('moser_tardos', 'hardcore-2000'): [
+        "526032a3d78069b5321c23c432d7bd2da459630523ea15bb689505c329154d03",
+        "46a7de957075b8b25e596be4be1335bb19d33eb74796a02ba5df6c5e98ef2480",
+        "4517d919ef7baf4222fc14d73cb9a871db9b9540428f9170b6b093fa33b616e0",
+        "cf207bfb92a6800c6d67393d1e2e0f0256ca78b3b647e254fd2030c17c8a3b4f",
+        "9e9cebdb23916ecc257d5e3ef415aa0632a121daf8734edef5f3c203d7391adc",
+    ],
+    ('moser_tardos', 'sink-200'): [
+        "692d150f3e5434601cbf389dd573bd7afb573912831436179814e606c5fe66b5",
+        "f1fd6b300ae029996ff1120ea2ef6a38c7024c27cb22afb298186a3ec570dcb7",
+        "61e4a9b2fb21549db5cf9975935d016bfc0c09e37cce01f62045f20752da4dc5",
+        "7a25971c8f8e36e04dc11f70ef6f19d64ead9ba5c0e1f8dd4b8ea24fc668a477",
+        "8f7bcc8a15bb58a0b591560c268ce16032f09166e0f749c86415b008b8ebbf94",
+    ],
+    ('moser_tardos', 'sink-2000'): [
+        "0edc39143cdb822a73443559095d57274f4fa21a2add67eefce31ea30c8c9666",
+        "9944e754d4d68f58bd4d739b9481d576fc42bfbf2cd139e160defbc18e2adec5",
+        "8998632db2ff4ce5624f97aa51e0a0b40000a3c457d0029051f80d8c56fcfae1",
+        "9e0d03d0223dcdb1105c1e0320766cb5d5e48519cd4c4216e811ea006a7013d2",
+        "e68db5d5e33b22f3bd73bcc2a651d9f61213867a50ab5574261aab5cc5addf4d",
+    ],
+}
+
+
+class TestFrozenStream:
+    @pytest.mark.parametrize("kind,name", sorted(FROZEN_GENERIC_DIGESTS))
+    def test_generic_stream_unchanged(self, kind, name):
+        assert generic_stream_digests(kind, name) == FROZEN_GENERIC_DIGESTS[kind, name]
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("kind", ["moser_tardos", "extremal_prs", "general_prs"])
+    def test_five_draws_compile_once(self, kind, monkeypatch):
+        calls = Counter()
+        for name in ("build_dependency_graph", "cumulative_tables", "is_extremal"):
+
+            def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        instance = stream_input("sink-200")  # extremal, so every sampler runs it
+        for i in range(5):
+            run_sampler(kind, instance, cfg(derive_seed(44, i)))
+        assert calls == Counter(
+            cumulative_tables=1,
+            build_dependency_graph=int(kind != "moser_tardos"),
+            is_extremal=int(kind == "extremal_prs"),
+        )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import clause_instance
+from prsampling import verify
 from prsampling.cnf import CnfFormula, cnf_to_instance
 from prsampling.errors import BudgetError
 from prsampling.model import (
@@ -343,6 +344,25 @@ class TestRoundScaling:
     def test_requires_a_trial(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             round_scaling_experiment([16, 32], F(1, 10), 0, base_seed=1)
+
+    @pytest.mark.parametrize(
+        "sizes,degree,message",
+        [
+            ([16, 32], 0, "degree must be >= 1"),
+            ([16, 32], -2, "degree must be >= 1"),
+            ([16, 9], 3, "no 3-regular graph on 9 vertices"),
+            ([16, 4], 4, "no 4-regular graph on 4 vertices"),
+        ],
+    )
+    def test_impossible_graph_rejected_before_any_is_built(
+        self, monkeypatch, sizes, degree, message
+    ):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built before the sizes were checked")
+
+        monkeypatch.setattr(verify, "random_regular_graph", no_graph)
+        with pytest.raises(ValueError, match=message):
+            round_scaling_experiment(sizes, F(1, 10), 2, base_seed=1, degree=degree)
 
 
 class TestTruncatedSumConvergence:
