@@ -83,14 +83,23 @@ def _fresh_seed() -> int:
     return _random.SystemRandom().randrange(2 ** 63)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _int_at_least(low: int):
+    """An argparse ``type``: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _emit_json(payload) -> None:
@@ -479,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="base seed (reported)")
         p.add_argument(
             "--round-cap",
-            type=int,
+            type=_nonnegative_int,
             default=DEFAULT_ROUND_CAP,
             help="abort a run after this many rounds (exit code 2)",
         )
@@ -663,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", "--lambda", default="1")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--round-cap", type=int, default=DEFAULT_ROUND_CAP)
+    p.add_argument("--round-cap", type=_nonnegative_int, default=DEFAULT_ROUND_CAP)
     p.add_argument("--csv", default=None, help="write per-trial rows to this file")
     p.set_defaults(func=_cmd_experiment_disjoint_paths)
 

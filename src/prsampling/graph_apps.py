@@ -28,7 +28,7 @@ from math import sqrt
 
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
-from .model import Instance, make_event, uniform_variable, VariableSpec
+from .model import EventSpec, Instance, make_event, uniform_variable, VariableSpec
 from .rng import cumulative_table, derive_seed, draw_index, make_rng
 from .sampler import SamplerConfig, resample_until_valid
 
@@ -324,6 +324,10 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     return frozenset(v for v in range(graph.num_vertices) if occ[v]), stats
 
 
+# The violating set that every hard-core edge event shares: both ends occupied.
+_BOTH_OCCUPIED = frozenset({(1, 1)})
+
+
 def encode_hardcore(graph: Graph, lam) -> Instance:
     """Constraint instance: vertex occupation variables, one event per edge."""
     lam = _exact(lam)
@@ -332,7 +336,7 @@ def encode_hardcore(graph: Graph, lam) -> Instance:
         VariableSpec(v, 2, w) for v in range(graph.num_vertices)
     )
     events = tuple(
-        make_event(eid, (u, v), [(1, 1)]) for eid, (u, v) in enumerate(graph.edges)
+        EventSpec(eid, edge, _BOTH_OCCUPIED) for eid, edge in enumerate(graph.edges)
     )
     return Instance(variables, events)
 

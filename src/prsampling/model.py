@@ -9,6 +9,12 @@ share a variable; a valid assignment is one under which no event occurs.
 All probability computations in this module are exact (``Fraction``).
 Sampling draws each variable from a double-precision cumulative table
 built from the exact weights.
+
+An instance compiles what the samplers need on first use and keeps it: the
+variable-to-events index, each event's occurrence test (an ``itemgetter``
+over its variables and the set that value is looked up in), the dependency
+graph, the sampling tables and the extremality verdict. :func:`occurs`
+stays the reference definition the compiled tests must agree with.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
@@ -29,7 +36,7 @@ MAX_EVENT_VARS = 24
 MAX_PAIR_STATES = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableSpec:
     """One variable: a finite domain with exact rational weights summing to 1."""
 
@@ -64,7 +71,7 @@ def uniform_variable(vid: int, domain_size: int) -> VariableSpec:
     return VariableSpec(vid, domain_size, (w,) * domain_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventSpec:
     """One bad event: an explicit set of violating joint values.
 
@@ -111,9 +118,10 @@ class Instance:
     """A product distribution plus bad events over its variables.
 
     What the samplers derive from an instance (the variable-to-events index,
-    the dependency graph, the sampling tables and the extremality verdict)
-    is built on first use and kept for every later call on the same object;
-    the instance is immutable, so none of it can go stale.
+    the compiled occurrence tests, the dependency graph, the sampling tables
+    and the extremality verdict) is built on first use and kept for every
+    later call on the same object; the instance is immutable, so none of it
+    can go stale. The cached values take no part in ``==`` or ``hash``.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -161,6 +169,22 @@ class Instance:
             for v in e.vbl:
                 index[v].append(e.id)
         return tuple(map(tuple, index))
+
+    @cached_property
+    def occurrence_tests(self) -> tuple[tuple[itemgetter, ...], tuple[frozenset, ...]]:
+        """Parallel ``(keys, violating)``: event i occurs under a total
+        assignment sigma iff ``keys[i](sigma) in violating[i]``.
+
+        ``keys[i]`` is ``itemgetter(*vbl)``, which returns a scalar for a
+        one-variable event, so that event's set holds scalars; every other
+        event's set is its own ``violating``, not a copy.
+        """
+        keys = tuple(itemgetter(*e.vbl) for e in self.events)
+        violating = tuple(
+            e.violating if len(e.vbl) > 1 else frozenset(t for (t,) in e.violating)
+            for e in self.events
+        )
+        return keys, violating
 
     @cached_property
     def dependency_graph(self) -> DependencyGraph:

@@ -17,12 +17,14 @@ All of them, and the specialized graph samplers in
 :func:`resample_until_valid` and differ only in the initial draw, the
 occurrence finder, the choice of what to resample and the per-variable draw.
 
-The three generic samplers read the sampling tables, the dependency graph
-and the extremality verdict from the instance, which builds each on the
-first draw and keeps it for every later one. Their finder tests every event
-once, before the first round; after that it re-tests only the events that
-depend on a variable redrawn in the previous round, since no other event
-can have changed.
+The three generic samplers read what they need from the instance, which
+compiles it on the first draw and keeps it: the sampling tables, the
+variable-to-events index, each event's occurrence test, the dependency
+graph and the extremality verdict. Their finder runs the compiled tests
+(``keys[i](sigma) in violating[i]``), never :func:`prsampling.model.occurs`:
+on every event before the first round, and after that only on the events
+that depend on a variable redrawn in the previous round, since no other
+event can have changed.
 
 Exactness here means the output is distributed as the product distribution
 conditioned on no event occurring. Fresh values are drawn lazily, variable
@@ -35,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import RoundCapError
-from .model import DependencyGraph, Instance, occurs, sample_product
+from .model import DependencyGraph, Instance, sample_product
+from .model import occurs  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .rng import draw_index, make_rng
 
 DEFAULT_ROUND_CAP = 10 ** 6
@@ -150,8 +153,9 @@ def resample_until_valid(
 
 def _occurring(instance: Instance, sigma, events=None) -> list[int]:
     """The ids among ``events`` (default: all) of the events occurring under sigma."""
-    ids = range(instance.num_events) if events is None else events
-    return [i for i in ids if occurs(instance.events[i], sigma)]
+    keys, violating = instance.occurrence_tests
+    ids = range(len(keys)) if events is None else events
+    return [i for i in ids if keys[i](sigma) in violating[i]]
 
 
 def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
@@ -222,12 +226,13 @@ def select_resampling_set(
     if graph is None:
         graph = instance.dependency_graph
     bad = _occurring(instance, sigma) if _bad is None else _bad
+    events = instance.events
     in_r = set(bad)
     marked = set(bad)
-    fixed: dict[int, int] = {}
+    # The variables of R; each keeps its value in sigma.
+    fixed: set[int] = set()
     for i in bad:
-        for v in instance.events[i].vbl:
-            fixed[v] = sigma[v]
+        fixed.update(events[i].vbl)
     frontier = bad
     while frontier:
         boundary = set()
@@ -236,17 +241,14 @@ def select_resampling_set(
         marked |= boundary
         frontier = []
         for j in sorted(boundary, reverse=(order == "desc")):
-            event = instance.events[j]
-            anchored = [
-                (pos, fixed[v]) for pos, v in enumerate(event.vbl) if v in fixed
-            ]
+            vbl = events[j].vbl
+            anchored = [(pos, sigma[v]) for pos, v in enumerate(vbl) if v in fixed]
             if any(
-                all(t[pos] == val for pos, val in anchored) for t in event.violating
+                all(t[pos] == val for pos, val in anchored) for t in events[j].violating
             ):
                 in_r.add(j)
                 frontier.append(j)
-                for v in event.vbl:
-                    fixed.setdefault(v, sigma[v])
+                fixed.update(vbl)
     return sorted(in_r)
 
 

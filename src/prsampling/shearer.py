@@ -31,7 +31,6 @@ from .errors import BudgetError, PrsError
 from .model import (
     DependencyGraph,
     Instance,
-    build_dependency_graph,
     event_probabilities,
     is_extremal,
     r_matrix,
@@ -334,7 +333,7 @@ def gprs_condition_values(
 
 def check_gprs_conditions(instance: Instance, c1: int = 6, c2: int = 3) -> GprsCheck:
     """Efficiency conditions with p, r, delta measured from the instance."""
-    graph = build_dependency_graph(instance)
+    graph = instance.dependency_graph
     probs = event_probabilities(instance)
     p = max(probs, default=Fraction(0))
     rvals = r_matrix(instance, graph)
@@ -441,7 +440,7 @@ def analyze_instance(instance: Instance) -> ShearerReport:
     when there are dependencies; isolated-event instances pass iff every
     p_i < 1.
     """
-    graph = build_dependency_graph(instance)
+    graph = instance.dependency_graph
     p = tuple(event_probabilities(instance))
     delta = graph.max_degree
     qe = q_empty(graph, p)

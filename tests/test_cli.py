@@ -621,6 +621,52 @@ class TestUsageErrors:
         assert code in (0, 3) and err == ""
         assert json.loads(out)["seed"] == 0
 
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    @pytest.mark.parametrize(
+        "command",
+        ["instance", "cnf", "sink-free", "spanning-tree", "hardcore", "disjoint-paths"],
+    )
+    def test_negative_round_cap_exit_one(
+        self, capsys, two_events_file, chain_cnf_file, triangle_file, command, value
+    ):
+        argv = {
+            "instance": ["sample", "instance", "--file", two_events_file],
+            "cnf": ["sample", "cnf", "--file", chain_cnf_file],
+            "sink-free": ["sample", "sink-free", "--graph", triangle_file],
+            "spanning-tree": ["sample", "spanning-tree", "--graph", triangle_file],
+            "hardcore": ["sample", "hardcore", "--graph", triangle_file, "--lam", "1/2"],
+            "disjoint-paths": ["experiment", "disjoint-paths", "--n", "8", "--L", "4"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, "--round-cap", value)
+        assert code == 1 and out == ""
+        assert "argument --round-cap: must be at least 0, got %s" % value in err
+
+    def test_round_cap_zero_stops_before_the_first_round(self, capsys, tree_file):
+        # Every orientation of a tree has a sink, so the initial draw is bad.
+        code, out, err = run_cli(
+            capsys, "sample", "sink-free", "--graph", tree_file, "--round-cap", "0"
+        )
+        assert code == 2 and out == ""
+        assert "round cap 0 reached" in err
+        code, out, err = run_cli(
+            capsys, "experiment", "disjoint-paths", "--n", "8", "--L", "4",
+            "--lam", "1", "--trials", "5", "--seed", "3", "--round-cap", "0",
+        )
+        assert code == 2 and out == ""
+        assert "round cap 0 reached" in err
+
+    def test_round_cap_zero_accepts_a_valid_initial_draw(self, capsys, tmp_path):
+        path = tmp_path / "never.json"
+        never = Instance((uniform_variable(0, 2),), (make_event(0, [0], []),))
+        save_instance(never, str(path))
+        code, out, err = run_cli(
+            capsys, "sample", "instance", "--file", str(path), "--count", "3",
+            "--seed", "5", "--round-cap", "0",
+        )
+        assert code == 0 and err == ""
+        samples, trailer = split_samples(out, 3)
+        assert len(samples) == 3 and trailer["max_rounds"] == 0
+
 
 CONDITION_ARGS = ["analyze", "condition", "--kind", "extremal-cnf", "--k", "3", "--d", "2"]
 

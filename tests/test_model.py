@@ -1,6 +1,7 @@
 """Instances, events, dependency graphs, and exact product-measure queries."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +32,11 @@ from prsampling.model import (
     save_instance,
     uniform_variable,
 )
+from prsampling.graph_apps import encode_hardcore
+from prsampling.graphs import cycle_graph
 from prsampling.rng import cumulative_table, derive_seed, make_rng
+from prsampling.sampler import _occurring
+from prsampling.verify import random_instance, random_weighted_instance
 
 HALF = Fraction(1, 2)
 
@@ -162,8 +167,50 @@ class TestCompiledArtifacts:
 
     def test_equality_ignores_compiled_artifacts(self):
         a, b = hardcore_p3(), hardcore_p3()
-        a.dependency_graph, a.sampling_tables, a.extremal
+        a.dependency_graph, a.sampling_tables, a.extremal, a.occurrence_tests
         assert a == b and hash(a) == hash(b)
+
+    def test_occurrence_tests_agree_with_occurs(self):
+        """Every event under every total assignment of 300 random instances."""
+        arities, sizes, domains, checked = set(), set(), set(), 0
+        for seed in range(300):
+            make = (random_instance, random_weighted_instance)[seed % 2]
+            inst = make(random.Random(seed))
+            keys, violating = inst.occurrence_tests
+            assert inst.occurrence_tests is inst.occurrence_tests
+            assert len(keys) == len(violating) == inst.num_events
+            for a in enumerate_assignments(inst):
+                sigma = list(a)
+                for e in inst.events:
+                    assert (keys[e.id](sigma) in violating[e.id]) == occurs(e, sigma)
+                    checked += 1
+                assert _occurring(inst, sigma) == occurring_events(inst, sigma)
+            arities.update(len(e.vbl) for e in inst.events)
+            sizes.update(len(e.violating) for e in inst.events)
+            domains.update(v.domain_size for v in inst.variables)
+        assert arities == {1, 2, 3} and max(sizes) > 1 and 3 in domains
+        assert checked > 10_000
+
+    def test_one_variable_events_test_scalars(self):
+        inst = Instance(
+            (uniform_variable(0, 3), uniform_variable(1, 3)),
+            (make_event(0, [1], [(0,), (2,)]), make_event(1, [0, 1], [(2, 1)])),
+        )
+        keys, violating = inst.occurrence_tests
+        assert keys[0]([1, 2]) == 2 and violating[0] == frozenset({0, 2})
+        assert keys[1]([2, 1]) == (2, 1) and violating[1] is inst.events[1].violating
+
+    def test_specs_have_no_instance_dict(self):
+        event = make_event(0, [0, 1], [(1, 1)])
+        variable = uniform_variable(0, 2)
+        assert not hasattr(event, "__dict__") and not hasattr(variable, "__dict__")
+
+    def test_hardcore_events_share_one_violating_set(self):
+        inst = encode_hardcore(cycle_graph(6), Fraction(1, 3))
+        first = inst.events[0].violating
+        assert first == frozenset({(1, 1)})
+        assert all(e.violating is first for e in inst.events)
+        assert all(s is first for s in inst.occurrence_tests[1])
 
 
 class TestDependencyGraph:

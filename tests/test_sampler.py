@@ -8,14 +8,17 @@ import pytest
 
 import prsampling.model as model
 from conftest import clause_instance, hardcore_instance, random_cubic_graph, run_digest
+from reference_selector import select_resampling_set as reference_selector
 from prsampling.errors import RoundCapError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free
 from prsampling.model import (
     Instance,
     build_dependency_graph,
+    enumerate_assignments,
     is_extremal,
     make_event,
     occurring_events,
+    sample_product,
     uniform_variable,
 )
 from prsampling.rng import derive_seed
@@ -28,6 +31,7 @@ from prsampling.sampler import (
     run_sampler,
     select_resampling_set,
 )
+from prsampling.verify import random_instance, random_weighted_instance
 
 F = Fraction
 
@@ -199,6 +203,30 @@ class TestSelectResamplingSet:
         inst = clause_instance([(1, 2)], 2)
         with pytest.raises(ValueError):
             select_resampling_set(inst, [0, 0], order="random")
+
+    @pytest.mark.parametrize("order", ["asc", "desc"])
+    def test_equals_the_dict_based_reference(self, order):
+        """Every assignment of small random instances, and product draws on
+        larger non-extremal ones, select what the dict-based selector did."""
+        cases = []
+        for seed in range(300):
+            make = (random_instance, random_weighted_instance)[seed % 2]
+            inst = make(random.Random(seed))
+            cases += [(inst, list(a)) for a in enumerate_assignments(inst)]
+        rng = random.Random(7)
+        for inst in [random_cnf_instance(60, 40, 4, s) for s in range(4)] + [
+            stream_input("hardcore-200")
+        ]:
+            cases += [(inst, sample_product(inst, rng)) for _ in range(25)]
+        grown = 0
+        for inst, sigma in cases:
+            expected = reference_selector(inst, sigma, order=order)
+            assert select_resampling_set(inst, sigma, order=order) == expected
+            bad = occurring_events(inst, sigma)
+            assert select_resampling_set(inst, sigma, order=order, _bad=bad) == expected
+            grown += len(expected) > len(bad)
+        # The selector grew R beyond the occurring events in many cases.
+        assert grown > 1000
 
 
 class TestExtremalPrs:

@@ -266,3 +266,21 @@ class TestAnalyzeInstance:
         assert report.symmetric_pc == F(1, 4)
         # p_max = 1/4 equals p_c(2): no slack, so no linear coefficient.
         assert report.linear_coefficient is None
+
+    def test_one_dependency_graph_per_instance(self, monkeypatch):
+        import prsampling.model as model
+        from prsampling.graph_apps import encode_sink_free
+        from prsampling.graphs import cycle_graph
+
+        builds = []
+
+        def counted(instance):
+            builds.append(instance)
+            return build_dependency_graph(instance)
+
+        monkeypatch.setattr(model, "build_dependency_graph", counted)
+        instance = encode_sink_free(cycle_graph(5))
+        first = analyze_instance(instance)
+        assert analyze_instance(instance) == first
+        check_gprs_conditions(instance)
+        assert builds == [instance]
