@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .certified import e_leq, e_mult_leq_two_pow_half, two_pow_3e_leq
-from .graphs import Graph
+from .graphs import Graph, decimal_int
 from .model import Instance, make_event, uniform_variable
 from .sampler import SamplerConfig, run_sampler
 
@@ -56,7 +56,8 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Requires one 'p cnf <vars> <clauses>' header; 'c' lines are comments;
     clauses are 0-terminated and may span lines; the clause count must
-    match the header.
+    match the header. Numbers are ASCII decimal digits, literals with an
+    optional leading '-'.
     """
     num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -75,7 +76,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                     % (lineno, raw.rstrip())
                 )
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = decimal_int(parts[2]), decimal_int(parts[3])
             except ValueError:
                 raise ValueError("line %d: non-integer header counts" % lineno) from None
             if num_vars < 0 or num_clauses < 0:
@@ -85,7 +86,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise ValueError("line %d: clause before 'p cnf' header" % lineno)
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = decimal_int(tok)
             except ValueError:
                 raise ValueError("line %d: invalid token %r" % (lineno, tok)) from None
             if lit == 0:

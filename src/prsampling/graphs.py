@@ -155,11 +155,18 @@ def simple_cycles(
     return out
 
 
+def decimal_int(token: str) -> int:
+    """int(token), but only for ASCII digits with an optional leading '-'."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError("not a decimal integer: %r" % token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
     """Parse 'u v' lines ('#' starts a comment) into a Graph.
 
-    Vertex labels are arbitrary nonnegative integers and are compacted to
-    dense ids; the returned list maps dense id -> original label.
+    Vertex labels are arbitrary nonnegative decimal integers and are
+    compacted to dense ids; the returned list maps dense id -> original label.
     """
     pairs = []
     labels = set()
@@ -173,7 +180,7 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
                 "line %d: expected 'u v', got %r" % (lineno, raw.rstrip())
             )
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = decimal_int(parts[0]), decimal_int(parts[1])
         except ValueError:
             raise ValueError(
                 "line %d: vertex labels must be integers, got %r" % (lineno, raw.rstrip())

@@ -13,10 +13,13 @@ Computation uses the vertex-elimination recursion
 
     q(S) = q(S - {v}) - p_v * q(S - N+[v]),   v = min(S),
 
-with memoization, which evaluates the same alternating sum without
-enumerating all independent sets. Enumeration (with pruning and explicit
-budgets) is kept for the operations that genuinely need every independent
-set. Hard guard: at most 30 events per analysis.
+with memoization over bitmask subsets, which evaluates the same alternating
+sum without enumerating all independent sets. The Shearer verdict is read
+off the chain of suffix sets that recursion memoizes on its way to q_empty.
+Enumeration (with pruning and explicit budgets) is used only by
+``all_q_values`` and ``truncated_log_partials``, which need every
+independent set. Hard guards: at most 30 events per analysis, and at most
+``MAX_MEMO_ENTRIES`` memoized subsets.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ from typing import Iterator, Sequence
 
 from . import certified
 from .errors import BudgetError, PrsError
-from .model import (
-    DependencyGraph,
-    Instance,
-    event_probabilities,
-    is_extremal,
-    r_matrix,
-)
+from .model import DependencyGraph, Instance, event_probabilities, r_matrix
 
 MAX_ANALYSIS_EVENTS = 30
 MAX_MEMO_ENTRIES = 2 ** 21
@@ -63,26 +60,48 @@ def _check_inputs(graph: DependencyGraph, p: Sequence[Fraction]) -> None:
 
 
 class _QEvaluator:
-    """Memoized evaluation of q(S) over vertex subsets S."""
+    """Memoized q(S) for one graph and probability vector; S is a bitmask."""
 
     def __init__(self, graph: DependencyGraph, p: Sequence[Fraction]):
-        self.closed = [graph.closed_neighborhood(i) for i in range(graph.num_events)]
+        _check_inputs(graph, p)
+        self.m = graph.num_events
+        self.full = (1 << self.m) - 1
+        self.closed = [
+            sum(1 << j for j in graph.closed_neighborhood(i)) for i in range(self.m)
+        ]
         self.p = [Fraction(pi) for pi in p]
-        self.memo: dict[frozenset[int], Fraction] = {frozenset(): Fraction(1)}
+        self.memo: dict[int, Fraction] = {0: Fraction(1)}
 
-    def q(self, subset: frozenset[int]) -> Fraction:
+    def q(self, mask: int) -> Fraction:
         memo = self.memo
-        got = memo.get(subset)
+        got = memo.get(mask)
         if got is not None:
             return got
         if len(memo) > MAX_MEMO_ENTRIES:
             raise BudgetError(
                 "q-value recursion exceeded %d subproblems" % MAX_MEMO_ENTRIES
             )
-        v = min(subset)
-        val = self.q(subset - {v}) - self.p[v] * self.q(subset - self.closed[v])
-        memo[subset] = val
+        v = (mask & -mask).bit_length() - 1  # min(S)
+        val = self.q(mask & ~(1 << v)) - self.p[v] * self.q(mask & ~self.closed[v])
+        memo[mask] = val
         return val
+
+    def q_of(self, ids) -> Fraction:
+        """q_I = p^I * q(V - N+[I]) for an independent event set I."""
+        rest = self.full
+        pi = Fraction(1)
+        for i in ids:
+            rest &= ~self.closed[i]
+            pi *= self.p[i]
+        return pi * self.q(rest)
+
+    def singletons(self) -> list[Fraction]:
+        return [self.q_of((i,)) for i in range(self.m)]
+
+    def holds(self) -> bool:
+        """q > 0 on every suffix set {k, ..., m-1}; see ``shearer_holds``."""
+        self.q(self.full)
+        return all(self.memo[self.full >> k << k] > 0 for k in range(self.m))
 
 
 def is_independent(graph: DependencyGraph, ids) -> bool:
@@ -119,9 +138,7 @@ def independent_sets(
 
 def q_empty(graph: DependencyGraph, p: Sequence[Fraction]) -> Fraction:
     """The alternating independent-set sum q_empty (exact)."""
-    _check_inputs(graph, p)
-    ev = _QEvaluator(graph, p)
-    return ev.q(frozenset(range(graph.num_events)))
+    return _QEvaluator(graph, p).q_of(())
 
 
 def q_value(graph: DependencyGraph, p: Sequence[Fraction], ids) -> Fraction:
@@ -129,30 +146,21 @@ def q_value(graph: DependencyGraph, p: Sequence[Fraction], ids) -> Fraction:
 
     A dependent I yields 0 by definition. Callers needing to distinguish
     a computed zero from a non-independent I can test ``is_independent``.
+    Event ids outside 0..m-1 raise ``ValueError``.
     """
-    _check_inputs(graph, p)
+    ev = _QEvaluator(graph, p)
     ids = frozenset(ids)
+    bad = ids - frozenset(range(graph.num_events))
+    if bad:
+        raise ValueError("event id %d is not in 0..%d" % (min(bad), graph.num_events - 1))
     if not is_independent(graph, ids):
         return Fraction(0)
-    ev = _QEvaluator(graph, p)
-    rest = frozenset(range(graph.num_events))
-    for i in ids:
-        rest -= graph.closed_neighborhood(i)
-    pi = Fraction(1)
-    for i in ids:
-        pi *= Fraction(p[i])
-    return pi * ev.q(rest)
+    return ev.q_of(ids)
 
 
 def q_singletons(graph: DependencyGraph, p: Sequence[Fraction]) -> list[Fraction]:
     """[q_{i}] for every event i (exact)."""
-    _check_inputs(graph, p)
-    ev = _QEvaluator(graph, p)
-    full = frozenset(range(graph.num_events))
-    return [
-        Fraction(p[i]) * ev.q(full - graph.closed_neighborhood(i))
-        for i in range(graph.num_events)
-    ]
+    return _QEvaluator(graph, p).singletons()
 
 
 def all_q_values(
@@ -164,62 +172,50 @@ def all_q_values(
 
     The values partition unity: sum_I q_I == 1 is asserted before returning.
     """
-    _check_inputs(graph, p)
     ev = _QEvaluator(graph, p)
-    full = frozenset(range(graph.num_events))
-    out: dict[frozenset[int], Fraction] = {}
-    for ids in independent_sets(graph, max_sets):
-        rest = full
-        pi = Fraction(1)
-        for i in ids:
-            rest -= graph.closed_neighborhood(i)
-            pi *= Fraction(p[i])
-        out[ids] = pi * ev.q(rest)
+    out = {ids: ev.q_of(ids) for ids in independent_sets(graph, max_sets)}
     total = sum(out.values())
     if total != 1:
         raise AssertionError("q-values sum to %s, expected 1" % total)
     return out
 
 
-def shearer_holds(
-    graph: DependencyGraph,
-    p: Sequence[Fraction],
-    max_sets: int = MAX_ENUMERATED_SETS,
-) -> bool:
-    """Exact criterion: q_I >= 0 for every independent I and q_empty > 0."""
-    _check_inputs(graph, p)
-    ev = _QEvaluator(graph, p)
-    full = frozenset(range(graph.num_events))
-    if ev.q(full) <= 0:
-        return False
-    for ids in independent_sets(graph, max_sets):
-        rest = full
-        pi = Fraction(1)
-        for i in ids:
-            rest -= graph.closed_neighborhood(i)
-            pi *= Fraction(p[i])
-        if pi * ev.q(rest) < 0:
-            return False
-    return True
+def shearer_holds(graph: DependencyGraph, p: Sequence[Fraction]) -> bool:
+    """Exact criterion: is p inside Shearer's region for this graph?
+
+    Shearer (1985) and Scott-Sokal (2005): p is inside iff q(U) > 0 for every
+    event set U, q(U) being the alternating independent-set sum on the
+    subgraph induced by U. One maximal chain of sets is enough, and computing
+    q(V) memoizes the suffix chain W_k = {k, ..., m-1}. Suppose q(U) > 0 for
+    every U inside W_{k+1}, and W_k = W_{k+1} + {v}. Every U inside W_k that
+    contains v has
+
+        q(U) = q(U - v) * (1 - p_v * q(U - N+[v]) / q(U - v)),
+
+    and inside the region the ratio q(U - N+[v]) / q(U - v) can only grow
+    with U (Shearer's monotonicity), so q(W_k) > 0 gives q(U) > 0. Induction
+    along the chain gives q(U) > 0 for every U.
+    """
+    return _QEvaluator(graph, p).holds()
 
 
 def expected_resamples(graph: DependencyGraph, p: Sequence[Fraction]) -> Fraction:
     """Exact expected total number of resampled events, sum_i q_i / q_empty."""
-    per = expected_resamples_per_event(graph, p)
-    return sum(per, Fraction(0))
+    return sum(expected_resamples_per_event(graph, p), Fraction(0))
 
 
 def expected_resamples_per_event(
     graph: DependencyGraph, p: Sequence[Fraction]
 ) -> list[Fraction]:
     """Exact expected resamples of each event, q_i / q_empty."""
-    if not shearer_holds(graph, p):
+    ev = _QEvaluator(graph, p)
+    if not ev.holds():
         raise ShearerError(
             "q-criterion fails for this graph and probability vector; "
             "expected run length is undefined"
         )
-    qe = q_empty(graph, p)
-    return [qi / qe for qi in q_singletons(graph, p)]
+    qe = ev.q_of(())
+    return [qi / qe for qi in ev.singletons()]
 
 
 def check_asymmetric_lll(
@@ -358,18 +354,12 @@ def truncated_log_partials(
             % (MAX_SEQUENCE_EVENTS, graph.num_events)
         )
     sets = [s for s in independent_sets(graph) if s]
-    weight = {}
-    closed_union = {}
+    weight, closed_union = {}, {}
     for s in sets:
-        w = Fraction(1)
-        cu: frozenset[int] = frozenset()
-        for i in s:
-            w *= Fraction(p[i])
-            cu |= graph.closed_neighborhood(i)
-        weight[s] = w
-        closed_union[s] = cu
+        weight[s] = math.prod((Fraction(p[i]) for i in s), start=Fraction(1))
+        closed_union[s] = frozenset().union(*map(graph.closed_neighborhood, s))
     partials = [Fraction(1)]
-    layer = {s: weight[s] for s in sets}
+    layer = dict(weight)
     for _ in range(max_len):
         partials.append(partials[-1] + sum(layer.values(), Fraction(0)))
         nxt = {}
@@ -443,14 +433,14 @@ def analyze_instance(instance: Instance) -> ShearerReport:
     graph = instance.dependency_graph
     p = tuple(event_probabilities(instance))
     delta = graph.max_degree
-    qe = q_empty(graph, p)
-    qs = tuple(q_singletons(graph, p))
-    ok = shearer_holds(graph, p)
+    ev = _QEvaluator(graph, p)
+    qe = ev.q_of(())
+    qs = tuple(ev.singletons())
+    ok = ev.holds()
     expected_total = expected_per = None
     if ok:
-        per = [qi / qe for qi in qs]
-        expected_per = tuple(per)
-        expected_total = sum(per, Fraction(0))
+        expected_per = tuple(qi / qe for qi in qs)
+        expected_total = sum(expected_per, Fraction(0))
     if delta >= 1:
         x = [Fraction(1, delta + 1)] * graph.num_events
         lll_ok = check_asymmetric_lll(graph, p, x)
@@ -465,7 +455,7 @@ def analyze_instance(instance: Instance) -> ShearerReport:
         num_events=graph.num_events,
         max_degree=delta,
         p=p,
-        extremal=is_extremal(instance, graph),
+        extremal=instance.extremal,
         q_empty=qe,
         q_singletons=qs,
         shearer_ok=ok,

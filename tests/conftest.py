@@ -5,8 +5,15 @@ import json
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from prsampling.graphs import make_graph
 from prsampling.model import Instance, make_event, uniform_variable, VariableSpec
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so they neither flake nor time out on a slow or loaded runner.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def clause_instance(clauses, num_vars):

@@ -281,6 +281,19 @@ class TestAnalyze:
         assert report["ratio_bounds"]["sink_free"]["bound"] == 6
         assert report["shearer"]["extremal"] is True
 
+    def test_graph_report_at_event_cap(self, capsys, tmp_path):
+        path = tmp_path / "c30.edges"
+        path.write_text(write_edge_list(cycle_graph(30)))
+        code, out, _ = run_cli(
+            capsys, "analyze", "graph", "--file", str(path), "--app", "sink-free"
+        )
+        assert code == 0
+        shearer = json.loads(out)["shearer"]
+        assert "skipped" not in shearer
+        assert shearer["num_events"] == 30
+        assert shearer["q_empty"] == "1/%d" % 2 ** 29
+        assert shearer["shearer_ok"] is True
+
     def test_graph_hardcore_report(self, capsys, triangle_file):
         code, out, _ = run_cli(
             capsys,

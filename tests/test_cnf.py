@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prsampling.cnf import (
     CnfFormula,
@@ -102,6 +103,12 @@ class TestParseDimacs:
             ("", "missing 'p cnf' header"),
             ("p cnf 2 1\n1 2\n", "unterminated"),
             ("p cnf 2 2\n1 0\n", "declares 2 clauses but 1"),
+            # int() accepts these; DIMACS means only ASCII decimal digits.
+            ("p cnf 2_0 1\n1_0 +2 0\n", "non-integer header counts"),
+            ("p cnf 2 1\n1_0 0\n", "invalid token '1_0'"),
+            ("p cnf 2 1\n+2 0\n", "invalid token '\\+2'"),
+            ("p cnf 2 1\n\u0662 0\n", "invalid token"),
+            ("p cnf \uff12 1\n1 0\n", "non-integer header counts"),
         ],
     )
     def test_errors(self, text, msg):
@@ -123,6 +130,18 @@ class TestParseDimacs:
                 clauses.append(tuple(v * rng.choice((1, -1)) for v in vs))
             f = CnfFormula(num_vars, tuple(clauses))
             assert parse_dimacs(write_dimacs(f)) == f
+
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        num_vars = data.draw(st.integers(0, 300))
+        clauses = []
+        if num_vars:
+            variables = st.lists(st.integers(1, num_vars), min_size=1, max_size=5, unique=True)
+            for _ in range(data.draw(st.integers(0, 8))):
+                vs = data.draw(variables)
+                clauses.append(tuple(data.draw(st.sampled_from((v, -v))) for v in vs))
+        f = CnfFormula(num_vars, tuple(clauses))
+        assert parse_dimacs(write_dimacs(f)) == f
 
 
 class TestCnfStats:

@@ -1,6 +1,7 @@
 """Undirected-graph utilities: structure, parsing, and cycle enumeration."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prsampling.errors import BudgetError
 from prsampling.graphs import (
@@ -116,6 +117,10 @@ class TestEdgeListFormat:
             ("0 1 2\n", "expected 'u v'"),
             ("0 x\n", "must be integers"),
             ("0 -1\n", "nonnegative"),
+            # int() accepts these; edge lists mean only ASCII decimal digits.
+            ("0 1_0\n", "must be integers"),
+            ("+1 2\n", "must be integers"),
+            ("0 \u0662\n", "must be integers"),
             ("3 3\n", "self-loop"),
             ("0 1\n1 0\n", "duplicate edge"),
         ],
@@ -134,6 +139,23 @@ class TestEdgeListFormat:
         text = write_edge_list(g, labels=[7, 9, 11])
         g2, labels = parse_edge_list(text)
         assert g2 == g and labels == [7, 9, 11]
+
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        n = data.draw(st.integers(2, 12))
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+        graph = make_graph(n, pairs)
+        label = st.integers(0, 10 ** 12)
+        labels = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
+        g2, labels2 = parse_edge_list(write_edge_list(graph, labels))
+        used = sorted({labels[v] for e in graph.edges for v in e})
+        assert labels2 == used
+        assert {frozenset((labels2[u], labels2[v])) for u, v in g2.edges} == {
+            frozenset((labels[u], labels[v])) for u, v in graph.edges
+        }
+        if len(used) == n and labels == sorted(labels):
+            assert g2 == graph
 
     def test_empty_text(self):
         g, labels = parse_edge_list("# nothing\n")

@@ -1,10 +1,13 @@
 """Exact q-value machinery, run-length formulas, and condition checkers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import prsampling.shearer as shearer
+from prsampling import verify
 from prsampling.errors import BudgetError
 from prsampling.model import DependencyGraph, build_dependency_graph, event_probabilities
 from prsampling.shearer import (
@@ -37,6 +40,14 @@ PAIR = DependencyGraph(2, ((1,), (0,)))
 EMPTY3 = DependencyGraph(3, ((), (), ()))
 PATH3 = DependencyGraph(3, ((1,), (0, 2), (1,)))
 STAR13 = DependencyGraph(4, ((1, 2, 3), (0,), (0,), (0,)))
+TWO_PAIRS = DependencyGraph(4, ((1,), (0,), (3,), (2,)))
+CROSSED_PAIRS = DependencyGraph(4, ((3,), (2,), (1,), (0,)))
+NO_EVENTS = DependencyGraph(0, ())
+
+
+def enumerated_verdict(graph, p):
+    """The criterion by enumeration: q_empty > 0 and q_I >= 0 for every I."""
+    return q_empty(graph, p) > 0 and min(all_q_values(graph, p).values()) >= 0
 
 
 class TestQValues:
@@ -59,6 +70,13 @@ class TestQValues:
         assert not is_independent(PAIR, {0, 1})
         assert q_value(PAIR, p, {0, 1}) == 0
         assert is_independent(PAIR, {0})
+
+    @pytest.mark.parametrize("ids", [{-1}, {3}, {0, 7}])
+    def test_event_ids_out_of_range(self, ids):
+        p = [F(1, 5)] * 3
+        bad = min(i for i in ids if not 0 <= i < 3)
+        with pytest.raises(ValueError, match="event id %d is not in 0..2" % bad):
+            q_value(PATH3, p, ids)
 
     def test_q_empty_via_inclusion_exclusion(self):
         # Alternating sum over independent sets, computed naively.
@@ -137,9 +155,91 @@ class TestExpectedResamples:
             expected_resamples(PAIR, [F(1, 2), F(1, 2)])
 
     def test_shearer_holds_boundary(self):
-        assert shearer_holds(PAIR, [F(1, 4), F(1, 4)]) is True
-        # q_empty = 0 on the boundary: criterion requires strict positivity.
-        assert shearer_holds(PAIR, [F(1, 2), F(1, 2)]) is False
+        cases = [
+            (PAIR, [F(1, 4), F(1, 4)], True),
+            # q_empty = 0 on the boundary: criterion requires strict positivity.
+            (PAIR, [F(1, 2), F(1, 2)], False),
+            (PAIR, [F(1, 2), F(1, 3)], True),
+            (PAIR, [F(1), F(0)], False),
+            # q_empty = (1 - 6/5)^2 = 1/25 > 0, but each pair alone is outside.
+            (TWO_PAIRS, [F(3, 5)] * 4, False),
+            (TWO_PAIRS, [F(1, 2), F(1, 3), F(1, 3), F(1, 2)], True),
+            # q({3}), q({2, 3}) and q({1, 2, 3}) are exactly 0 while
+            # q_empty = (1 - 1/4 - 1)^2 = 1/16 > 0.
+            (CROSSED_PAIRS, [F(1, 4), F(1, 4), F(1), F(1)], False),
+            (NO_EVENTS, [], True),
+            (SINGLE, [F(0)], True),
+            (SINGLE, [F(1)], False),
+            (EMPTY3, [F(1, 2), F(1), F(0)], False),
+            (EMPTY3, [F(0)] * 3, True),
+            (PATH3, [F(0), F(1), F(0)], False),
+            (PATH3, [F(1), F(0), F(1)], False),
+            (STAR13, [F(0), F(1), F(1, 2), F(1, 3)], False),
+            (STAR13, [F(1, 9)] * 4, True),
+        ]
+        for graph, p, expect in cases:
+            assert shearer_holds(graph, p) is expect, (graph, p)
+            assert enumerated_verdict(graph, p) is expect, (graph, p)
+
+
+class TestShearerVerdict:
+    """The chain verdict against the enumeration reference."""
+
+    def test_random_instances(self):
+        rng = random.Random(3)
+        generators = (
+            verify.random_instance,
+            verify.random_extremal_instance,
+            verify.random_weighted_instance,
+        )
+        checked = negative = 0
+        for _ in range(350):
+            for generate in generators:
+                instance = generate(rng)
+                graph = instance.dependency_graph
+                base = event_probabilities(instance)
+                for scale in (F(1, 2), F(1), F(3, 2), F(2)):
+                    p = [min(F(1), pi * scale) for pi in base]
+                    expect = enumerated_verdict(graph, p)
+                    assert shearer_holds(graph, p) is expect, (instance, p)
+                    checked += 1
+                    negative += not expect
+        assert checked == 4 * 1050
+        assert 1000 < negative < 3000  # both verdicts are well represented
+
+    def test_sink_free_c30(self):
+        from prsampling.graph_apps import encode_sink_free
+        from prsampling.graphs import cycle_graph
+
+        report = analyze_instance(encode_sink_free(cycle_graph(30)))
+        assert report.q_empty == F(1, 2 ** 29)
+        assert report.shearer_ok is True
+        assert report.expected_total == sum(report.expected_per_event)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            analyze_instance,
+            lambda inst: expected_resamples_per_event(
+                inst.dependency_graph, event_probabilities(inst)
+            ),
+        ],
+        ids=["analyze_instance", "expected_resamples_per_event"],
+    )
+    def test_one_evaluator_per_call(self, call, monkeypatch):
+        from prsampling.graph_apps import encode_sink_free
+        from prsampling.graphs import cycle_graph
+
+        built = []
+
+        class Counted(shearer._QEvaluator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(shearer, "_QEvaluator", Counted)
+        call(encode_sink_free(cycle_graph(6)))
+        assert len(built) == 1
 
 
 class TestConditionCheckers:
@@ -284,3 +384,24 @@ class TestAnalyzeInstance:
         assert analyze_instance(instance) == first
         check_gprs_conditions(instance)
         assert builds == [instance]
+
+    def test_extremality_read_from_instance(self, monkeypatch):
+        import prsampling.model as model
+        from prsampling.graph_apps import encode_sink_free
+        from prsampling.graphs import cycle_graph
+
+        calls = []
+        is_extremal = model.is_extremal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return is_extremal(*args, **kwargs)
+
+        monkeypatch.setattr(model, "is_extremal", counted)
+        # A name shearer imported from model would bypass the patch above.
+        monkeypatch.setattr(shearer, "is_extremal", counted, raising=False)
+        instance = encode_sink_free(cycle_graph(5))
+        assert instance.extremal is True
+        assert len(calls) == 1
+        assert analyze_instance(instance).extremal is True
+        assert len(calls) == 1
