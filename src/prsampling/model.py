@@ -141,7 +141,7 @@ class Instance:
                     % (k, e.id)
                 )
             for v in e.vbl:
-                if v >= len(self.variables):
+                if not 0 <= v < len(self.variables):
                     raise ValueError(
                         "event %d references unknown variable %d" % (e.id, v)
                     )
@@ -401,7 +401,7 @@ def assignment_probability(instance: Instance, assignment: Sequence[int]) -> Fra
 # "weights" is optional (uniform when absent) and must contain exact
 # rational strings like "1/3"; decimal notation is rejected.
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", re.ASCII)  # no zero denominator
 
 
 def parse_rational(s, where: str = "value") -> Fraction:
@@ -413,18 +413,32 @@ def parse_rational(s, where: str = "value") -> Fraction:
     return Fraction(s.strip())
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not, although Python says so."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def instance_from_json(obj) -> Instance:
-    """Build an Instance from the JSON object format, validating shapes."""
+    """Build an Instance from the JSON object format, validating shapes.
+
+    Malformed input raises ValueError naming where it is, such as
+    ``events[2].violating[0]``.
+    """
     if not isinstance(obj, dict) or "variables" not in obj or "events" not in obj:
         raise ValueError("instance JSON must contain 'variables' and 'events'")
+    for key in ("variables", "events"):
+        if not isinstance(obj[key], list):
+            raise ValueError("'%s' must be a list, got %s" % (key, type(obj[key]).__name__))
     variables = []
     for k, raw in enumerate(obj["variables"]):
         where = "variables[%d]" % k
         if not isinstance(raw, dict) or "id" not in raw or "domain" not in raw:
             raise ValueError("%s must have 'id' and 'domain'" % where)
         vid, dom = raw["id"], raw["domain"]
-        if not isinstance(vid, int) or not isinstance(dom, int):
+        if not _is_int(vid) or not _is_int(dom):
             raise ValueError("%s: 'id' and 'domain' must be integers" % where)
+        if dom < 1:
+            raise ValueError("%s: 'domain' must be at least 1, got %d" % (where, dom))
         if "weights" in raw:
             ws = raw["weights"]
             if not isinstance(ws, list) or len(ws) != dom:
@@ -440,16 +454,23 @@ def instance_from_json(obj) -> Instance:
         where = "events[%d]" % k
         if not isinstance(raw, dict) or not {"id", "vars", "violating"} <= set(raw):
             raise ValueError("%s must have 'id', 'vars' and 'violating'" % where)
-        if not isinstance(raw["vars"], list) or not all(
-            isinstance(v, int) for v in raw["vars"]
-        ):
+        eid, vbl, tuples = raw["id"], raw["vars"], raw["violating"]
+        if not _is_int(eid):
+            raise ValueError("%s: 'id' must be an integer, got %r" % (where, eid))
+        if not isinstance(vbl, list) or not all(map(_is_int, vbl)):
             raise ValueError("%s: 'vars' must be a list of integers" % where)
-        tuples = raw["violating"]
-        if not isinstance(tuples, list) or not all(
-            isinstance(t, list) and all(isinstance(x, int) for x in t) for t in tuples
-        ):
+        if len(set(vbl)) != len(vbl):
+            raise ValueError("%s: 'vars' repeats a variable: %r" % (where, vbl))
+        if not isinstance(tuples, list):
             raise ValueError("%s: 'violating' must be a list of integer lists" % where)
-        events.append(make_event(raw["id"], raw["vars"], tuples))
+        for i, t in enumerate(tuples):
+            if not isinstance(t, list) or not all(map(_is_int, t)):
+                raise ValueError("%s.violating[%d] must be a list of integers" % (where, i))
+            if len(t) != len(vbl):
+                raise ValueError(
+                    "%s.violating[%d] has %d values for %d vars" % (where, i, len(t), len(vbl))
+                )
+        events.append(make_event(eid, vbl, tuples))
     return Instance(tuple(variables), tuple(events))
 
 

@@ -214,41 +214,41 @@ def select_resampling_set(
 
     Grow R from the occurring events: repeatedly take the unmarked boundary
     of R (events adjacent to R, not yet visited), one BFS round at a time,
-    and move each boundary event into R if it is still compatible with the
-    current values of R's variables, otherwise mark it excluded. Within a
-    round events are processed in ascending id order (``order="desc"``
-    flips this; exposed only to probe order sensitivity).
+    and move each boundary event into R if it is compatible (some violating
+    tuple agrees with sigma on every variable of R that the event reads),
+    otherwise mark it excluded. Within a round events go in ascending id
+    order (``order="desc"`` flips this; it exists to probe order sensitivity).
 
     Deterministic given sigma: no randomness is consumed.
     """
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc', got %r" % order)
-    if graph is None:
-        graph = instance.dependency_graph
+    adjacency = (instance.dependency_graph if graph is None else graph).adjacency
     bad = _occurring(instance, sigma) if _bad is None else _bad
     events = instance.events
     in_r = set(bad)
     marked = set(bad)
     # The variables of R; each keeps its value in sigma.
-    fixed: set[int] = set()
-    for i in bad:
-        fixed.update(events[i].vbl)
+    fixed = {v for i in bad for v in events[i].vbl}
     frontier = bad
     while frontier:
         boundary = set()
         for i in frontier:
-            boundary.update(j for j in graph.adjacency[i] if j not in marked)
+            boundary.update(adjacency[i])
+        boundary -= marked
         marked |= boundary
         frontier = []
         for j in sorted(boundary, reverse=(order == "desc")):
             vbl = events[j].vbl
-            anchored = [(pos, sigma[v]) for pos, v in enumerate(vbl) if v in fixed]
-            if any(
-                all(t[pos] == val for pos, val in anchored) for t in events[j].violating
-            ):
-                in_r.add(j)
-                frontier.append(j)
-                fixed.update(vbl)
+            for t in events[j].violating:
+                for v, want in zip(vbl, t):
+                    if v in fixed and sigma[v] != want:
+                        break
+                else:
+                    in_r.add(j)
+                    frontier.append(j)
+                    fixed.update(vbl)
+                    break
     return sorted(in_r)
 
 

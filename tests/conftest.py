@@ -62,3 +62,34 @@ def run_digest(sample, stats):
         [list(sample), stats.to_json(include_log=True)], separators=(",", ":")
     )
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _one_event(**fields):
+    """Two binary variables and one valid event, with ``fields`` overriding it."""
+    return {
+        "variables": [{"id": 0, "domain": 2}, {"id": 1, "domain": 2}],
+        "events": [{"id": 0, "vars": [0], "violating": [[1]], **fields}],
+    }
+
+
+def _variables(*variables):
+    """An instance with the given variables and no events."""
+    return {"variables": list(variables), "events": []}
+
+
+# Malformed instance JSON, each with the part of the error message that says
+# where the problem is.
+MALFORMED_INSTANCE_JSON = [
+    ({"variables": 5, "events": []}, "'variables' must be a list, got int"),
+    ({"variables": [], "events": 3}, "'events' must be a list, got int"),
+    ({"variables": {"0": {"id": 0, "domain": 2}}, "events": []}, "'variables' must be a list"),
+    (_variables({"id": 0, "domain": 0}), "variables[0]: 'domain' must be at least 1"),
+    (_variables({"id": 0, "domain": True}), "variables[0]: 'id' and 'domain'"),
+    (_variables({"id": 0, "domain": 2, "weights": ["1/0", "1"]}), "variables[0].weights[0]"),
+    (_one_event(violating=[[1, 0]]), "events[0].violating[0] has 2 values for 1 vars"),
+    (_one_event(vars=[0, 1], violating=[[1]]), "events[0].violating[0] has 1 values for 2 vars"),
+    (_one_event(id="a"), "events[0]: 'id' must be an integer"),
+    (_one_event(id=0.0), "events[0]: 'id' must be an integer"),
+    (_one_event(vars=[-1]), "event 0 references unknown variable -1"),
+    (_one_event(vars=[1, 0, 1], violating=[[0, 0, 0]]), "events[0]: 'vars' repeats a variable"),
+]

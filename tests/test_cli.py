@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MALFORMED_INSTANCE_JSON
 import prsampling
 from prsampling.cli import main
 from prsampling.cnf import CnfFormula, write_dimacs
@@ -228,6 +229,22 @@ class TestSample:
         bad.write_text("p cnf 2 1\n1 1 0\n")
         code, _, err = run_cli(capsys, "sample", "cnf", "--file", str(bad))
         assert code == 1 and "repeated" in err
+
+    @pytest.mark.parametrize("obj,where", MALFORMED_INSTANCE_JSON)
+    def test_malformed_instance_json_exit_one(self, capsys, tmp_path, obj, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "sample", "instance", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and where in err
+        assert "Traceback" not in err
+
+    def test_zero_denominator_lambda_exit_one(self, capsys, triangle_file):
+        code, out, err = run_cli(
+            capsys, "sample", "hardcore", "--graph", triangle_file, "--lam", "1/0"
+        )
+        assert code == 1 and out == ""
+        assert "expected an exact rational string like '1/3', got '1/0'" in err
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import MALFORMED_INSTANCE_JSON
 from prsampling.errors import BudgetError
 from prsampling.model import (
     EventSpec,
@@ -480,7 +482,9 @@ class TestJson:
         assert parse_rational("-2") == -2
         assert parse_rational(" 5/8 ") == Fraction(5, 8)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e-3", "", "a/b", 0.5, None, "1/3/4"])
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "1e-3", "", "a/b", 0.5, None, "1/3/4", "1/0", "2/00", "\u0661/3"]
+    )
     def test_parse_rational_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -499,11 +503,19 @@ class TestJson:
                 "variables": [{"id": 0, "domain": 2}],
                 "events": [{"id": 0, "vars": [0], "violating": [["x"]]}],
             },
+            *(obj for obj, _ in MALFORMED_INSTANCE_JSON),
         ],
     )
     def test_invalid_json_objects(self, obj):
         with pytest.raises(ValueError):
             instance_from_json(obj)
+
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_round_trip_through_json_text(self, seed, weighted):
+        make = random_weighted_instance if weighted else random_instance
+        inst = make(random.Random(seed))
+        text = json.dumps(instance_to_json(inst))
+        assert instance_from_json(json.loads(text)) == inst
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
