@@ -3,9 +3,10 @@
 Each application has a specialized sampler written directly against the
 graph, plus an encoder producing the equivalent constraint instance so the
 specialized and generic samplers can be cross-checked. The specialized
-samplers draw fresh values lazily, in ascending vertex/edge id order, via
-the same one-uniform-per-draw primitive as the generic samplers, so both
-sides of the cross-check consume an identical randomness stream.
+samplers draw fresh values lazily, in ascending vertex/edge id order, with
+the same one-uniform-per-draw rule as the generic samplers
+(``rng.draw_index``, applied inline as ``bisect_right(table, random())``),
+so both sides of the cross-check consume an identical randomness stream.
 
 Conventions
 -----------
@@ -22,14 +23,17 @@ Conventions
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import sqrt
 
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
 from .model import EventSpec, Instance, make_event, uniform_variable, VariableSpec
-from .rng import cumulative_table, derive_seed, draw_index, make_rng
+from .rng import cumulative_table, derive_seed, make_rng
+from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .sampler import SamplerConfig, resample_until_valid
 
 
@@ -48,38 +52,41 @@ def _exact(lam, name: str = "lam") -> Fraction:
 def sink_popping(graph: Graph, config: SamplerConfig):
     """Sample a uniform sink-free orientation.
 
-    Each round re-orients every edge adjacent to a sink. The first round
-    tests every vertex; later rounds re-test only the endpoints of the edges
-    just re-oriented, since any other vertex kept all its edges and every
-    old sink had all of its edges redrawn. On graphs where some component
-    is a tree no sink-free orientation exists and the round cap is
-    eventually hit.
+    Each round re-orients every edge adjacent to a sink. Each edge's tail and
+    each vertex's out-degree are kept across rounds: the first round counts
+    the out-degrees in one pass over the tails and reports every non-isolated
+    vertex of out-degree 0; later rounds move the tails of the edges just
+    re-oriented and re-test only their endpoints, since any other vertex
+    kept all its edges and every old sink had all of its edges redrawn. On
+    graphs where some component is a tree no sink-free orientation exists
+    and the round cap is eventually hit.
     """
     rng = make_rng(config.seed)
+    random = rng.random
     table = cumulative_table((Fraction(1, 2), Fraction(1, 2)))
-    orient = [draw_index(rng, table) for _ in graph.edges]
-    incident = graph.incident_edges
-
-    def is_sink(v: int) -> bool:
-        inc = incident[v]
-        if not inc:
-            return False
-        for eid in inc:
-            u, w = graph.edges[eid]
-            if not ((v == w and orient[eid] == 0) or (v == u and orient[eid] == 1)):
-                return False
-        return True
+    edges, incident = graph.edges, graph.incident_edges
+    orient = [bisect_right(table, random()) for _ in edges]
+    tail = [edges[eid][o] for eid, o in enumerate(orient)]  # 0: u -> v, 1: v -> u
+    out = [0] * graph.num_vertices
 
     def find_sinks(redrawn):
         if redrawn is None:
-            return [v for v in range(graph.num_vertices) if is_sink(v)]
-        ends = {v for eid in redrawn for v in graph.edges[eid]}
-        return [v for v in sorted(ends) if is_sink(v)]
+            for t in tail:
+                out[t] += 1
+            return [v for v in range(graph.num_vertices) if not out[v] and incident[v]]
+        ends = set()
+        for eid in redrawn:
+            out[tail[eid]] -= 1
+            edge = edges[eid]
+            t = tail[eid] = edge[orient[eid]]
+            out[t] += 1
+            ends.update(edge)
+        return [v for v in sorted(ends) if not out[v]]
 
     _, stats = resample_until_valid(
         config,
         orient,
-        lambda eid: draw_index(rng, table),
+        lambda eid: bisect_right(table, random()),
         find_sinks,
         lambda sinks: (sinks, sorted({e for v in sinks for e in incident[v]})),
         num_events=graph.num_vertices,
@@ -143,6 +150,7 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
     if not 0 <= root < graph.num_vertices:
         raise ValueError("root %d out of range" % root)
     rng = make_rng(config.seed)
+    random = rng.random
     n = graph.num_vertices
     # One uniform table per degree, not per vertex.
     tables = {
@@ -152,7 +160,7 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
 
     def draw(v: int) -> int:
         nbrs = graph.adjacency[v]
-        return nbrs[draw_index(rng, tables[len(nbrs)])]
+        return nbrs[bisect_right(tables[len(nbrs)], random())]
 
     arrows = [-1 if v == root else draw(v) for v in range(n)]
     rooted = [v == root for v in range(n)]
@@ -283,21 +291,25 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     rng = make_rng(config.seed)
+    random = rng.random
     table = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
-    occ = [draw_index(rng, table) for _ in range(graph.num_vertices)]
-    adjacency, edges = graph.adjacency, graph.edges
+    n = graph.num_vertices
+    occ = [bisect_right(table, random()) for _ in range(n)]
+    adjacency, edges, incident = graph.adjacency, graph.edges, graph.incident_edges
 
     def find_bad(redrawn):
         if redrawn is None:
-            return [eid for eid, (u, v) in enumerate(edges) if occ[u] and occ[v]]
+            # Each bad edge at its lower endpoint u, so ids come out ascending
+            # (``adjacency[u]`` and ``incident[u]`` are parallel).
+            return [
+                eid
+                for u in compress(range(n), occ)
+                for w, eid in zip(adjacency[u], incident[u])
+                if w > u and occ[w]
+            ]
         # Only edges touching a redrawn vertex can change badness.
-        nxt = set()
-        for v in redrawn:
-            for eid in graph.incident_edges[v]:
-                u, w = edges[eid]
-                if occ[u] and occ[w]:
-                    nxt.add(eid)
-        return sorted(nxt)
+        pairs = (zip(adjacency[v], incident[v]) for v in redrawn if occ[v])
+        return sorted({eid for pair in pairs for w, eid in pair if occ[w]})
 
     def choose(bad_edges):
         res_vs = set()
@@ -315,13 +327,13 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     _, stats = resample_until_valid(
         config,
         occ,
-        lambda v: draw_index(rng, table),
+        lambda v: bisect_right(table, random()),
         find_bad,
         choose,
         note=" in hard-core sampling",
         logged="bad",
     )
-    return frozenset(v for v in range(graph.num_vertices) if occ[v]), stats
+    return frozenset(compress(range(n), occ)), stats
 
 
 # The violating set that every hard-core edge event shares: both ends occupied.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -29,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
-from .rng import cumulative_table, draw_index
+from .rng import cumulative_table, draw_index  # noqa: F401 (bench/tracing.py counts draw_index)
 
 # Hard caps; exceeding one raises BudgetError rather than degrading.
 MAX_EVENT_VARS = 24
@@ -109,7 +110,10 @@ def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int
     """Build an event from variables in any order, permuting tuples to match."""
     order = sorted(range(len(variables)), key=lambda k: variables[k])
     vbl = tuple(variables[k] for k in order)
-    violating = frozenset(tuple(t[k] for k in order) for t in tuples)
+    # A tuple of the wrong arity is passed on as given, for EventSpec to reject.
+    violating = frozenset(
+        tuple(t[k] for k in order) if len(t) == len(order) else tuple(t) for t in tuples
+    )
     return EventSpec(eid, vbl, violating)
 
 
@@ -362,10 +366,11 @@ def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:
 
 
 def sample_product(instance: Instance, rng, tables=None) -> list[int]:
-    """Draw a total assignment from the product distribution."""
+    """Draw a total assignment from the product distribution, one variate per variable."""
     if tables is None:
         tables = instance.sampling_tables
-    return [draw_index(rng, t) for t in tables]
+    random = rng.random
+    return [bisect_right(t, random()) for t in tables]
 
 
 def joint_state_count(instance: Instance) -> int:

@@ -57,6 +57,7 @@ def draw_index(rng: random.Random, cum: tuple[float, ...]) -> int:
     """Draw a domain-value index from one uniform variate.
 
     Consumes exactly one ``rng.random()`` call, which keeps independently
-    written samplers aligned when they share a stream.
+    written samplers aligned when they share a stream. The samplers apply
+    this rule inline, so their hot loops make no call per variable.
     """
     return bisect_right(cum, rng.random())

@@ -34,12 +34,13 @@ samplers can stay stream-aligned with them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import RoundCapError
 from .model import DependencyGraph, Instance, sample_product
 from .model import occurs  # noqa: F401 (bench/tracing.py counts calls through this name)
-from .rng import draw_index, make_rng
+from .rng import draw_index, make_rng  # noqa: F401 (bench/tracing.py counts draw_index)
 
 DEFAULT_ROUND_CAP = 10 ** 6
 
@@ -168,6 +169,7 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
     redrawn variable.
     """
     rng = make_rng(config.seed)
+    random = rng.random
     tables = instance.sampling_tables
     sigma = sample_product(instance, rng, tables)
     events, var_events = instance.events, instance.var_events
@@ -189,7 +191,7 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
     return resample_until_valid(
         config,
         sigma,
-        lambda v: draw_index(rng, tables[v]),
+        lambda v: bisect_right(tables[v], random()),
         find_bad,
         choose,
         num_events=instance.num_events,

@@ -149,22 +149,48 @@ class TestEncodeSinkFree:
 
     def test_matches_specialized_sampler(self):
         # extremal_prs re-tests every event each round, so it checks the
-        # incremental sink finder of sink_popping round by round.
+        # out-degree bookkeeping of sink_popping round by round. Isolated
+        # vertices get no event, so event ids are mapped back to vertices.
         cases = [
             cycle_graph(4),
             complete_graph(4),
             random_cubic_graph(50, 50),
             random_cubic_graph(200, 200),
+            # isolated vertices 0, 4 and 8 around two triangles
+            make_graph(9, [(1, 2), (1, 3), (2, 3), (5, 6), (5, 7), (6, 7)]),
+            # pendant vertices: a 5-cycle with a leaf on 0 and a path 2-6-7
+            make_graph(8, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (2, 6), (3, 4), (6, 7)]),
+            # a 4-cycle with a pendant vertex and two isolated ones
+            make_graph(7, [(1, 2), (1, 4), (2, 3), (3, 4), (4, 6)]),
         ]
         for g in cases:
             inst = encode_sink_free(g)
+            vertex_of = [v for v in range(g.num_vertices) if g.incident_edges[v]]
             for i in range(60):
                 seed = derive_seed(4, i)
                 orient, st_s = sink_popping(g, cfg(seed))
                 sigma, st_g = extremal_prs(inst, cfg(seed))
                 assert tuple(sigma) == orient
                 assert st_s.var_log == st_g.var_log
-                assert st_s.log == st_g.log
+                assert st_s.log == [
+                    tuple(vertex_of[k] for k in sinks) for sinks in st_g.log
+                ]
+
+    def test_tree_component_same_partial_run(self):
+        # A triangle plus a path: the path has no sink-free orientation, so
+        # both samplers stop at the cap after the same rounds.
+        g = make_graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6)])
+        inst = encode_sink_free(g)
+        for i in range(10):
+            seed = derive_seed(5, i)
+            with pytest.raises(RoundCapError) as spec:
+                sink_popping(g, cfg(seed, round_cap=25))
+            with pytest.raises(RoundCapError) as gen:
+                extremal_prs(inst, cfg(seed, round_cap=25))
+            st_s, st_g = spec.value.stats, gen.value.stats
+            assert st_s.rounds == st_g.rounds == 25
+            assert st_s.var_log == st_g.var_log
+            assert st_s.log == st_g.log  # no isolated vertex: ids agree
 
 
 class TestCyclePopping:
@@ -311,8 +337,34 @@ class TestEncodeSpanningTree:
 
 # sha256 of (sample, stats.to_json(include_log=True)) for the runs in
 # TestFrozenStream, recorded before the occurrence finders of sink_popping
-# and cycle_popping became incremental. Any change here changes the stream.
+# and cycle_popping became incremental; the hard-core cases (sample sorted,
+# lam = 1/4) were recorded before its draws were inlined. Any change here
+# changes the stream.
 FROZEN_POPPING_DIGESTS = {
+    ("hardcore", 200): [
+        "7dce79284c03ccc17371af34dbbbbae7b09479eb688c8b45ffe0a0e3f2a8d5d4",
+        "87de0fde235ad658ff86286c289f17a8e85ef487db7835948ef952cf847d78fc",
+        "bc79aab328be2b4a0bd22d9bfad813c0af0622f7c21ca2a284eb85ab7a833143",
+        "2e3b4223d3cb4304ad317b3f0d087defa0acc837eaee2dee75408e5b16c072bc",
+        "fee286a9917293076ba736f6e73e0d8a619593dee3302c121f6d7b3ff4b8e36c",
+        "ad0eac03e823666e4f982e5de0652f10d98312f0fe75a4dbcc7ed5e8ed928af9",
+        "562c3cff17d70f6ad8f029a712c3a278f6c4c9d4a4851a224318984f44fae358",
+        "3f37407583e8442a33b264c10e46ac02329b2a7fb881e81a30653fcb961a050e",
+        "dce8903a0cbdba04e34bb65d17c9233d42d0a7ebdf28a8ac4afa78d6fc0d8870",
+        "fd11aa691332ec430ae107a2fc03386c2dc5ffcd57d34630e5be1fd905384e59",
+    ],
+    ("hardcore", 2000): [
+        "17417550fcfb01943848b6052437c98cf97f87841ac0a2c5cfa36d64281db92c",
+        "e35598f807900e0a611058f9bc427250be55b1541990c24086b6c5f0147e72a6",
+        "cd2b0c2537b194366ca130da0097698041b051807c918134ed8299256a80fe66",
+        "814638607834584d9f2ff410598dd79ca8eb0a4f66ba7e0c0ac11a64be0534ac",
+        "e37de331958697352dc747ef6f38eb256b7f94b81be9791ab0b8364656318f2e",
+        "67c19ee5c207b663a2c43a200ee6e2e80030dc408221847bec041b4c27ddca49",
+        "08e71ff76d60fc09124dd2948a0b5f745a0f3e08cd11c3bb51428651e6575a66",
+        "81c333ab152ae0b9df86cb29c97202956f223b9779623973ff5593f86337ba3f",
+        "49e9926e8eca14e0cc284fdffb195d28c2e8b5bec47d7f45e995bcbbfb09357f",
+        "687fa377659abb328a4c3d8c0486475767946ea5dc5908569caa88b2852f3a55",
+    ],
     ("sink", 200): [
         "cf866d6e17a3dd3329702b4cc2d22eb68164c4c545ad81801d276644aa4eaecc",
         "f491a465c34b0d58ba89ea282cb871c25ee652517ff5dac6e33825ea2c91e2c2",
@@ -373,6 +425,9 @@ class TestFrozenStream:
             config = cfg(derive_seed(41, i))
             if sampler == "sink":
                 sample, stats = sink_popping(g, config)
+            elif sampler == "hardcore":
+                occupied, stats = hardcore_sample(g, F(1, 4), config)
+                sample = sorted(occupied)
             else:
                 sample, stats = cycle_popping(g, (7 * i) % n, config)
             digests.append(run_digest(sample, stats))
@@ -414,14 +469,21 @@ class TestHardcoreSampler:
             hardcore_sample(path_graph(2), F(-1, 2), cfg(0))
 
     def test_matches_generic_sampler(self):
-        g = cycle_graph(5)
-        inst = encode_hardcore(g, F(1, 2))
-        for i in range(80):
-            seed = derive_seed(12, i)
-            occ, st_s = hardcore_sample(g, F(1, 2), cfg(seed))
-            sigma, st_g = general_prs(inst, cfg(seed))
-            assert occ == {v for v, bit in enumerate(sigma) if bit}
-            assert st_s.var_log == st_g.var_log
+        cases = [
+            (cycle_graph(5), 80),
+            (random_cubic_graph(50, 51), 40),
+            (random_cubic_graph(200, 201), 20),
+            # isolated vertices 0, 3 and 7 beside a triangle and a path
+            (make_graph(8, [(1, 2), (1, 4), (2, 4), (5, 6)]), 80),
+        ]
+        for g, draws in cases:
+            inst = encode_hardcore(g, F(1, 2))
+            for i in range(draws):
+                seed = derive_seed(12, i)
+                occ, st_s = hardcore_sample(g, F(1, 2), cfg(seed))
+                sigma, st_g = general_prs(inst, cfg(seed))
+                assert occ == {v for v, bit in enumerate(sigma) if bit}
+                assert st_s.var_log == st_g.var_log
 
 
 class TestBadAndResVertices:

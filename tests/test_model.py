@@ -36,7 +36,7 @@ from prsampling.model import (
 )
 from prsampling.graph_apps import encode_hardcore
 from prsampling.graphs import cycle_graph
-from prsampling.rng import cumulative_table, derive_seed, make_rng
+from prsampling.rng import cumulative_table, derive_seed, draw_index, make_rng
 from prsampling.sampler import _occurring
 from prsampling.verify import random_instance, random_weighted_instance
 
@@ -111,6 +111,18 @@ class TestEventSpec:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             EventSpec(0, (0, 1), frozenset({(0,)}))
+
+    @pytest.mark.parametrize(
+        "variables,tuples,bad",
+        [
+            ([0], [[1, 0]], r"\(1, 0\) has arity 2, expected 1"),  # not truncated
+            ([2, 0], [(1, 0), (1,)], r"\(1,\) has arity 1, expected 2"),
+        ],
+        ids=["longer", "shorter"],
+    )
+    def test_make_event_checks_arity_before_permuting(self, variables, tuples, bad):
+        with pytest.raises(ValueError, match="event 3: violating tuple " + bad):
+            make_event(3, variables, tuples)
 
     def test_vbl_cap(self):
         with pytest.raises(BudgetError):
@@ -435,6 +447,24 @@ class TestSampleProduct:
         a = sample_product(inst, make_rng(42))
         b = sample_product(inst, make_rng(42))
         assert a == b
+
+    def test_inline_draws_follow_draw_index(self):
+        # The inlined rule draws what draw_index draws, one variate per variable.
+        weights = {
+            1: (Fraction(1),),
+            2: (Fraction(1, 3), Fraction(2, 3)),
+            3: (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            5: (Fraction(1, 5),) * 5,
+        }
+        domains = [1, 2, 3, 5, 5, 3, 2, 1, 2, 5, 3] * 20
+        inst = Instance(
+            tuple(VariableSpec(v, d, weights[d]) for v, d in enumerate(domains)), ()
+        )
+        tables = inst.sampling_tables
+        for seed in range(5):
+            rng, rng2 = make_rng(seed), make_rng(seed)
+            assert sample_product(inst, rng) == [draw_index(rng2, t) for t in tables]
+            assert rng.getstate() == rng2.getstate()
 
 
 class TestEnumeration:
