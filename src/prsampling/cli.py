@@ -50,6 +50,7 @@ from .sampler import DEFAULT_ROUND_CAP, SamplerConfig, run_sampler
 from .shearer import (
     ShearerError,
     analyze_instance,
+    as_probability,
     gprs_condition_values,
     linear_coefficient,
     symmetric_pc,
@@ -291,7 +292,7 @@ def _cmd_analyze_condition(args) -> int:
         pc = symmetric_pc(args.d)
         out = {"kind": "symmetric", "d": args.d, "p_c": str(pc)}
         if args.p is not None:
-            p = parse_rational(args.p)
+            p = as_probability(parse_rational(args.p))
             out["p"] = str(p)
             out["below_threshold"] = p < pc
             if p < pc:

@@ -6,9 +6,11 @@ weights; each event names the variables it depends on and lists the
 violating joint values explicitly. Two events are dependent when they
 share a variable; a valid assignment is one under which no event occurs.
 
-All probability computations in this module are exact (``Fraction``).
-Sampling draws each variable from a double-precision cumulative table
-built from the exact weights.
+All probability computations in this module are exact. Weight sums run in
+integers, each variable's weights scaled to their least common denominator,
+and return one ``Fraction`` per event or per pair. Sampling draws each
+variable from a double-precision cumulative table built from the exact
+weights.
 
 An instance compiles what the samplers need on first use and keeps it: the
 variable-to-events index, each event's occurrence test (an ``itemgetter``
@@ -20,6 +22,7 @@ stays the reference definition the compiled tests must agree with.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -307,19 +310,61 @@ def is_extremal(
     return True
 
 
+class _ScaledWeights(dict):
+    """Variable id -> (numerators, denominator): the variable's weights as
+    integers over their least common denominator, worked out on first use."""
+
+    def __init__(self, variables: Sequence[VariableSpec]):
+        super().__init__()
+        self.variables = variables
+
+    def __missing__(self, v: int) -> tuple[tuple[int, ...], int]:
+        weights = self.variables[v].weights
+        den = math.lcm(*(w.denominator for w in weights))
+        got = self[v] = tuple(w.numerator * (den // w.denominator) for w in weights), den
+        return got
+
+
+def _weight_sum(scaled: _ScaledWeights, vbl: Sequence[int], tuples) -> tuple[int, int]:
+    """Exact product-measure weight of the value tuples over ``vbl``, as an
+    unreduced ``(numerator, denominator)`` pair of integers."""
+    rows = [scaled[v] for v in vbl]
+    num = 0
+    for t in tuples:
+        w = 1
+        for (nums, _), val in zip(rows, t):
+            w *= nums[val]
+        num += w
+    den = 1
+    for _, d in rows:
+        den *= d
+    return num, den
+
+
 def event_probability(instance: Instance, event: EventSpec) -> Fraction:
     """Exact probability that the event occurs under the product measure."""
-    total = Fraction(0)
-    for t in event.violating:
-        w = Fraction(1)
-        for v, val in zip(event.vbl, t):
-            w *= instance.variables[v].weights[val]
-        total += w
-    return total
+    scaled = _ScaledWeights(instance.variables)
+    return Fraction(*_weight_sum(scaled, event.vbl, event.violating))
 
 
 def event_probabilities(instance: Instance) -> list[Fraction]:
-    return [event_probability(instance, e) for e in instance.events]
+    scaled = _ScaledWeights(instance.variables)
+    return [Fraction(*_weight_sum(scaled, e.vbl, e.violating)) for e in instance.events]
+
+
+def _r_sums(instance: Instance, graph: DependencyGraph | None):
+    """``((i, j), num, den)`` for each ordered dependent pair, r_ij = num / den."""
+    if graph is None:
+        graph = instance.dependency_graph
+    scaled = _ScaledWeights(instance.variables)
+    events = instance.events
+    for i in range(graph.num_events):
+        vars_i = set(events[i].vbl)
+        for j in graph.adjacency[i]:
+            ej = events[j]
+            pos = [k for k, v in enumerate(ej.vbl) if v in vars_i]
+            proj = {tuple([t[k] for k in pos]) for t in ej.violating}
+            yield (i, j), *_weight_sum(scaled, [ej.vbl[k] for k in pos], proj)
 
 
 def r_matrix(
@@ -327,29 +372,20 @@ def r_matrix(
 ) -> dict[tuple[int, int], Fraction]:
     """For each ordered dependent pair (i, j): the probability that a fresh
     draw of the shared variables leaves event j still able to occur."""
-    if graph is None:
-        graph = instance.dependency_graph
-    out: dict[tuple[int, int], Fraction] = {}
-    for i in range(graph.num_events):
-        for j in graph.adjacency[i]:
-            ei, ej = instance.events[i], instance.events[j]
-            shared = tuple(sorted(set(ei.vbl) & set(ej.vbl)))
-            pos_j = [ej.vbl.index(v) for v in shared]
-            proj = {tuple(t[p] for p in pos_j) for t in ej.violating}
-            total = Fraction(0)
-            for t in proj:
-                w = Fraction(1)
-                for v, val in zip(shared, t):
-                    w *= instance.variables[v].weights[val]
-                total += w
-            out[(i, j)] = total
-    return out
+    return {pair: Fraction(num, den) for pair, num, den in _r_sums(instance, graph)}
 
 
 def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
-    """The largest r_ij over dependent ordered pairs; 0 with no dependent pair."""
-    values = r_matrix(instance, graph).values()
-    return max(values, default=Fraction(0))
+    """The largest r_ij over dependent ordered pairs; 0 with no dependent pair.
+
+    The pairs are compared by cross-multiplying integers, and only the
+    largest becomes a ``Fraction``.
+    """
+    best_num, best_den = 0, 1
+    for _, num, den in _r_sums(instance, graph):
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:

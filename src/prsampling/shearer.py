@@ -14,8 +14,11 @@ Computation uses the vertex-elimination recursion
     q(S) = q(S - {v}) - p_v * q(S - N+[v]),   v = min(S),
 
 with memoization over bitmask subsets, which evaluates the same alternating
-sum without enumerating all independent sets. The Shearer verdict is read
-off the chain of suffix sets that recursion memoizes on its way to q_empty.
+sum without enumerating all independent sets. It runs in integers: with
+every p_v = a_v / D over one common denominator D, the memo holds
+D^|S| * q(S) (see ``_QEvaluator``), and each returned value is one
+``Fraction``. The Shearer verdict is read off the chain of suffix sets that
+recursion memoizes on its way to q_empty.
 Enumeration (with pruning and explicit budgets) is used only by
 ``all_q_values`` and ``truncated_log_partials``, which need every
 independent set. Hard guards: at most 30 events per analysis, and at most
@@ -31,7 +34,7 @@ from typing import Iterator, Sequence
 
 from . import certified
 from .errors import BudgetError, PrsError
-from .model import DependencyGraph, Instance, event_probabilities, r_matrix
+from .model import DependencyGraph, Instance, event_probabilities, r_max
 
 MAX_ANALYSIS_EVENTS = 30
 MAX_MEMO_ENTRIES = 2 ** 21
@@ -43,7 +46,13 @@ class ShearerError(PrsError):
     """The requested quantity is undefined because the q-criterion fails."""
 
 
-def _check_inputs(graph: DependencyGraph, p: Sequence[Fraction]) -> None:
+def _fractions(values) -> list[Fraction]:
+    """The values as Fractions, converting only those that are not."""
+    return [v if type(v) is Fraction else Fraction(v) for v in values]
+
+
+def _check_inputs(graph: DependencyGraph, p: Sequence[Fraction]) -> list[Fraction]:
+    """Check the event count and p's length and range; return p as Fractions."""
     if graph.num_events > MAX_ANALYSIS_EVENTS:
         raise BudgetError(
             "analysis supports at most %d events, got %d"
@@ -54,25 +63,43 @@ def _check_inputs(graph: DependencyGraph, p: Sequence[Fraction]) -> None:
             "probability vector has %d entries for %d events"
             % (len(p), graph.num_events)
         )
+    p = _fractions(p)
     for i, pi in enumerate(p):
-        if not 0 <= pi <= 1:
+        if not 0 <= pi.numerator <= pi.denominator:
             raise ValueError("p[%d] = %s is not a probability" % (i, pi))
+    return p
 
 
 class _QEvaluator:
-    """Memoized q(S) for one graph and probability vector; S is a bitmask."""
+    """Memoized q(S) for one graph and probability vector; S is a bitmask.
+
+    The arithmetic is in integers. Every p_v is written as a_v / D over the
+    least common denominator D of the vector, and the memo holds
+    Q(S) = D^|S| * q(S). Multiplying the elimination recursion through by
+    D^|S| gives
+
+        Q(S) = D * Q(S - v) - a_v * D^(|S & N+[v]| - 1) * Q(S - N+[v]),
+
+    because |S| - |S - N+[v]| = |S & N+[v]|, which counts v itself. Integer
+    products need no gcd, while every ``Fraction`` operation reduces by one;
+    a result becomes a ``Fraction`` only when it is returned. D^|S| > 0, so
+    Q(S) and q(S) have the same sign, which is all ``holds`` reads.
+    """
 
     def __init__(self, graph: DependencyGraph, p: Sequence[Fraction]):
-        _check_inputs(graph, p)
+        p = _check_inputs(graph, p)
         self.m = graph.num_events
         self.full = (1 << self.m) - 1
         self.closed = [
             sum(1 << j for j in graph.closed_neighborhood(i)) for i in range(self.m)
         ]
-        self.p = [Fraction(pi) for pi in p]
-        self.memo: dict[int, Fraction] = {0: Fraction(1)}
+        self.den = math.lcm(*(pi.denominator for pi in p))
+        self.a = [pi.numerator * (self.den // pi.denominator) for pi in p]
+        self.powers = [self.den ** k for k in range(self.m + 1)]
+        self.memo: dict[int, int] = {0: 1}
 
-    def q(self, mask: int) -> Fraction:
+    def scaled(self, mask: int) -> int:
+        """Q(S) = D^|S| * q(S)."""
         memo = self.memo
         got = memo.get(mask)
         if got is not None:
@@ -82,25 +109,42 @@ class _QEvaluator:
                 "q-value recursion exceeded %d subproblems" % MAX_MEMO_ENTRIES
             )
         v = (mask & -mask).bit_length() - 1  # min(S)
-        val = self.q(mask & ~(1 << v)) - self.p[v] * self.q(mask & ~self.closed[v])
+        near = mask & self.closed[v]  # S & N+[v]
+        val = self.den * self.scaled(mask & ~(1 << v))
+        val -= self.a[v] * self.powers[near.bit_count() - 1] * self.scaled(mask & ~near)
         memo[mask] = val
         return val
 
     def q_of(self, ids) -> Fraction:
         """q_I = p^I * q(V - N+[I]) for an independent event set I."""
         rest = self.full
-        pi = Fraction(1)
+        num = 1
         for i in ids:
             rest &= ~self.closed[i]
-            pi *= self.p[i]
-        return pi * self.q(rest)
+            num *= self.a[i]
+        return Fraction(num * self.scaled(rest), self.den ** (len(ids) + rest.bit_count()))
 
     def singletons(self) -> list[Fraction]:
         return [self.q_of((i,)) for i in range(self.m)]
 
+    def expected(self) -> tuple[list[Fraction], Fraction]:
+        """[q_i / q_empty] for every event i, and their sum; needs q_empty > 0.
+
+        With R = V - N+[i], q_i / q_empty = a_i * Q(R) * D^(m - 1 - |R|) / Q(V),
+        so each ratio and the sum are one ``Fraction`` each.
+        """
+        top = self.scaled(self.full)
+        nums = []
+        for i in range(self.m):
+            rest = self.full & ~self.closed[i]
+            nums.append(
+                self.a[i] * self.scaled(rest) * self.powers[self.m - 1 - rest.bit_count()]
+            )
+        return [Fraction(num, top) for num in nums], Fraction(sum(nums), top)
+
     def holds(self) -> bool:
         """q > 0 on every suffix set {k, ..., m-1}; see ``shearer_holds``."""
-        self.q(self.full)
+        self.scaled(self.full)
         return all(self.memo[self.full >> k << k] > 0 for k in range(self.m))
 
 
@@ -214,25 +258,27 @@ def expected_resamples_per_event(
             "q-criterion fails for this graph and probability vector; "
             "expected run length is undefined"
         )
-    qe = ev.q_of(())
-    return [qi / qe for qi in ev.singletons()]
+    return ev.expected()[0]
 
 
 def check_asymmetric_lll(
     graph: DependencyGraph, p: Sequence[Fraction], x: Sequence[Fraction]
 ) -> bool:
     """Classic sufficient condition: p_i <= x_i * prod_{j ~ i} (1 - x_j)."""
-    _check_inputs(graph, p)
+    p = _check_inputs(graph, p)
     if len(x) != graph.num_events:
         raise ValueError("x vector has %d entries for %d events" % (len(x), graph.num_events))
+    x = _fractions(x)
     for i, xi in enumerate(x):
-        if not 0 < xi < 1:
+        if not 0 < xi.numerator < xi.denominator:
             raise ValueError("x[%d] = %s must lie strictly inside (0, 1)" % (i, xi))
+    # Cross-multiplied: p_i * den <= num, where num / den is the bound.
     for i in range(graph.num_events):
-        bound = Fraction(x[i])
+        num, den = x[i].numerator, x[i].denominator
         for j in graph.adjacency[i]:
-            bound *= 1 - Fraction(x[j])
-        if Fraction(p[i]) > bound:
+            num *= x[j].denominator - x[j].numerator
+            den *= x[j].denominator
+        if p[i].numerator * den > num * p[i].denominator:
             return False
     return True
 
@@ -244,9 +290,20 @@ def symmetric_pc(d: int) -> Fraction:
     return Fraction((d - 1) ** (d - 1), d ** d)
 
 
+def as_probability(value, name: str = "p") -> Fraction:
+    """``value`` as an exact ``Fraction``; ``ValueError`` unless it is in [0, 1]."""
+    value = Fraction(value)
+    if not 0 <= value <= 1:
+        raise ValueError("%s = %s is not a probability" % (name, value))
+    return value
+
+
 def linear_coefficient(d: int, p: Fraction) -> Fraction:
-    """Exact coefficient p / (p_c(d) - p); requires slack p < p_c(d)."""
-    p = Fraction(p)
+    """Exact coefficient p / (p_c(d) - p); requires slack p < p_c(d).
+
+    ``ValueError`` if p is not a probability.
+    """
+    p = as_probability(p)
     pc = symmetric_pc(d)
     if p >= pc:
         raise ShearerError(
@@ -304,8 +361,13 @@ class GprsCheck:
 def gprs_condition_values(
     p: Fraction, r: Fraction, delta: int, c1: int = 6, c2: int = 3
 ) -> GprsCheck:
-    """Evaluate the efficiency conditions for given p, r and max degree."""
-    p, r = Fraction(p), Fraction(r)
+    """Evaluate the efficiency conditions for given p, r and max degree.
+
+    ``ValueError`` if p or r is not a probability or delta is negative.
+    """
+    p, r = as_probability(p), as_probability(r, "r")
+    if delta < 0:
+        raise ValueError("delta = %d is negative" % delta)
     k1 = c1 * p * delta * delta
     k2 = c2 * r * delta
     applicable = delta >= 2
@@ -327,14 +389,18 @@ def gprs_condition_values(
     )
 
 
-def check_gprs_conditions(instance: Instance, c1: int = 6, c2: int = 3) -> GprsCheck:
-    """Efficiency conditions with p, r, delta measured from the instance."""
+def check_gprs_conditions(
+    instance: Instance, c1: int = 6, c2: int = 3, p_max: Fraction | None = None
+) -> GprsCheck:
+    """Efficiency conditions with p, r, delta measured from the instance.
+
+    ``p_max`` is the largest event probability; it is computed when not given.
+    """
     graph = instance.dependency_graph
-    probs = event_probabilities(instance)
-    p = max(probs, default=Fraction(0))
-    rvals = r_matrix(instance, graph)
-    r = max(rvals.values(), default=Fraction(0))
-    return gprs_condition_values(p, r, graph.max_degree, c1, c2)
+    if p_max is None:
+        p_max = max(event_probabilities(instance), default=Fraction(0))
+    r = r_max(instance, graph)
+    return gprs_condition_values(p_max, r, graph.max_degree, c1, c2)
 
 
 def truncated_log_partials(
@@ -439,8 +505,8 @@ def analyze_instance(instance: Instance) -> ShearerReport:
     ok = ev.holds()
     expected_total = expected_per = None
     if ok:
-        expected_per = tuple(qi / qe for qi in qs)
-        expected_total = sum(expected_per, Fraction(0))
+        per, expected_total = ev.expected()
+        expected_per = tuple(per)
     if delta >= 1:
         x = [Fraction(1, delta + 1)] * graph.num_events
         lll_ok = check_asymmetric_lll(graph, p, x)
@@ -465,5 +531,5 @@ def analyze_instance(instance: Instance) -> ShearerReport:
         p_max=p_max,
         symmetric_pc=pc,
         linear_coefficient=coeff,
-        gprs=check_gprs_conditions(instance),
+        gprs=check_gprs_conditions(instance, p_max=p_max),
     )

@@ -391,6 +391,22 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("symmetric", "--d", "3", "--p=-1/8"), "p = -1/8 is not a probability"),
+            (("symmetric", "--d", "3", "--p", "2"), "p = 2 is not a probability"),
+            (("gprs", "--p=-1/8", "--r", "1/2", "--delta", "3"), "p = -1/8 is not a probability"),
+            (("gprs", "--p", "1/8", "--r", "2", "--delta", "3"), "r = 2 is not a probability"),
+            (("gprs", "--p", "1/8", "--r", "1/2", "--delta", "-4"), "delta = -4 is negative"),
+        ],
+    )
+    def test_condition_rejects_out_of_range_values(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "analyze", "condition", "--kind", *args)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_condition_missing_option_exit_one(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "condition", "--kind", "sharing", "--k", "20"

@@ -1,5 +1,7 @@
 """Exact q-value machinery, run-length formulas, and condition checkers."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,9 +9,23 @@ from fractions import Fraction
 import pytest
 
 import prsampling.shearer as shearer
+import reference_analysis as reference
+from conftest import random_cubic_graph
 from prsampling import verify
 from prsampling.errors import BudgetError
-from prsampling.model import DependencyGraph, build_dependency_graph, event_probabilities
+from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
+from prsampling.graphs import complete_graph, cycle_graph, make_graph
+from prsampling.model import (
+    DependencyGraph,
+    Instance,
+    VariableSpec,
+    build_dependency_graph,
+    event_probabilities,
+    event_probability,
+    r_matrix,
+    r_max,
+    uniform_variable,
+)
 from prsampling.shearer import (
     GprsCheck,
     ShearerError,
@@ -277,6 +293,28 @@ class TestConditionCheckers:
         with pytest.raises(ShearerError, match="no slack"):
             linear_coefficient(3, F(4, 27))
 
+    @pytest.mark.parametrize("p", [F(-1, 8), F(2), F(9, 8)])
+    def test_linear_rejects_non_probability(self, p):
+        with pytest.raises(ValueError, match="is not a probability"):
+            linear_coefficient(3, p)
+
+    @pytest.mark.parametrize(
+        "p,r,delta,message",
+        [
+            (F(-1, 8), F(1, 2), 3, "p = -1/8 is not a probability"),
+            (F(1, 8), F(2), 3, "r = 2 is not a probability"),
+            (F(1, 8), F(-1, 2), 3, "r = -1/2 is not a probability"),
+            (F(1, 8), F(1, 2), -4, "delta = -4 is negative"),
+        ],
+    )
+    def test_gprs_rejects_bad_values(self, p, r, delta, message):
+        with pytest.raises(ValueError, match=message):
+            gprs_condition_values(p, r, delta)
+
+    def test_gprs_accepts_the_closed_interval(self):
+        assert gprs_condition_values(F(0), F(0), 0).applicable is False
+        assert gprs_condition_values(F(0), F(0), 3).ok is True
+
     def test_gprs_sharing_regime(self):
         check = gprs_condition_values(F(1, 2 ** 20), F(1, 2 ** 10), 120)
         assert check.applicable and check.cond1 and check.cond2 and check.ok
@@ -405,3 +443,202 @@ class TestAnalyzeInstance:
         assert len(calls) == 1
         assert analyze_instance(instance).extremal is True
         assert len(calls) == 1
+
+
+# Coprime and overlapping: 1/6 + 1/10 leaves 11/15, whose denominator is
+# the largest but not the least common one (30).
+DENOMINATORS = (2, 3, 5, 6, 7, 10, 11, 15)
+
+
+def mixed_weighted(instance, rng):
+    """The instance with each variable reweighted over mixed denominators.
+
+    A variable's first weights are a/b for distinct b in ``DENOMINATORS``,
+    some of them 0, and the last is what is left, so one variable mixes
+    denominators and different variables mix them again.
+    """
+    variables = []
+    for v in instance.variables:
+        dens = rng.sample(DENOMINATORS, v.domain_size - 1)
+        head = [Fraction(rng.randrange(b // v.domain_size + 1), b) for b in dens]
+        variables.append(VariableSpec(v.id, v.domain_size, (*head, 1 - sum(head))))
+    return Instance(tuple(variables), instance.events)
+
+
+def random_instances(count, seed):
+    """``count`` instances from each of the verdict test's generators, and
+    ``count`` more from ``random_instance`` reweighted by ``mixed_weighted``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield verify.random_instance(rng)
+        yield verify.random_extremal_instance(rng)
+        yield verify.random_weighted_instance(rng)
+        yield mixed_weighted(verify.random_instance(rng), rng)
+
+
+def probability_vectors(graph, base, rng):
+    """p-vectors around ``base``: the verdict test's scalings, and draws
+    that mix 0, 1 and coprime denominators."""
+    for scale in (F(1, 2), F(1), F(3, 2), F(2)):
+        yield [min(F(1), pi * scale) for pi in base]
+    choices = (F(0), F(1), F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(1, 11))
+    yield [rng.choice(choices) for _ in range(graph.num_events)]
+
+
+class TestIntegerArithmetic:
+    """The integer analysis against the ``Fraction`` one in
+    ``tests/reference_analysis.py``."""
+
+    def test_q_values_and_verdict(self):
+        rng = random.Random(11)
+        checked = negative = 0
+        for instance in random_instances(150, 5):
+            graph = instance.dependency_graph
+            for p in probability_vectors(graph, event_probabilities(instance), rng):
+                ev, ref = shearer._QEvaluator(graph, p), reference.QEvaluator(graph, p)
+                assert ev.q_of(()) == ref.q_of(()), (instance, p)
+                assert ev.singletons() == ref.singletons(), (instance, p)
+                holds = ev.holds()
+                assert holds is ref.holds(), (instance, p)
+                if holds:
+                    qe = ref.q_of(())
+                    per, total = ev.expected()
+                    assert per == [qi / qe for qi in ref.singletons()]
+                    assert total == sum(per, F(0))
+                checked += 1
+                negative += not holds
+        assert checked == 5 * 600
+        assert 500 < negative < 2500  # both verdicts are well represented
+
+    def test_weight_sums(self):
+        for instance in random_instances(150, 6):
+            probs = event_probabilities(instance)
+            assert probs == reference.event_probabilities(instance), instance
+            assert [event_probability(instance, e) for e in instance.events] == probs
+            r = r_matrix(instance)
+            expect = reference.r_matrix(instance)
+            assert list(r.items()) == list(expect.items()), instance
+            assert r_max(instance) == max(expect.values(), default=F(0))
+
+    def test_asymmetric_lll(self):
+        rng = random.Random(12)
+        xs = (F(1, 2), F(1, 3), F(2, 7), F(1, 5), F(4, 11), F(1, 13))
+        for instance in random_instances(150, 7):
+            graph = instance.dependency_graph
+            p = event_probabilities(instance)
+            for _ in range(3):
+                x = [rng.choice(xs) for _ in range(graph.num_events)]
+                expect = reference.check_asymmetric_lll(graph, p, x)
+                assert shearer.check_asymmetric_lll(graph, p, x) is expect
+
+    def test_no_events(self):
+        instance = Instance((uniform_variable(0, 2),), ())
+        assert event_probabilities(instance) == []
+        assert r_matrix(instance) == {}
+        assert r_max(instance) == 0
+        ev = shearer._QEvaluator(NO_EVENTS, [])
+        assert ev.q_of(()) == 1 and ev.singletons() == [] and ev.holds() is True
+        assert ev.expected() == ([], 0)
+        report = analyze_instance(instance)
+        assert report.q_empty == 1 and report.expected_total == 0
+
+    def test_memo_guard(self, monkeypatch):
+        # The recursion on the sink-free cycle C_n memoizes 2n - 2 subsets.
+        # The cap is tested on entering a subproblem, before the ones below
+        # it are stored, so C_16 (30 subsets) still passes a cap of 16.
+        def ring(n):
+            return encode_sink_free(cycle_graph(n)).dependency_graph
+
+        monkeypatch.setattr(shearer, "MAX_MEMO_ENTRIES", 16)
+        assert q_empty(ring(8), [F(1, 4)] * 8) == F(1, 2 ** 7)
+        with pytest.raises(BudgetError, match="exceeded 16 subproblems"):
+            q_empty(ring(20), [F(1, 4)] * 20)
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(10, outer + spokes + inner)
+
+
+def grid_graph(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return make_graph(rows * cols, edges)
+
+
+def analysis_input(label):
+    """The instances of the frozen analysis digests, by label."""
+    encoding, name = label.split("/")
+    if name.startswith("C"):
+        graph = cycle_graph(int(name[1:]))
+    elif name.startswith("R16-"):
+        graph = random_cubic_graph(16, int(name[4:]))
+    else:
+        graph = {"K4": complete_graph(4), "grid3x3": grid_graph(3, 3), "petersen": petersen_graph()}[name]
+    if encoding == "hardcore":
+        return encode_hardcore(graph, F(1, 10))
+    if encoding == "spanning-tree":
+        return encode_spanning_tree(graph, 0)
+    return encode_sink_free(graph)
+
+
+def analysis_digest(label):
+    report = analyze_instance(analysis_input(label))
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of each report's sorted JSON, recorded while every step of the
+# analysis was still computed in Fraction; a change here is a change of a
+# result. The spanning-tree encodings of the 16-vertex cubic graphs have
+# 75 to 126 events, over MAX_ANALYSIS_EVENTS, so they have no report.
+FROZEN_ANALYSIS_DIGESTS = {
+    "sink-free/C3": "18b45fad8f7019b975275ddd9ce3031ccd395a1fbf061c8ce2847d3987b95471",
+    "sink-free/C4": "c5435d44f53495719ced9f762625219a1ccce7f046f3b296a663a8864e0a7098",
+    "sink-free/C5": "2fc2f739c2ffdbe6a674f769fb129ba5a7fe7cd176b37205a9663926b2697098",
+    "sink-free/C6": "729174ba8ff6aaa8f1f7483feb8efa09703f4b53c8044f5c54e8207c3eaa1c4d",
+    "sink-free/C7": "90921a42bb1ac8a9cd3b976b5b4b4c577e85cae8b57304bf455fb6cbc5d8e872",
+    "sink-free/C8": "2a2659f7faa01b30c454e8ae857d9715582029d69d05eed8afd3c2817a5da617",
+    "sink-free/C9": "af0e6d5e16326ab76e88d25697a0423950f96cbab28421802c48a2999a8013cc",
+    "sink-free/C10": "8c3f77212f64bd9516245e71bf22c191ed6aff5e5867ba4f7742f5c46fa0a0f2",
+    "sink-free/C11": "5029ed2ce4445464b6e8ee92fee94ccf1482a04055cf0ad4716403fc4f6a2b3f",
+    "sink-free/C12": "e6cd1bab41aaddab2f870dfd8c814653386169d2b8d1aae6db3a4ef86fd60ceb",
+    "sink-free/C13": "f0ddbe07b822813c6b4467271da4bb0338839128654092f5a7c205f4f56da3d5",
+    "sink-free/C14": "77d5f0ee679af41ba055f1c0377b8ba30323a6b99435d2c6721d1d92c3d26f44",
+    "sink-free/C15": "6f3ed661f0bb82c588ba4f1a3f4dd467bff954afedda447aa250fd1a52142d64",
+    "sink-free/C16": "b58096a6e54603035850ceadc52da822281f848b7bb1aaba5a3266bd03f89650",
+    "sink-free/C17": "07b4cc0e7b835c187a3cf1bb74381c9882c523900dc504af69d634442b5b1ffb",
+    "sink-free/C18": "3a5d0e67221352f8413b8ef517e8cedb2b59ed0197ef9c043f4d2ed3c840d955",
+    "sink-free/C19": "0b43ef26c7e8c3a0372b3b3e648e6355275eefaafaf7cfc30dc1d0d8dbf54a2d",
+    "sink-free/C20": "63d83e278c1c96a26101b70041048194b6218a0b9c80aec357bc939688cddaac",
+    "sink-free/C21": "747f16c48220b67b807160500998b5c3a4be0d7b5aeb64aac1fb5fd8f5e93e3a",
+    "sink-free/C22": "5fbb8babd081415055c38b7ce36346e0fe97f3763ca832f6d709d4fab73b95a2",
+    "sink-free/C30": "ca3072dfe8f0e15e90faeb1b735928764f1707116326b3941a42897b17b5e58e",
+    "hardcore/K4": "d36dc362b4fb5f7c65b4c3fc101829f564a4497d9e5e576a7ee70f9c48f0a609",
+    "sink-free/K4": "440f6a4c5be1ebd011454dcc3bceea5963fb6ff8fe6780cd1642a67ec92d341a",
+    "spanning-tree/K4": "96b362ebb4b780f993b6a71a3ed38e1d4589019faccdb4189c8713858bce819b",
+    "hardcore/grid3x3": "de77c06d1598eaa4dde8f20a9239a9a338d307425e63416342b7dd31b1d86f88",
+    "sink-free/grid3x3": "656b9fe56fb700814881dbce262f18eb64d8dfdf93c1464473c3e1a89844eba1",
+    "spanning-tree/grid3x3": "8bab4615b04a8bda3aedd7d66f2ddad76d5b6e5f20c221256ddbfc846a98ff7b",
+    "hardcore/petersen": "77cca4b75b4518023f4ed521e064cb222d6ea762eac9acb8a5f28f68776bd560",
+    "sink-free/petersen": "24fa098e3475655c53983e64b78f7a025145da59b219175a7531523840191433",
+    "spanning-tree/petersen": "54035498799095475fbb7cca1a311d7607942589cd54fce4a6668793fdc208a1",
+    "hardcore/R16-1": "7f9c4414b21f82e015ac920a1af8e3ced1ac1e6d46b505a37076f9566b9b5cc2",
+    "sink-free/R16-1": "99ecc40feda4680b2c78b32f8db0a502f94b79c2c7aaa1c22f492fbd5cdc1302",
+    "hardcore/R16-2": "352ed10322e617052d3dccfe5774c7b7a5668048b82f95ff84cb027207c820cf",
+    "sink-free/R16-2": "454d1ba2de77343c378b80dccb62ed6a2e516d810942eb449378b7bd5ebb580b",
+    "hardcore/R16-3": "06ea5f1c86073143e67a862b4e46b5c39a1b1831d958112a9e45fad92eb12861",
+    "sink-free/R16-3": "1c5063d38e3e99b159aed6ff4f11e02be7ad87477be90bc0486f8cca9c45c187",
+}
+
+
+class TestFrozenAnalysis:
+    @pytest.mark.parametrize("label", sorted(FROZEN_ANALYSIS_DIGESTS))
+    def test_report_unchanged(self, label):
+        assert analysis_digest(label) == FROZEN_ANALYSIS_DIGESTS[label]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cubic_spanning_tree_over_the_cap(self, seed):
+        with pytest.raises(BudgetError, match="at most 30 events"):
+            analysis_digest("spanning-tree/R16-%d" % seed)
