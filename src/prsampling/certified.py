@@ -3,10 +3,12 @@
 Condition checkers need verdicts like ``6*e*p*Delta^2 <= 1`` where p is an
 exact rational. Floating-point evaluation could flip a verdict near the
 boundary, so the irrational side is bracketed by an interval with exact
-rational endpoints (mpmath's interval arithmetic with outward rounding),
-and the final comparison is done in exact rational arithmetic. Precision
-is refined until the interval separates from the rational threshold; for
-rational thresholds and irrational constants this always terminates.
+rational endpoints, and the final comparison is done in exact rational
+arithmetic. e and sqrt(e) are bracketed by partial sums of e's series in
+integers, other constants by mpmath's interval arithmetic with outward
+rounding (imported on first use). Precision is refined until the interval
+separates from the rational threshold; for rational thresholds and
+irrational constants this always terminates.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import iv
-
 from .errors import BudgetError
 
 _PRECISIONS = (80, 160, 320, 640, 1280)
+# 256! * 256 > 2**1280: the series for e ends no coarser than the intervals.
+_MAX_E_TERMS = 256
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -29,6 +31,8 @@ def _raw_to_fraction(raw) -> Fraction:
 
 def interval_bounds(make_interval: Callable, prec: int = 80) -> tuple[Fraction, Fraction]:
     """Exact rational endpoints of ``make_interval(iv)`` at the given precision."""
+    from mpmath import iv
+
     old = iv.prec
     try:
         iv.prec = prec
@@ -69,13 +73,26 @@ def sqrt_e_bounds(prec: int = 80) -> tuple[Fraction, Fraction]:
 
 
 def e_leq(bound: Fraction) -> bool:
-    """Certified verdict of ``e <= bound``."""
-    return certified_leq(lambda c: c.e, bound)
+    """Certified verdict of ``e <= bound``, from S_n < e < S_n + 1/(n! n) for
+    S_n = sum_{k <= n} 1/k!, with n doubled until the bracket separates."""
+    p, q = Fraction(bound).as_integer_ratio()
+    num = fact = 1  # S_n = num / fact, with fact = n!
+    for n in range(1, _MAX_E_TERMS + 1):
+        num, fact = num * n + 1, fact * n
+        if n & (n - 1) == 0:  # n = 1, 2, 4, ...
+            if num * q >= p * fact:  # bound <= S_n < e
+                return False
+            if (num * n + 1) * q <= p * fact * n:  # e < S_n + 1/(n! n) <= bound
+                return True
+    raise BudgetError(
+        "could not separate e from threshold %s with %d terms" % (bound, _MAX_E_TERMS)
+    )
 
 
 def sqrt_e_leq(bound: Fraction) -> bool:
     """Certified verdict of ``sqrt(e) <= bound``."""
-    return certified_leq(lambda c: c.sqrt(c.e), bound)
+    bound = Fraction(bound)
+    return bound > 0 and e_leq(bound * bound)
 
 
 def two_pow_3e_leq(bound: Fraction) -> bool:

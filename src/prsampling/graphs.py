@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import eq
 
 from .errors import BudgetError
 
@@ -23,20 +25,19 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
         prev = None
-        for e in self.edges:
+        for k, e in enumerate(self.edges):
             u, v = e
             if not (0 <= u < v < self.num_vertices):
                 raise ValueError(
                     "edge %r invalid for %d vertices (need 0 <= u < v)"
                     % (e, self.num_vertices)
                 )
-            if e in seen:
-                raise ValueError("duplicate edge %r" % (e,))
-            if prev is not None and e < prev:
+            # Strictly ascending edges are sorted and distinct.
+            if prev is not None and e <= prev:
+                if e in self.edges[:k]:
+                    raise ValueError("duplicate edge %r" % (e,))
                 raise ValueError("edges must be sorted lexicographically")
-            seen.add(e)
             prev = e
 
     @property
@@ -169,37 +170,41 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
     compacted to dense ids; the returned list maps dense id -> original label.
     """
     pairs = []
-    labels = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(
                 "line %d: expected 'u v', got %r" % (lineno, raw.rstrip())
             )
-        try:
-            u, v = decimal_int(parts[0]), decimal_int(parts[1])
-        except ValueError:
-            raise ValueError(
-                "line %d: vertex labels must be integers, got %r" % (lineno, raw.rstrip())
-            ) from None
-        if u < 0 or v < 0:
-            raise ValueError("line %d: vertex labels must be nonnegative" % lineno)
+        u, v = parts
+        if u.isdigit() and v.isdigit() and u.isascii() and v.isascii():
+            u, v = int(u), int(v)
+        else:
+            try:
+                u, v = decimal_int(u), decimal_int(v)
+            except ValueError:
+                raise ValueError(
+                    "line %d: vertex labels must be integers, got %r" % (lineno, raw.rstrip())
+                ) from None
+            if u < 0 or v < 0:
+                raise ValueError("line %d: vertex labels must be nonnegative" % lineno)
         if u == v:
             raise ValueError("line %d: self-loop %d-%d not allowed" % (lineno, u, v))
         pairs.append((u, v))
-        labels.update((u, v))
-    ordered = sorted(labels)
-    dense = {lab: i for i, lab in enumerate(ordered)}
-    edges = set()
-    for u, v in pairs:
-        e = (min(dense[u], dense[v]), max(dense[u], dense[v]))
-        if e in edges:
-            raise ValueError("duplicate edge %d-%d" % (u, v))
-        edges.add(e)
-    return Graph(len(ordered), tuple(sorted(edges))), ordered
+    edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
+    if any(map(eq, edges, edges[1:])):
+        seen = set()
+        for u, v in pairs:
+            if (min(u, v), max(u, v)) in seen:
+                raise ValueError("duplicate edge %d-%d" % (u, v))
+            seen.add((min(u, v), max(u, v)))
+    labels = sorted(set(chain.from_iterable(edges)))
+    if labels and labels[-1] != len(labels) - 1:
+        dense = {lab: i for i, lab in enumerate(labels)}
+        edges = [(dense[u], dense[v]) for u, v in edges]
+    return Graph(len(labels), tuple(edges)), labels
 
 
 def write_edge_list(graph: Graph, labels: list[int] | None = None) -> str:

@@ -6,6 +6,9 @@ weights; each event names the variables it depends on and lists the
 violating joint values explicitly. Two events are dependent when they
 share a variable; a valid assignment is one under which no event occurs.
 
+Each distinct weight vector is validated once, not once per variable that
+shares it.
+
 All probability computations in this module are exact. Weight sums run in
 integers, each variable's weights scaled to their least common denominator,
 and return one ``Fraction`` per event or per pair. Sampling draws each
@@ -26,10 +29,10 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
@@ -38,6 +41,8 @@ from .rng import cumulative_table, draw_index  # noqa: F401 (bench/tracing.py co
 # Hard caps; exceeding one raises BudgetError rather than degrading.
 MAX_EVENT_VARS = 24
 MAX_PAIR_STATES = 2 ** 24
+
+_checked_weights = None  # the last weight tuple checked; it cannot change
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +54,7 @@ class VariableSpec:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        global _checked_weights
         if self.id < 0:
             raise ValueError("variable id must be nonnegative, got %d" % self.id)
         if self.domain_size < 1:
@@ -58,6 +64,8 @@ class VariableSpec:
                 "variable %d: %d weights for domain of size %d"
                 % (self.id, len(self.weights), self.domain_size)
             )
+        if self.weights is _checked_weights:
+            return
         for w in self.weights:
             if not isinstance(w, Fraction):
                 raise ValueError("variable %d: weights must be Fractions" % self.id)
@@ -67,12 +75,18 @@ class VariableSpec:
             raise ValueError(
                 "variable %d: weights sum to %s, not 1" % (self.id, sum(self.weights))
             )
+        if type(self.weights) is tuple:
+            _checked_weights = self.weights
+
+
+@lru_cache(maxsize=32, typed=True)
+def _uniform_weights(domain_size: int) -> tuple[Fraction, ...]:
+    return (Fraction(1, domain_size),) * domain_size
 
 
 def uniform_variable(vid: int, domain_size: int) -> VariableSpec:
     """A variable with the uniform distribution on ``domain_size`` values."""
-    w = Fraction(1, domain_size)
-    return VariableSpec(vid, domain_size, (w,) * domain_size)
+    return VariableSpec(vid, domain_size, _uniform_weights(domain_size))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +106,7 @@ class EventSpec:
             raise ValueError("event id must be nonnegative, got %d" % self.id)
         if not self.vbl:
             raise ValueError("event %d depends on no variables" % self.id)
-        if list(self.vbl) != sorted(set(self.vbl)):
+        if not all(map(lt, self.vbl, self.vbl[1:])):
             raise ValueError(
                 "event %d: vbl must be strictly ascending, got %r" % (self.id, self.vbl)
             )
@@ -111,6 +125,8 @@ class EventSpec:
 
 def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int]]) -> EventSpec:
     """Build an event from variables in any order, permuting tuples to match."""
+    if all(map(lt, variables, variables[1:])):
+        return EventSpec(eid, tuple(variables), frozenset(map(tuple, tuples)))
     order = sorted(range(len(variables)), key=lambda k: variables[k])
     vbl = tuple(variables[k] for k in order)
     # A tuple of the wrong arity is passed on as given, for EventSpec to reject.
@@ -141,20 +157,20 @@ class Instance:
                     "variable ids must be dense and ascending: position %d has id %d"
                     % (k, v.id)
                 )
+        domains = [v.domain_size for v in self.variables]
         for k, e in enumerate(self.events):
             if e.id != k:
                 raise ValueError(
                     "event ids must be dense and ascending: position %d has id %d"
                     % (k, e.id)
                 )
-            for v in e.vbl:
-                if not 0 <= v < len(self.variables):
-                    raise ValueError(
-                        "event %d references unknown variable %d" % (e.id, v)
-                    )
+            # vbl ascends, so its two ends bound all of it.
+            if e.vbl[0] < 0 or e.vbl[-1] >= len(domains):
+                v = next(v for v in e.vbl if not 0 <= v < len(domains))
+                raise ValueError("event %d references unknown variable %d" % (e.id, v))
             for t in e.violating:
                 for v, val in zip(e.vbl, t):
-                    if not 0 <= val < self.variables[v].domain_size:
+                    if not 0 <= val < domains[v]:
                         raise ValueError(
                             "event %d: value %d out of range for variable %d"
                             % (e.id, val, v)
@@ -280,33 +296,50 @@ def _pair_conflicts(ei: EventSpec, ej: EventSpec, shared: tuple[int, ...]) -> bo
     return any(tuple(t[p] for p in pos_i) in proj_j for t in ei.violating)
 
 
-def is_extremal(
-    instance: Instance,
-    graph: DependencyGraph | None = None,
-    max_pair_states: int = MAX_PAIR_STATES,
-) -> bool:
+def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> bool:
     """Are all dependent event pairs disjoint?
 
     On an extremal instance the occurring events always form an independent
     set of the dependency graph. Each pair check is exact; the joint state
-    space of each dependent pair is capped to keep certification honest.
+    space of each dependent pair is capped to keep certification honest: as
+    in a scan of the pairs in ascending order, the first pair over the cap
+    raises unless a conflicting pair precedes it. Only pairs requiring a
+    common value of a shared variable can conflict; if they share no other
+    variable they do, else they are projected onto their shared variables.
     """
-    if graph is None:
-        graph = instance.dependency_graph
-    for i, j in graph.dependent_pairs():
-        ei, ej = instance.events[i], instance.events[j]
-        union = sorted(set(ei.vbl) | set(ej.vbl))
-        states = 1
-        for v in union:
-            states *= instance.variables[v].domain_size
-        if states > max_pair_states:
-            raise BudgetError(
-                "extremality check for events (%d, %d) needs %d joint states; "
-                "cap is %d, too large to certify" % (i, j, states, max_pair_states)
-            )
-        shared = tuple(sorted(set(ei.vbl) & set(ej.vbl)))
-        if _pair_conflicts(ei, ej, shared):
-            return False
+    events, variables = instance.events, instance.variables
+
+    def states(i, j):
+        union = set(events[i].vbl) | set(events[j].vbl)
+        return math.prod(variables[v].domain_size for v in union)
+
+    over = None  # the first dependent pair over the cap
+    # Two bounds that spare the scan: a pair has at most twice the variables
+    # of the widest event, and no more than the instance has.
+    widest = max((len(e.vbl) for e in events), default=0)
+    if (
+        max((v.domain_size for v in variables), default=1) ** (2 * widest) > max_pair_states
+        and joint_state_count(instance) > max_pair_states
+    ):
+        dependent = {(i, j) for ids in instance.var_events for i in ids for j in ids if i < j}
+        over = min((p for p in dependent if states(*p) > max_pair_states), default=None)
+    requiring: dict[tuple[int, int], list[int]] = {}  # (variable, value) -> event ids
+    tried = set()
+    for j, e in enumerate(events):
+        for v, column in zip(e.vbl, zip(*e.violating)):
+            for val in set(column):
+                for i in requiring.setdefault((v, val), []):
+                    if (i, j) not in tried and (over is None or (i, j) < over):
+                        tried.add((i, j))
+                        shared = tuple(sorted(set(events[i].vbl) & set(e.vbl)))
+                        if len(shared) == 1 or _pair_conflicts(events[i], e, shared):
+                            return False
+                requiring[v, val].append(j)
+    if over is not None:
+        raise BudgetError(
+            "extremality check for events (%d, %d) needs %d joint states; "
+            "cap is %d, too large to certify" % (*over, states(*over), max_pair_states)
+        )
     return True
 
 
@@ -393,12 +426,14 @@ def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:
 
     Variables with equal weight vectors share one table object. Samplers
     read them through ``Instance.sampling_tables``, built once per instance.
+    Each weight tuple object is hashed once, since hashing Fractions is slow.
     """
     shared: dict[tuple[Fraction, ...], tuple[float, ...]] = {}
+    by_object: dict[int, tuple[float, ...]] = {}  # id(weights) -> table
     for v in instance.variables:
-        if v.weights not in shared:
-            shared[v.weights] = cumulative_table(v.weights)
-    return tuple(shared[v.weights] for v in instance.variables)
+        if id(v.weights) not in by_object:
+            by_object[id(v.weights)] = shared.setdefault(v.weights, cumulative_table(v.weights))
+    return tuple(by_object[id(v.weights)] for v in instance.variables)
 
 
 def sample_product(instance: Instance, rng, tables=None) -> list[int]:
@@ -471,6 +506,7 @@ def instance_from_json(obj) -> Instance:
         if not isinstance(obj[key], list):
             raise ValueError("'%s' must be a list, got %s" % (key, type(obj[key]).__name__))
     variables = []
+    parsed: dict[tuple, tuple[Fraction, ...]] = {}  # weight strings -> weights
     for k, raw in enumerate(obj["variables"]):
         where = "variables[%d]" % k
         if not isinstance(raw, dict) or "id" not in raw or "domain" not in raw:
@@ -484,16 +520,19 @@ def instance_from_json(obj) -> Instance:
             ws = raw["weights"]
             if not isinstance(ws, list) or len(ws) != dom:
                 raise ValueError("%s: 'weights' must list %d entries" % (where, dom))
-            weights = tuple(
-                parse_rational(w, "%s.weights[%d]" % (where, i)) for i, w in enumerate(ws)
-            )
+            try:
+                weights = parsed[tuple(ws)]
+            except (KeyError, TypeError):  # TypeError: a list or dict among them
+                weights = parsed[tuple(ws)] = tuple(
+                    parse_rational(w, "%s.weights[%d]" % (where, i)) for i, w in enumerate(ws)
+                )
             variables.append(VariableSpec(vid, dom, weights))
         else:
             variables.append(uniform_variable(vid, dom))
     events = []
     for k, raw in enumerate(obj["events"]):
         where = "events[%d]" % k
-        if not isinstance(raw, dict) or not {"id", "vars", "violating"} <= set(raw):
+        if not isinstance(raw, dict) or not raw.keys() >= {"id", "vars", "violating"}:
             raise ValueError("%s must have 'id', 'vars' and 'violating'" % where)
         eid, vbl, tuples = raw["id"], raw["vars"], raw["violating"]
         if not _is_int(eid):

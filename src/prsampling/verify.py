@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import gammainc, inf
-
 from .cnf import CnfFormula, cnf_to_instance
 from .errors import BudgetError
 from .graph_apps import encode_sink_free, hardcore_sample
@@ -116,6 +114,8 @@ class UniformityVerdict:
 def chi2_sf(stat: float, dof: int) -> float:
     """P(X >= stat) for X chi-square with ``dof`` degrees of freedom, as the
     regularized upper incomplete gamma Q(dof/2, stat/2)."""
+    from mpmath import gammainc, inf
+
     return float(gammainc(dof / 2, stat / 2, inf, regularized=True))
 
 

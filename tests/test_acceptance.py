@@ -172,7 +172,7 @@ def test_criterion_03_q_machinery_exactness(announce):
             else random_weighted_instance(rng)
         )
         graph = build_dependency_graph(inst)
-        if is_extremal(inst, graph):
+        if is_extremal(inst):
             continue
         assert enumerate_valid(inst).q_empty_check >= q_empty(
             graph, event_probabilities(inst)

@@ -758,7 +758,7 @@ class TestEntryPoint:
             [
                 "-c",
                 "import sys, prsampling, prsampling.cli; "
-                "print(sorted(set(sys.modules) & {'scipy', 'numpy', 'networkx'}))",
+                "print(sorted(set(sys.modules) & {'scipy', 'numpy', 'networkx', 'mpmath'}))",
             ],
             tmp_path,
         )

@@ -36,6 +36,18 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(3, edges)
 
+    @pytest.mark.parametrize(
+        "edges,msg",
+        [
+            (((0, 1), (0, 1)), r"duplicate edge \(0, 1\)"),
+            (((0, 1), (1, 2), (0, 1)), r"duplicate edge \(0, 1\)"),
+            (((0, 1), (1, 2), (0, 2)), "must be sorted"),
+        ],
+    )
+    def test_duplicate_named_before_disorder(self, edges, msg):
+        with pytest.raises(ValueError, match=msg):
+            Graph(3, edges)
+
     def test_make_graph_normalizes(self):
         g = make_graph(3, [(2, 0), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2))

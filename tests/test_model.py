@@ -91,6 +91,32 @@ class TestVariableSpec:
         with pytest.raises(ValueError):
             VariableSpec(*args)
 
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ((Fraction(3, 2), Fraction(-1, 2)), "variable 1: negative weight -1/2"),
+            ((HALF, 0.5), "variable 1: weights must be Fractions"),
+            ((HALF, Fraction(1, 3)), "variable 1: weights sum to 5/6, not 1"),
+        ],
+    )
+    def test_a_checked_tuple_lets_no_other_through(self, weights, message):
+        checked = (HALF, HALF)
+        VariableSpec(0, 2, checked)
+        VariableSpec(2, 2, checked)
+        with pytest.raises(ValueError, match=message):
+            VariableSpec(1, 2, weights)
+
+    def test_a_weight_list_is_checked_every_time(self):
+        weights = [HALF, HALF]
+        VariableSpec(0, 2, weights)
+        weights[1] = Fraction(1, 3)
+        with pytest.raises(ValueError, match="variable 1: weights sum to 5/6, not 1"):
+            VariableSpec(1, 2, weights)
+
+    def test_uniform_weights_shared_per_domain_size(self):
+        assert uniform_variable(0, 3).weights is uniform_variable(7, 3).weights
+        assert uniform_variable(0, 2).weights != uniform_variable(0, 3).weights
+
 
 class TestEventSpec:
     def test_make_event_sorts_and_permutes(self):
@@ -376,7 +402,7 @@ class TestProbabilities:
         inst = encode_sink_free(cycle_graph(4))
         g = build_dependency_graph(inst)
         probs = event_probabilities(inst)
-        assert is_extremal(inst, g)
+        assert is_extremal(inst)
         for ids in [(0,), (1,), (0, 2), (1, 3)]:
             for i, j in combinations(ids, 2):
                 assert j not in g.adjacency[i]

@@ -1,6 +1,7 @@
 """Seed derivation, table sampling, and certified irrational comparisons."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from prsampling.certified import (
     sqrt_e_leq,
     two_pow_3e_leq,
 )
+from prsampling.errors import BudgetError
 from prsampling.rng import (
     cumulative_table,
     derive_seed,
@@ -98,6 +100,29 @@ class TestCertified:
     def test_sqrt_e_leq_verdicts(self):
         assert sqrt_e_leq(Fraction(16488, 10000)) is True
         assert sqrt_e_leq(Fraction(16487, 10000)) is False
+        assert sqrt_e_leq(Fraction(0)) is False
+        assert sqrt_e_leq(Fraction(-2)) is False
+
+    @pytest.mark.parametrize(
+        "leq,bounds,ref",
+        [(e_leq, e_bounds, E_REF), (sqrt_e_leq, sqrt_e_bounds, SQRT_E_REF)],
+        ids=["e", "sqrt_e"],
+    )
+    def test_series_bracket_agrees_with_intervals(self, leq, bounds, ref):
+        # Thresholds within 10^-1 .. 10^-45 of the constant, on both sides.
+        lo, hi = bounds(320)
+        rng = random.Random(7)
+        for _ in range(1500):
+            den = rng.randrange(1, 10 ** rng.randint(1, 45))
+            b = Fraction(round(ref * den) + rng.randint(-3, 3), den)
+            assert b < lo or b > hi
+            assert leq(b) is (b > hi)
+
+    def test_series_bracket_budget(self):
+        # Closer to e than 256 terms of its series can tell.
+        near = sum(Fraction(1, math.factorial(k)) for k in range(300))
+        with pytest.raises(BudgetError, match="could not separate e"):
+            e_leq(near)
 
     def test_two_pow_3e_verdicts(self):
         # 2^(3e) = 285.8...; certified on both sides.

@@ -66,7 +66,7 @@ class TestEnumerateValid:
             clause_instance([(1, 2), (-2, 3), (-1, -3)], 3),
         ):
             graph = build_dependency_graph(inst)
-            assert is_extremal(inst, graph)
+            assert is_extremal(inst)
             assert enumerate_valid(inst).q_empty_check == q_empty(
                 graph, event_probabilities(inst)
             )
@@ -74,7 +74,7 @@ class TestEnumerateValid:
     def test_non_extremal_dominates_exact_formula(self):
         inst = cnf_to_instance(chain_cnf())
         graph = build_dependency_graph(inst)
-        assert not is_extremal(inst, graph)
+        assert not is_extremal(inst)
         assert enumerate_valid(inst).q_empty_check > q_empty(
             graph, event_probabilities(inst)
         )
