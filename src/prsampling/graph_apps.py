@@ -134,6 +134,11 @@ def is_arrow_tree(graph: Graph, root: int, arrows) -> bool:
     return True
 
 
+def _check_root(graph: Graph, root: int) -> None:
+    if not 0 <= root < graph.num_vertices:
+        raise ValueError("root %d out of range" % root)
+
+
 def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
     """Sample a uniform spanning in-tree rooted at ``root``.
 
@@ -147,8 +152,7 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
     """
     if not graph.is_connected():
         raise ValueError("cycle popping requires a connected graph")
-    if not 0 <= root < graph.num_vertices:
-        raise ValueError("root %d out of range" % root)
+    _check_root(graph, root)
     rng = make_rng(config.seed)
     random = rng.random
     n = graph.num_vertices
@@ -200,6 +204,7 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
 
 def spanning_tree_variables(graph: Graph, root: int) -> tuple[int, ...]:
     """Dense variable order of the spanning-tree encoding: non-root vertices."""
+    _check_root(graph, root)
     return tuple(v for v in range(graph.num_vertices) if v != root)
 
 

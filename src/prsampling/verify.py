@@ -112,11 +112,29 @@ class UniformityVerdict:
 
 
 def chi2_sf(stat: float, dof: int) -> float:
-    """P(X >= stat) for X chi-square with ``dof`` degrees of freedom, as the
-    regularized upper incomplete gamma Q(dof/2, stat/2)."""
-    from mpmath import gammainc, inf
+    """P(X >= stat) for X chi-square with ``dof`` degrees of freedom.
 
-    return float(gammainc(dof / 2, stat / 2, inf, regularized=True))
+    Closed form (Abramowitz and Stegun 26.4.4-26.4.5): with h = stat/2, it
+    is the sum of e^-h h^e / Gamma(e + 1) over e = dof/2 - 1, dof/2 - 2, ...
+    down to 0 for even dof, or down to 1/2 plus erfc(sqrt(h)) for odd dof.
+    The terms are summed in log space, so that none underflows to 0 before
+    the sum is formed.
+    """
+    if stat <= 0:
+        return 1.0
+    if stat == math.inf:
+        return 0.0
+    half = stat / 2
+    log_half = math.log(half)
+    head = math.erfc(math.sqrt(half)) if dof % 2 else 0.0
+    logs = [
+        e * log_half - half - math.lgamma(e + 1)
+        for e in (dof / 2 - j for j in range(1, dof // 2 + 1))
+    ]
+    if not logs:
+        return head
+    top = max(logs)
+    return head + math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
 
 
 def empirical_distribution_test(
@@ -146,7 +164,7 @@ def empirical_distribution_test(
         elif counts.get(k, 0):
             stat = math.inf
     dof = max(len(target) - 1, 1)
-    p_value = chi2_sf(stat, dof) if math.isfinite(stat) else 0.0
+    p_value = chi2_sf(stat, dof)
     return UniformityVerdict(
         n=n,
         num_outcomes=len(target),

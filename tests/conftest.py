@@ -39,11 +39,25 @@ def hardcore_instance(edges, num_vertices, lam=Fraction(1)):
     return Instance(variables, events)
 
 
-def random_cubic_graph(n, seed):
-    """A connected simple 3-regular graph from the pairing model.
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(10, outer + spokes + inner)
 
-    Stdlib only, so the graphs (and the frozen digests built on them) do not
-    depend on the networkx version.
+
+def grid_graph(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return make_graph(rows * cols, edges)
+
+
+def random_cubic_graph(n, seed):
+    """A connected simple 3-regular graph from the plain pairing model.
+
+    Redraws the whole pairing until it is simple and connected. Kept apart
+    from ``prsampling.graphs.random_regular_graph``, so that the graphs (and
+    the frozen digests built on them) do not move when that generator does.
     """
     rng = random.Random(seed)
     points = [v for v in range(n) for _ in range(3)]

@@ -298,6 +298,17 @@ class TestAnalyze:
         assert report["ratio_bounds"]["sink_free"]["bound"] == 6
         assert report["shearer"]["extremal"] is True
 
+    @pytest.mark.parametrize("root", ["5", "-1"])
+    def test_graph_spanning_tree_root_out_of_range_exit_one(self, capsys, tmp_path, root):
+        path = tmp_path / "path.edges"
+        path.write_text(write_edge_list(path_graph(3)))
+        code, out, err = run_cli(
+            capsys, "analyze", "graph", "--file", str(path),
+            "--app", "spanning-tree", "--root", root,
+        )
+        assert code == 1 and out == ""
+        assert "root %s out of range" % root in err
+
     def test_graph_report_at_event_cap(self, capsys, tmp_path):
         path = tmp_path / "c30.edges"
         path.write_text(write_edge_list(cycle_graph(30)))
@@ -764,6 +775,34 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_graph_work_loads_no_heavy_dependency(self, tmp_path):
+        proc = _run_python(
+            [
+                "-c",
+                "import sys\n"
+                "from prsampling.graph_apps import encode_spanning_tree\n"
+                "from prsampling.graphs import make_graph, random_regular_graph\n"
+                "from prsampling.verify import chi2_sf\n"
+                "petersen = make_graph(10, [(i, (i + 1) % 5) for i in range(5)]"
+                " + [(i, i + 5) for i in range(5)]"
+                " + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])\n"
+                "assert len(encode_spanning_tree(petersen, 0).events) > 15\n"
+                "assert random_regular_graph(3, 16, 5).num_edges == 24\n"
+                "assert 0 < chi2_sf(3.7, 3) < 1\n"
+                "print(sorted(set(sys.modules) & {'scipy', 'numpy', 'networkx', 'mpmath'}))",
+            ],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_runtime_dependencies_exclude_networkx(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            dependencies = tomllib.load(handle)["project"]["dependencies"]
+        assert not [d for d in dependencies if "networkx" in d.lower()]
 
     def test_console_script_declaration(self):
         tomllib = pytest.importorskip("tomllib")

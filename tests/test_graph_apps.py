@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_cubic_graph, run_digest
+from conftest import grid_graph, petersen_graph, random_cubic_graph, run_digest
 from prsampling.errors import RoundCapError
 from prsampling.graph_apps import (
     alpha,
@@ -48,25 +48,6 @@ F = Fraction
 
 def cfg(seed, **kw):
     return SamplerConfig(seed=seed, record_log=kw.pop("record_log", True), **kw)
-
-
-def petersen_graph():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return make_graph(10, outer + spokes + inner)
-
-
-def grid_graph(rows, cols):
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return make_graph(rows * cols, edges)
 
 
 def brute_hardcore(k, lam):
@@ -304,6 +285,17 @@ class TestEncodeSpanningTree:
         # Directed cycles through a shared vertex coincide, so dependent
         # cycle events are pairwise disjoint.
         assert is_extremal(encode_spanning_tree(complete_graph(4), 0))
+
+    @pytest.mark.parametrize("root", [3, 5, -1])
+    def test_rejects_out_of_range_root(self, root):
+        g = path_graph(3)
+        message = "root %d out of range" % root
+        with pytest.raises(ValueError, match=message):
+            encode_spanning_tree(g, root)
+        with pytest.raises(ValueError, match=message):
+            spanning_tree_variables(g, root)
+        with pytest.raises(ValueError, match=message):
+            assignment_to_arrows(g, root, (0, 0, 0))
 
     def test_matches_specialized_sampler(self):
         cases = [

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_setup as ref
-from conftest import random_cubic_graph
+from conftest import petersen_graph, random_cubic_graph
 from prsampling import cnf, graph_apps
 from prsampling.cnf import CnfFormula, cnf_to_instance
 from prsampling.errors import BudgetError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
-from prsampling.graphs import complete_graph, cycle_graph, make_graph, parse_edge_list
+from prsampling.graphs import complete_graph, cycle_graph, parse_edge_list
 from prsampling.model import (
     EventSpec,
     Instance,
@@ -42,12 +42,7 @@ def _outcome(fn, *args, **kwargs):
         return type(ex).__name__, str(ex)
 
 
-PETERSEN = make_graph(
-    10,
-    [(i, (i + 1) % 5) for i in range(5)]
-    + [(i, i + 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-)
+PETERSEN = petersen_graph()
 GRAPHS = [cycle_graph(5), complete_graph(4), PETERSEN, random_cubic_graph(12, 3)]
 
 

@@ -10,11 +10,11 @@ import pytest
 
 import prsampling.shearer as shearer
 import reference_analysis as reference
-from conftest import random_cubic_graph
+from conftest import grid_graph, petersen_graph, random_cubic_graph
 from prsampling import verify
 from prsampling.errors import BudgetError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
-from prsampling.graphs import complete_graph, cycle_graph, make_graph
+from prsampling.graphs import complete_graph, cycle_graph
 from prsampling.model import (
     DependencyGraph,
     Instance,
@@ -553,19 +553,6 @@ class TestIntegerArithmetic:
         assert q_empty(ring(8), [F(1, 4)] * 8) == F(1, 2 ** 7)
         with pytest.raises(BudgetError, match="exceeded 16 subproblems"):
             q_empty(ring(20), [F(1, 4)] * 20)
-
-
-def petersen_graph():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return make_graph(10, outer + spokes + inner)
-
-
-def grid_graph(rows, cols):
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return make_graph(rows * cols, edges)
 
 
 def analysis_input(label):

@@ -140,6 +140,11 @@ class TestChiSquarePValue:
     def test_grid_reaches_tiny_p_values(self):
         assert sum(1 for _, _, p in CHI2_SF_GRID if p < 1e-30) >= 5
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 30])
+    def test_infinite_statistic_has_p_value_zero(self, dof):
+        # A draw on a zero-probability outcome makes the statistic infinite.
+        assert chi2_sf(float("inf"), dof) == 0.0
+
     def test_verdict_uses_it(self):
         verdict = empirical_distribution_test(
             lambda seed: make_rng(seed).random() < 0.57,
