@@ -231,20 +231,21 @@ def _cmd_analyze_graph(args) -> int:
         "cycle_space_dim": graph.cycle_space_dim,
         "ratio_bounds": ratio_bounds(graph),
     }
-    if args.app == "hardcore":
-        lam = parse_rational(args.lam)
-        degree = max((len(a) for a in graph.adjacency), default=0)
-        report["hardcore"] = {
-            "lam": str(lam),
-            "max_degree": degree,
-            "condition_holds": hardcore_condition(lam, degree),
-        }
-        encoded = encode_hardcore(graph, lam)
-    elif args.app == "spanning-tree":
-        encoded = encode_spanning_tree(graph, args.root)
-    else:
-        encoded = encode_sink_free(graph)
+    # The encoders have budget guards of their own, as the analysis has.
     try:
+        if args.app == "hardcore":
+            lam = parse_rational(args.lam)
+            degree = max((len(a) for a in graph.adjacency), default=0)
+            report["hardcore"] = {
+                "lam": str(lam),
+                "max_degree": degree,
+                "condition_holds": hardcore_condition(lam, degree),
+            }
+            encoded = encode_hardcore(graph, lam)
+        elif args.app == "spanning-tree":
+            encoded = encode_spanning_tree(graph, args.root)
+        else:
+            encoded = encode_sink_free(graph)
         report["shearer"] = analyze_instance(encoded).to_json()
     except BudgetError as exc:
         report["shearer"] = {"skipped": str(exc)}

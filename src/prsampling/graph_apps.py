@@ -5,8 +5,11 @@ graph, plus an encoder producing the equivalent constraint instance so the
 specialized and generic samplers can be cross-checked. The specialized
 samplers draw fresh values lazily, in ascending vertex/edge id order, with
 the same one-uniform-per-draw rule as the generic samplers
-(``rng.draw_index``, applied inline as ``bisect_right(table, random())``),
-so both sides of the cross-check consume an identical randomness stream.
+(``rng.draw_index``), so both sides of the cross-check consume an identical
+randomness stream. Each redraws a round's whole list in a loop of its own:
+``cycle_popping`` with ``bisect_right(table, random())``, and the two
+samplers of two-valued variables with ``1 if random() >= t else 0`` for the
+table ``(t,)``, which is ``bisect_right((t,), u)`` for every u.
 
 Conventions
 -----------
@@ -26,8 +29,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import sqrt
+from operator import getitem
 
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
@@ -52,44 +56,53 @@ def _exact(lam, name: str = "lam") -> Fraction:
 def sink_popping(graph: Graph, config: SamplerConfig):
     """Sample a uniform sink-free orientation.
 
-    Each round re-orients every edge adjacent to a sink. Each edge's tail and
-    each vertex's out-degree are kept across rounds: the first round counts
-    the out-degrees in one pass over the tails and reports every non-isolated
-    vertex of out-degree 0; later rounds move the tails of the edges just
-    re-oriented and re-test only their endpoints, since any other vertex
-    kept all its edges and every old sink had all of its edges redrawn. On
-    graphs where some component is a tree no sink-free orientation exists
-    and the round cap is eventually hit.
+    Each round re-orients every edge adjacent to a sink. Out-degrees are
+    kept across rounds: the first round counts them and reports every
+    non-isolated vertex of out-degree 0. Every edge redrawn in a round
+    pointed into a sink, so only an edge that now points away from its sink
+    moves an out-degree (the sink gains one, the other endpoint loses one),
+    and the next round's sinks are the old sinks left at out-degree 0 and
+    the other endpoints whose out-degree has just reached 0. On graphs
+    where some component is a tree no sink-free orientation exists and the
+    round cap is eventually hit.
     """
     rng = make_rng(config.seed)
     random = rng.random
-    table = cumulative_table((Fraction(1, 2), Fraction(1, 2)))
-    edges, incident = graph.edges, graph.incident_edges
-    orient = [bisect_right(table, random()) for _ in edges]
-    tail = [edges[eid][o] for eid, o in enumerate(orient)]  # 0: u -> v, 1: v -> u
-    out = [0] * graph.num_vertices
+    (t,) = cumulative_table((Fraction(1, 2), Fraction(1, 2)))
+    n, edges, incident = graph.num_vertices, graph.edges, graph.incident_edges
+    orient = [1 if random() >= t else 0 for _ in edges]  # 0: u -> v, 1: v -> u
+    out = [0] * n
+    for tail in map(getitem, edges, orient):
+        out[tail] += 1
+    sinks = [v for v in range(n) if not out[v] and incident[v]]
+    emptied = []  # vertices whose out-degree reached 0 in the last redraw
+
+    def redraw(eids):
+        for eid in eids:
+            o = 1 if random() >= t else 0
+            if o != orient[eid]:
+                orient[eid] = o
+                edge = edges[eid]
+                out[edge[o]] += 1
+                u = edge[1 - o]
+                out[u] -= 1
+                if not out[u]:
+                    emptied.append(u)
 
     def find_sinks(redrawn):
-        if redrawn is None:
-            for t in tail:
-                out[t] += 1
-            return [v for v in range(graph.num_vertices) if not out[v] and incident[v]]
-        ends = set()
-        for eid in redrawn:
-            out[tail[eid]] -= 1
-            edge = edges[eid]
-            t = tail[eid] = edge[orient[eid]]
-            out[t] += 1
-            ends.update(edge)
-        return [v for v in sorted(ends) if not out[v]]
+        nonlocal sinks
+        if redrawn is not None:
+            sinks = sorted([v for v in sinks if not out[v]] + emptied)
+            emptied.clear()
+        return sinks
 
     _, stats = resample_until_valid(
         config,
         orient,
-        lambda eid: bisect_right(table, random()),
+        redraw,
         find_sinks,
-        lambda sinks: (sinks, sorted({e for v in sinks for e in incident[v]})),
-        num_events=graph.num_vertices,
+        lambda bad: (bad, sorted(chain.from_iterable(map(incident.__getitem__, bad)))),
+        num_events=n,
         note="; the graph may have no sink-free orientation (tree component)",
     )
     return tuple(orient), stats
@@ -156,17 +169,20 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
     rng = make_rng(config.seed)
     random = rng.random
     n = graph.num_vertices
-    # One uniform table per degree, not per vertex.
+    adjacency = graph.adjacency
+    # One uniform table per degree, not per vertex, looked up once per vertex.
     tables = {
         d: cumulative_table((Fraction(1, d),) * d)
-        for d in {len(graph.adjacency[v]) for v in range(n) if v != root}
+        for d in {len(adjacency[v]) for v in range(n) if v != root}
     }
+    table_of = [None if v == root else tables[len(adjacency[v])] for v in range(n)]
 
-    def draw(v: int) -> int:
-        nbrs = graph.adjacency[v]
-        return nbrs[bisect_right(tables[len(nbrs)], random())]
+    def redraw(vertices):
+        for v in vertices:
+            arrows[v] = adjacency[v][bisect_right(table_of[v], random())]
 
-    arrows = [-1 if v == root else draw(v) for v in range(n)]
+    arrows = [-1] * n
+    redraw([v for v in range(n) if v != root])
     rooted = [v == root for v in range(n)]
     walk_of = [0] * n  # the last walk that visited each vertex
     walks = 0
@@ -193,7 +209,7 @@ def cycle_popping(graph: Graph, root: int, config: SamplerConfig):
     _, stats = resample_until_valid(
         config,
         arrows,
-        draw,
+        redraw,
         find_cycles,
         lambda cycles: (cycles, sorted(v for cyc in cycles for v in cyc)),
         note=" in cycle popping",
@@ -297,19 +313,23 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
         raise ValueError("lam must be nonnegative")
     rng = make_rng(config.seed)
     random = rng.random
-    table = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
+    (t,) = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
     n = graph.num_vertices
-    occ = [bisect_right(table, random()) for _ in range(n)]
+    occ = [1 if random() >= t else 0 for _ in range(n)]
     adjacency, edges, incident = graph.adjacency, graph.edges, graph.incident_edges
+
+    def redraw(vertices):
+        for v in vertices:
+            occ[v] = 1 if random() >= t else 0
 
     def find_bad(redrawn):
         if redrawn is None:
             # Each bad edge at its lower endpoint u, so ids come out ascending
             # (``adjacency[u]`` and ``incident[u]`` are parallel).
             return [
-                eid
+                incident[u][k]
                 for u in compress(range(n), occ)
-                for w, eid in zip(adjacency[u], incident[u])
+                for k, w in enumerate(adjacency[u])
                 if w > u and occ[w]
             ]
         # Only edges touching a redrawn vertex can change badness.
@@ -332,7 +352,7 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     _, stats = resample_until_valid(
         config,
         occ,
-        lambda v: bisect_right(table, random()),
+        redraw,
         find_bad,
         choose,
         note=" in hard-core sampling",

@@ -58,6 +58,7 @@ def draw_index(rng: random.Random, cum: tuple[float, ...]) -> int:
 
     Consumes exactly one ``rng.random()`` call, which keeps independently
     written samplers aligned when they share a stream. The samplers apply
-    this rule inline, so their hot loops make no call per variable.
+    this rule inline, in one loop per round over the variables to redraw;
+    for a two-valued table ``(t,)`` it is ``1 if u >= t else 0``.
     """
     return bisect_right(cum, rng.random())

@@ -15,7 +15,8 @@ event occurs, and return the final assignment plus run statistics.
 All of them, and the specialized graph samplers in
 :mod:`prsampling.graph_apps`, run the one round loop
 :func:`resample_until_valid` and differ only in the initial draw, the
-occurrence finder, the choice of what to resample and the per-variable draw.
+occurrence finder, the choice of what to resample and the redraw, which
+each sampler runs itself on the round's whole list of variables.
 
 The three generic samplers read what they need from the instance, which
 compiles it on the first draw and keeps it: the sampling tables, the
@@ -112,8 +113,9 @@ def resample_until_valid(
     ``redrawn`` holds the variables redrawn in the previous round (None
     before the first), so a finder may re-check only what changed. The loop
     halts when none occur; otherwise ``choose(bad)`` returns the resampled
-    events and the variables to redraw, and each of those variables v gets
-    ``draw(v)``, in the order given.
+    events and the variables to redraw, and ``draw(redraw)`` gives each of
+    them a fresh value in sigma, in the order given: one call per round,
+    whose loop over the variables is the sampler's own.
 
     ``num_events`` sizes ``RunStats.event_resamples`` (None leaves it
     unset); ``logged`` says what ``RunStats.log`` records per round:
@@ -138,8 +140,7 @@ def resample_until_valid(
                 "round cap %d reached%s" % (config.round_cap, note), stats
             )
         resampled, redraw = choose(bad)
-        for v in redraw:
-            sigma[v] = draw(v)
+        draw(redraw)
         stats.rounds += 1
         stats.total_resamples += len(resampled)
         if stats.event_resamples is not None:
@@ -188,10 +189,14 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
         chosen = choose_events(sigma, occurring, rng)
         return chosen, sorted({v for i in chosen for v in events[i].vbl})
 
+    def redraw(variables):
+        for v in variables:
+            sigma[v] = bisect_right(tables[v], random())
+
     return resample_until_valid(
         config,
         sigma,
-        lambda v: bisect_right(tables[v], random()),
+        redraw,
         find_bad,
         choose,
         num_events=instance.num_events,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MALFORMED_INSTANCE_JSON
+from conftest import MALFORMED_INSTANCE_JSON, random_cubic_graph
 import prsampling
 from prsampling.cli import main
 from prsampling.cnf import CnfFormula, write_dimacs
@@ -308,6 +308,19 @@ class TestAnalyze:
         )
         assert code == 1 and out == ""
         assert "root %s out of range" % root in err
+
+    def test_graph_spanning_tree_encoding_over_budget_skipped(self, capsys, tmp_path):
+        # The encoding of this graph trips a guard of its own (a cycle over
+        # more variables than an event may read) before any analysis runs.
+        path = tmp_path / "r30.edges"
+        path.write_text(write_edge_list(random_cubic_graph(30, 1)))
+        code, out, _ = run_cli(
+            capsys, "analyze", "graph", "--file", str(path), "--app", "spanning-tree"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["num_vertices"] == 30
+        assert report["shearer"]["skipped"].endswith("variables; cap is 24")
 
     def test_graph_report_at_event_cap(self, capsys, tmp_path):
         path = tmp_path / "c30.edges"

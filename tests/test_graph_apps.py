@@ -1,12 +1,15 @@
 """Sink-free orientations, spanning trees, hard-core, and path analytics."""
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from math import nextafter
 
 import pytest
 
 from conftest import grid_graph, petersen_graph, random_cubic_graph, run_digest
+from prsampling import graph_apps
 from prsampling.errors import RoundCapError
 from prsampling.graph_apps import (
     alpha,
@@ -40,8 +43,9 @@ from prsampling.model import (
     is_extremal,
     occurring_events,
 )
-from prsampling.rng import derive_seed
+from prsampling.rng import cumulative_table, derive_seed
 from prsampling.sampler import SamplerConfig, extremal_prs, general_prs
+from reference_popping import sink_popping as reference_sink_popping
 
 F = Fraction
 
@@ -172,6 +176,114 @@ class TestEncodeSinkFree:
             assert st_s.rounds == st_g.rounds == 25
             assert st_s.var_log == st_g.var_log
             assert st_s.log == st_g.log  # no isolated vertex: ids agree
+
+
+class TestSinkPoppingReference:
+    """``sink_popping`` against the tail-array sampler in ``reference_popping``."""
+
+    SEEDS = [derive_seed(6, i) for i in range(200)]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            random_cubic_graph(60, 60),
+            # isolated vertices 0, 4 and 8 around two triangles
+            make_graph(9, [(1, 2), (1, 3), (2, 3), (5, 6), (5, 7), (6, 7)]),
+            # K_{2,3} plus an isolated vertex: 2, 3 and 4 each have both
+            # their edges redrawn when 0 and 1 are sinks together
+            make_graph(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+        ],
+        ids=["cubic", "isolated", "k23"],
+    )
+    def test_same_sample_and_stats(self, g):
+        for seed in self.SEEDS:
+            assert sink_popping(g, cfg(seed)) == reference_sink_popping(g, cfg(seed))
+        for seed in self.SEEDS[:20]:
+            quiet = cfg(seed, record_log=False)
+            assert sink_popping(g, quiet) == reference_sink_popping(g, quiet)
+
+    def test_vertex_beside_two_sinks_covered(self):
+        # Some round redraws both edges of a vertex (it lies between two
+        # sinks), and the vertex is a sink of the next round: its out-degree
+        # fell from 2 to 0 within one redraw.
+        g = make_graph(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+        hits = 0
+        for seed in self.SEEDS:
+            _, stats = reference_sink_popping(g, cfg(seed))
+            for sinks, after in zip(stats.log, stats.log[1:]):
+                hits += any(
+                    v in after and sum(u in sinks for u in g.adjacency[v]) == 2
+                    for v in range(g.num_vertices)
+                )
+        assert hits > 0
+
+    def test_tree_component_same_partial_stats(self):
+        g = make_graph(8, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6)])
+        for seed in self.SEEDS:
+            with pytest.raises(RoundCapError) as new:
+                sink_popping(g, cfg(seed, round_cap=25))
+            with pytest.raises(RoundCapError) as ref:
+                reference_sink_popping(g, cfg(seed, round_cap=25))
+            assert str(new.value) == str(ref.value)
+            assert new.value.stats == ref.value.stats
+            assert new.value.stats.rounds == 25
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def _fixed_uniforms(monkeypatch, values):
+    monkeypatch.setattr(graph_apps, "make_rng", lambda seed: _FixedUniforms(values))
+
+
+def _threshold_cases(t):
+    return [0.0, nextafter(t, 0), t, nextafter(t, 2), nextafter(1, 0)]
+
+
+class TestThresholdDraw:
+    """``1 if u >= t else 0`` is ``bisect_right((t,), u)``, at ``u == t`` too,
+    in the initial draw and in a redraw."""
+
+    @pytest.mark.parametrize("lam", [F(0), F(1, 10), F(1, 4), F(7)])
+    def test_hardcore(self, lam, monkeypatch):
+        (t,) = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
+        for u in _threshold_cases(t):
+            want = bisect_right((t,), u)
+            _fixed_uniforms(monkeypatch, [u])
+            occupied, _ = hardcore_sample(make_graph(1, []), lam, cfg(0))
+            assert len(occupied) == want
+            # Both ends of the edge start occupied (t >= t); then vertex 0
+            # redraws with u and vertex 1 with 0.0, which is below t > 0.
+            _fixed_uniforms(monkeypatch, [t, t, u, 0.0])
+            occupied, stats = hardcore_sample(path_graph(2), lam, cfg(0))
+            assert stats.rounds == 1 and len(occupied) == want
+
+    def test_sink_popping(self, monkeypatch):
+        (t,) = cumulative_table((F(1, 2), F(1, 2)))
+        for u in _threshold_cases(t):
+            o = bisect_right((t,), u)
+            # Edge 0 of the triangle draws u, and the next two uniforms
+            # complete the cyclic orientation that o starts; round cap 0
+            # fails the run if the draw of u came out otherwise.
+            rest = [0.75, 0.0] if o == 0 else [0.0, 0.75]
+            _fixed_uniforms(monkeypatch, [u] + rest)
+            orient, _ = sink_popping(cycle_graph(3), cfg(0, round_cap=0))
+            assert orient == (o, 1 - o, o)
+            # All edges start at 0, so vertex 2 is a sink; its edges 1 and 2
+            # redraw with u and 0.0, and only o == 1 leaves no sink.
+            _fixed_uniforms(monkeypatch, [0.0, 0.0, 0.0, u, 0.0])
+            if o:
+                assert sink_popping(cycle_graph(3), cfg(0, round_cap=1))[0] == (0, 1, 0)
+            else:
+                with pytest.raises(RoundCapError):
+                    sink_popping(cycle_graph(3), cfg(0, round_cap=1))
 
 
 class TestCyclePopping:

@@ -60,9 +60,10 @@ class TestResampleUntilValid:
             seen.append(redrawn)
             return [v for v in range(3) if sigma[v] == 0]
 
-        def draw(v):
-            drawn.append(v)
-            return next(values)
+        def draw(redraw):  # one call per round, with the round's whole list
+            for v in redraw:
+                drawn.append(v)
+                sigma[v] = next(values)
 
         config = SamplerConfig(
             seed=0,
