@@ -1,92 +1,51 @@
-"""Certified comparisons against irrational constants.
+"""Certified comparisons against constants built from e.
 
 Condition checkers need verdicts like ``6*e*p*Delta^2 <= 1`` where p is an
 exact rational. Floating-point evaluation could flip a verdict near the
-boundary, so the irrational side is bracketed by an interval with exact
-rational endpoints, and the final comparison is done in exact rational
-arithmetic. e and sqrt(e) are bracketed by partial sums of e's series in
-integers, other constants by mpmath's interval arithmetic with outward
-rounding (imported on first use). Precision is refined until the interval
-separates from the rational threshold; for rational thresholds and
-irrational constants this always terminates.
+boundary, so every verdict here comes from one bracket of e in integers:
+S_n < e < S_n + 1/(n! n) for the partial sums S_n = sum_{k <= n} 1/k!.
+Each verdict is a monotone test ``leq(P, Q)`` of whether f(P/Q) lies at
+or below the threshold, put to both ends of the bracket; n doubles until
+one end decides, or ``BudgetError`` says the two sides could not be told
+apart within the budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
 from .errors import BudgetError
 
-_PRECISIONS = (80, 160, 320, 640, 1280)
-# 256! * 256 > 2**1280: the series for e ends no coarser than the intervals.
+# The bracket of e is at most 1/(256! 256) < 2**-1700 wide.
 _MAX_E_TERMS = 256
+# The largest integer two_pow_3e_leq may build, in bits.
+_MAX_BITS = 1 << 20
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    sign, man, exp, _bc = raw
-    f = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -f if sign else f
-
-
-def interval_bounds(make_interval: Callable, prec: int = 80) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of ``make_interval(iv)`` at the given precision."""
-    from mpmath import iv
-
-    old = iv.prec
-    try:
-        iv.prec = prec
-        x = make_interval(iv)
-        lo_raw, hi_raw = x._mpi_
-        return _raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw)
-    finally:
-        iv.prec = old
-
-
-def certified_leq(make_interval: Callable, rhs: Fraction) -> bool:
-    """Decide ``expr <= rhs`` with a certified verdict.
-
-    ``make_interval(iv)`` must build an interval enclosing expr using the
-    supplied interval context.
-    """
-    rhs = Fraction(rhs)
-    for prec in _PRECISIONS:
-        lo, hi = interval_bounds(make_interval, prec)
-        if hi <= rhs:
-            return True
-        if lo > rhs:
-            return False
-    raise BudgetError(
-        "could not separate expression from threshold %s at %d bits; "
-        "the two sides may be equal" % (rhs, _PRECISIONS[-1])
-    )
-
-
-def e_bounds(prec: int = 80) -> tuple[Fraction, Fraction]:
-    """Rational lo < e < hi."""
-    return interval_bounds(lambda c: c.e, prec)
-
-
-def sqrt_e_bounds(prec: int = 80) -> tuple[Fraction, Fraction]:
-    """Rational lo < sqrt(e) < hi."""
-    return interval_bounds(lambda c: c.sqrt(c.e), prec)
-
-
-def e_leq(bound: Fraction) -> bool:
-    """Certified verdict of ``e <= bound``, from S_n < e < S_n + 1/(n! n) for
-    S_n = sum_{k <= n} 1/k!, with n doubled until the bracket separates."""
-    p, q = Fraction(bound).as_integer_ratio()
+def _decide(leq: Callable[[int, int], bool], what: str) -> bool:
+    """f(e) <= threshold, for f increasing and ``leq(P, Q)`` deciding
+    f(P/Q) <= threshold; ``what`` names f(e)."""
     num = fact = 1  # S_n = num / fact, with fact = n!
     for n in range(1, _MAX_E_TERMS + 1):
         num, fact = num * n + 1, fact * n
         if n & (n - 1) == 0:  # n = 1, 2, 4, ...
-            if num * q >= p * fact:  # bound <= S_n < e
+            if not leq(num, fact):  # threshold < f(S_n) < f(e)
                 return False
-            if (num * n + 1) * q <= p * fact * n:  # e < S_n + 1/(n! n) <= bound
+            if leq(num * n + 1, fact * n):  # f(e) < f(S_n + 1/(n! n)) <= threshold
                 return True
+    # The threshold is left out: it may be too long to print.
     raise BudgetError(
-        "could not separate e from threshold %s with %d terms" % (bound, _MAX_E_TERMS)
+        "could not separate %s from the threshold with %d terms of the series of e"
+        % (what, _MAX_E_TERMS)
     )
+
+
+def e_leq(bound: Fraction) -> bool:
+    """Certified verdict of ``e <= bound``."""
+    p, q = Fraction(bound).as_integer_ratio()
+    return _decide(lambda P, Q: P * q <= p * Q, "e")
 
 
 def sqrt_e_leq(bound: Fraction) -> bool:
@@ -96,19 +55,47 @@ def sqrt_e_leq(bound: Fraction) -> bool:
 
 
 def two_pow_3e_leq(bound: Fraction) -> bool:
-    """Certified verdict of ``2**(3e) <= bound``."""
-    return certified_leq(lambda c: c.mpf(2) ** (3 * c.e), bound)
+    """Certified verdict of ``2**(3e) <= bound``.
+
+    2**(3P/Q) <= p/q is decided as 2**(3P) * q**Q <= p**Q, with no integer
+    over ``_MAX_BITS`` bits. 2**(3e) is 285.0054...: a threshold above 285.3
+    or below 279.1 is decided by n = 4, and n = 8 decides False below
+    285.0035 when p and q are under 2**17, so every integer is decided. Any
+    other threshold, or p or q of more than about 30,000 bits, raises
+    ``BudgetError``.
+    """
+    p, q = Fraction(bound).as_integer_ratio()
+    if p <= 0:
+        return False
+
+    def leq(P, Q):
+        g = gcd(P, Q)
+        P, Q = P // g, Q // g
+        size = 3 * P + Q * max(p, q).bit_length()
+        if size > _MAX_BITS:
+            raise BudgetError(
+                "could not separate 2^(3e) from the threshold: the next step "
+                "builds %d-bit integers, over the budget of %d" % (size, _MAX_BITS)
+            )
+        return q ** Q << 3 * P <= p ** Q
+
+    return _decide(leq, "2^(3e)")
 
 
 def e_mult_leq_two_pow_half(mult: Fraction, k: int) -> bool:
     """Certified verdict of ``mult * e <= 2**(k/2)`` for integer k >= 0."""
-    mult = Fraction(mult)
-    if mult <= 0:
+    m, d = Fraction(mult).as_integer_ratio()
+    if m <= 0:
         return True
-    # mult*e <= 2^(k/2)  <=>  e <= 2^(k/2)/mult; bracket the right side too.
-    num, den = mult.numerator, mult.denominator
 
-    def expr(c):
-        return c.mpf(num) / c.mpf(den) * c.e / (c.mpf(2) ** (c.mpf(k) / 2))
+    def leq(P, Q):
+        # (m P / (d Q))**2 <= 2**k, without building 2**k when sizes decide.
+        a, b = (m * P) ** 2, (d * Q) ** 2
+        shift = a.bit_length() - b.bit_length()
+        if k > shift:  # a < 2**(b.bit_length() - 1 + k) <= b * 2**k
+            return True
+        if k < shift:  # a >= 2**(b.bit_length() + k) > b * 2**k
+            return False
+        return a <= b << k
 
-    return certified_leq(expr, Fraction(1))
+    return _decide(leq, "mult*e")

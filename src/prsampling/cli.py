@@ -80,7 +80,10 @@ _SAMPLER_NAMES = {
 _CASE_ALIASES = {"p5-hardcore": "hardcore-p5"}
 
 
-def _fresh_seed() -> int:
+def _seed(args) -> int:
+    """The ``--seed`` given, or a fresh one; commands report it back."""
+    if args.seed is not None:
+        return args.seed
     return _random.SystemRandom().randrange(2 ** 63)
 
 
@@ -180,7 +183,7 @@ def _cmd_sample(args) -> int:
     read, draw, fmt, name = _SAMPLE_TARGETS[args.what]
     source = read(args)
     kind = name or _SAMPLER_NAMES[args.sampler]
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     runs = []
     for i in range(args.count):
         config = SamplerConfig(
@@ -324,7 +327,7 @@ def _cmd_verify_uniformity(args) -> int:
     cases = uniformity_cases()
     chosen = _CASE_ALIASES.get(args.case, args.case)
     names = list(cases) if chosen == "all" else [chosen]
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     all_ok = True
     reports = []
     for name in names:
@@ -346,15 +349,25 @@ def _cmd_verify_uniformity(args) -> int:
     return 0 if all_ok else 3
 
 
-def _cmd_verify_case_law(args) -> int:
-    """``verify expected-resamples`` and ``verify first-round`` on a named case."""
-    instance = _verify_case_instance(args.case)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    report = args.law(instance, n=args.n, base_seed=seed)
+def _cmd_verify_seeded(args) -> int:
+    """A seeded suite: ``args.run(args, seed)`` builds its report. Exit 3 on
+    ``"passed": false``; cross-order only reports, and has no verdict."""
+    seed = _seed(args)
+    report = args.run(args, seed)
     report["seed"] = seed
-    report["case"] = args.case
     _emit_json(report)
-    return 0 if report["passed"] else 3
+    return 0 if report.get("passed", True) else 3
+
+
+def _case_law(law):
+    """``verify expected-resamples`` and ``verify first-round`` on a named case."""
+
+    def run(args, seed):
+        report = law(_verify_case_instance(args.case), n=args.n, base_seed=seed)
+        report["case"] = args.case
+        return report
+
+    return run
 
 
 def _verify_case_instance(name: str):
@@ -365,22 +378,6 @@ def _verify_case_instance(name: str):
     if name == "sink-c3":
         return encode_sink_free(cycle_graph(3))
     raise ValueError("unknown case: %s" % name)
-
-
-def _cmd_verify_res_set(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    report = res_set_property_tests(trials=args.trials, base_seed=seed)
-    report["seed"] = seed
-    _emit_json(report)
-    return 0 if report["passed"] else 3
-
-
-def _cmd_verify_cross_order(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    report = cross_order_report(trials=args.trials, base_seed=seed)
-    report["seed"] = seed
-    _emit_json(report)
-    return 0
 
 
 def _cmd_verify_truncated_sum(args) -> int:
@@ -400,14 +397,6 @@ def _cmd_verify_truncated_sum(args) -> int:
     return 0 if report["passed"] else 3
 
 
-def _cmd_verify_negative_control(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    report = negative_control_test(n=args.n, base_seed=seed)
-    report["seed"] = seed
-    _emit_json(report)
-    return 0 if report["passed"] else 3
-
-
 # --- experiment ---------------------------------------------------------------
 
 
@@ -415,7 +404,7 @@ def _cmd_experiment_round_scaling(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     if not sizes:
         raise ValueError("--sizes must list at least one vertex count")
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     report = round_scaling_experiment(
         sizes,
         parse_rational(args.lam),
@@ -448,7 +437,7 @@ def _cmd_experiment_round_scaling(args) -> int:
 def _cmd_experiment_disjoint_paths(args) -> int:
     from .graph_apps import disjoint_paths_experiment
 
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     report = disjoint_paths_experiment(
         args.n,
         args.L,
@@ -607,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="two-events", choices=("two-events", "sink-c3"))
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_case_law, law=expected_resamples_test)
+    p.set_defaults(func=_cmd_verify_seeded, run=_case_law(expected_resamples_test))
 
     p = verify_sub.add_parser(
         "first-round", help="first-round occurring-set law vs exact values"
@@ -615,21 +604,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="two-events", choices=("two-events", "sink-c3"))
     p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_case_law, law=first_round_test)
+    p.set_defaults(func=_cmd_verify_seeded, run=_case_law(first_round_test))
 
     p = verify_sub.add_parser(
         "res-set", help="structural properties of the resampling-set selector"
     )
     p.add_argument("--trials", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_res_set)
+    p.set_defaults(
+        func=_cmd_verify_seeded,
+        run=lambda args, seed: res_set_property_tests(trials=args.trials, base_seed=seed),
+    )
 
     p = verify_sub.add_parser(
         "cross-order", help="selector agreement under reversed scan order"
     )
     p.add_argument("--trials", type=_positive_int, default=2_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_cross_order)
+    p.set_defaults(
+        func=_cmd_verify_seeded,
+        run=lambda args, seed: cross_order_report(trials=args.trials, base_seed=seed),
+    )
 
     p = verify_sub.add_parser(
         "truncated-sum", help="truncated series vs closed form, exact arithmetic"
@@ -643,7 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_positive_int, default=20_000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_negative_control)
+    p.set_defaults(
+        func=_cmd_verify_seeded,
+        run=lambda args, seed: negative_control_test(n=args.n, base_seed=seed),
+    )
 
     # experiment
     experiment = top.add_parser("experiment", help="measurement experiments")

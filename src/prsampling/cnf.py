@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .certified import e_leq, e_mult_leq_two_pow_half, two_pow_3e_leq
 from .graphs import Graph, decimal_int
@@ -206,10 +207,10 @@ def check_extremal_condition(k: int, d: int) -> bool:
         raise ValueError("variable degree d must be nonnegative, got %d" % d)
     if d <= 1:
         return True
-    # d - 1 <= 2^k/(e*k)  <=>  e <= 2^k / (k*(d-1))
-    from fractions import Fraction
-
-    return e_leq(Fraction(2 ** k, k * (d - 1)))
+    # d - 1 <= 2^k/(e*k)  <=>  e <= 2^k / (k*(d-1)), which holds once
+    # 2^k >= 4*k*(d-1): only a k below that builds 2^k.
+    m = k * (d - 1)
+    return k >= m.bit_length() + 2 or e_leq(Fraction(2 ** k, m))
 
 
 def sharing_condition_parts(k: int, d: int, s: int) -> dict:
@@ -220,13 +221,12 @@ def sharing_condition_parts(k: int, d: int, s: int) -> dict:
         raise ValueError("clause width k must be >= 1, got %d" % k)
     if s < 0:
         raise ValueError("shared-variable count s must be nonnegative, got %d" % s)
-    from fractions import Fraction
-
     return {
         "dk_large_enough": two_pow_3e_leq(Fraction(d * k)),
         "degree_small_enough": e_mult_leq_two_pow_half(Fraction(6 * d), k),
-        # s >= min(log2(dk), k/2), decided in integers.
-        "overlap_large_enough": (2 ** s >= d * k) or (2 * s >= k),
+        # s >= min(log2(dk), k/2), decided in integers: 2^s >= dk iff
+        # s >= (dk - 1).bit_length().
+        "overlap_large_enough": s >= (d * k - 1).bit_length() or 2 * s >= k,
     }
 
 

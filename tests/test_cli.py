@@ -546,6 +546,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["stub_failed_as_expected"] is True
 
+    @pytest.mark.parametrize(
+        "suite,name",
+        [
+            (["res-set", "--trials", "5"], "res_set_property_tests"),
+            (["negative-control", "--n", "5"], "negative_control_test"),
+            (["first-round", "--n", "5"], "first_round_test"),
+        ],
+    )
+    def test_failed_verdict_exits_three(self, capsys, monkeypatch, suite, name):
+        import prsampling.cli as cli
+
+        monkeypatch.setattr(cli, name, lambda *a, **kw: {"passed": False})
+        code, out, _ = run_cli(capsys, "verify", *suite, "--seed", "4")
+        assert code == 3
+        assert json.loads(out)["passed"] is False
+
 
 class TestExperiment:
     def test_round_scaling_with_csv(self, capsys, tmp_path):
@@ -810,12 +826,27 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_sharing_condition_loads_no_heavy_dependency(self, tmp_path):
+        proc = _run_python(
+            [
+                "-c",
+                "import sys\n"
+                "from prsampling.cnf import sharing_condition_parts\n"
+                "assert all(sharing_condition_parts(20, 60, 10).values())\n"
+                "print(sorted(set(sys.modules) & {'scipy', 'numpy', 'networkx', 'mpmath'}))",
+            ],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_runtime_dependencies_exclude_networkx(self):
+        # The package has no runtime dependencies at all.
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).parents[1] / "pyproject.toml"
         with pyproject.open("rb") as handle:
             dependencies = tomllib.load(handle)["project"]["dependencies"]
-        assert not [d for d in dependencies if "networkx" in d.lower()]
+        assert dependencies == []
 
     def test_console_script_declaration(self):
         tomllib = pytest.importorskip("tomllib")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from prsampling.certified import e_leq
 from prsampling.cnf import (
     CnfFormula,
     check_extremal_condition,
@@ -212,6 +213,29 @@ class TestConditionChecks:
         # 3*4 = 12 < 2^(3e) = 285.00...
         assert sharing_condition_parts(4, 3, 2)["dk_large_enough"] is False
         assert check_sharing_condition(20, 63, 10) is False
+
+    def test_shortcuts_agree_with_full_comparisons(self):
+        for k in range(1, 41):
+            for d in range(2, 71):
+                assert check_extremal_condition(k, d) is e_leq(Fraction(2 ** k, k * (d - 1)))
+                if d >= 3:
+                    for s in range(k // 2 + 2):  # 2s >= k from there on
+                        parts = sharing_condition_parts(k, d, s)
+                        assert parts["overlap_large_enough"] is (2 ** s >= d * k or 2 * s >= k)
+
+    def test_huge_width_returns_at_once(self):
+        # 2^k and 2^s for k = s = 10^12 would need 125 GB each; bit lengths decide.
+        big = 10 ** 12
+        assert check_extremal_condition(big, 3) is True
+        assert check_extremal_condition(big, big) is True
+        assert check_extremal_condition(3, big) is False
+        assert sharing_condition_parts(big, 3, big) == {
+            "dk_large_enough": True,
+            "degree_small_enough": True,
+            "overlap_large_enough": True,
+        }
+        assert check_sharing_condition(big, big, big) is True
+        assert sharing_condition_parts(20, big, big)["degree_small_enough"] is False
 
     def test_sharing_validation(self):
         with pytest.raises(ValueError, match="degree d"):
