@@ -343,11 +343,9 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
                 res_vs.add(v)
                 res_vs.update(adjacency[v])
         redraw = sorted(res_vs)
-        # The resampled events: edges with both endpoints redrawn.
-        resampled = [
-            (v, u) for v in redraw for u in adjacency[v] if u > v and u in res_vs
-        ]
-        return resampled, redraw
+        # The resampled events, edges with both endpoints redrawn, are only
+        # counted: one entry each, the upper endpoint, stands for the edge.
+        return [u for v in redraw for u in adjacency[v] if u > v and u in res_vs], redraw
 
     _, stats = resample_until_valid(
         config,

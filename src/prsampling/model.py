@@ -288,12 +288,10 @@ def occurring_events(instance: Instance, assignment) -> list[int]:
     return [e.id for e in instance.events if occurs(e, assignment)]
 
 
-def _pair_conflicts(ei: EventSpec, ej: EventSpec, shared: tuple[int, ...]) -> bool:
-    """Can ei and ej occur simultaneously? (They share the given variables.)"""
-    pos_i = [ei.vbl.index(v) for v in shared]
-    pos_j = [ej.vbl.index(v) for v in shared]
-    proj_j = {tuple(t[p] for p in pos_j) for t in ej.violating}
-    return any(tuple(t[p] for p in pos_i) in proj_j for t in ei.violating)
+def _project(event: EventSpec, shared) -> tuple[list[int], set[tuple[int, ...]]]:
+    """The variables of ``event`` in ``shared``, ascending, and its violating tuples on them."""
+    pos = [k for k, v in enumerate(event.vbl) if v in shared]
+    return [event.vbl[k] for k in pos], {tuple([t[k] for k in pos]) for t in event.violating}
 
 
 def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> bool:
@@ -331,8 +329,8 @@ def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> b
                 for i in requiring.setdefault((v, val), []):
                     if (i, j) not in tried and (over is None or (i, j) < over):
                         tried.add((i, j))
-                        shared = tuple(sorted(set(events[i].vbl) & set(e.vbl)))
-                        if len(shared) == 1 or _pair_conflicts(events[i], e, shared):
+                        s = set(events[i].vbl).intersection(e.vbl)
+                        if len(s) == 1 or _project(e, s)[1] & _project(events[i], s)[1]:
                             return False
                 requiring[v, val].append(j)
     if over is not None:
@@ -385,39 +383,41 @@ def event_probabilities(instance: Instance) -> list[Fraction]:
     return [Fraction(*_weight_sum(scaled, e.vbl, e.violating)) for e in instance.events]
 
 
-def _r_sums(instance: Instance, graph: DependencyGraph | None):
-    """``((i, j), num, den)`` for each ordered dependent pair, r_ij = num / den."""
-    if graph is None:
-        graph = instance.dependency_graph
-    scaled = _ScaledWeights(instance.variables)
-    events = instance.events
-    for i in range(graph.num_events):
-        vars_i = set(events[i].vbl)
-        for j in graph.adjacency[i]:
-            ej = events[j]
-            pos = [k for k, v in enumerate(ej.vbl) if v in vars_i]
-            proj = {tuple([t[k] for k in pos]) for t in ej.violating}
-            yield (i, j), *_weight_sum(scaled, [ej.vbl[k] for k in pos], proj)
-
-
 def r_matrix(
     instance: Instance, graph: DependencyGraph | None = None
 ) -> dict[tuple[int, int], Fraction]:
     """For each ordered dependent pair (i, j): the probability that a fresh
     draw of the shared variables leaves event j still able to occur."""
-    return {pair: Fraction(num, den) for pair, num, den in _r_sums(instance, graph)}
+    vsets, scaled = [frozenset(e.vbl) for e in instance.events], _ScaledWeights(instance.variables)
+    return {
+        (i, j): Fraction(*_weight_sum(scaled, *_project(instance.events[j], vsets[i])))
+        for i, adjacent in enumerate((graph or instance.dependency_graph).adjacency)
+        for j in adjacent
+    }
 
 
 def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
     """The largest r_ij over dependent ordered pairs; 0 with no dependent pair.
 
-    The pairs are compared by cross-multiplying integers, and only the
-    largest becomes a ``Fraction``.
+    r_ij depends only on j and on S, the variables j shares with i: it is the
+    weight of the values on S that extend to a violating tuple of j. It only
+    shrinks as S grows: a value on a larger set that extends restricts on S
+    to one that does. So each event is weighed once per variable it shares
+    alone with a neighbour, and once per other distinct S that holds none of
+    those; the sums are compared exactly, as integer cross-products.
     """
-    best_num, best_den = 0, 1
-    for _, num, den in _r_sums(instance, graph):
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
+    graph, vsets = graph or instance.dependency_graph, [frozenset(e.vbl) for e in instance.events]
+    scaled, best_num, best_den = _ScaledWeights(instance.variables), 0, 1
+    for event, vj, adjacent in zip(instance.events, vsets, graph.adjacency):
+        found = set(map(vj.__and__, map(vsets.__getitem__, adjacent)))
+        singles = {v for s in found if len(s) == 1 for v in s}
+        # A variable shared alone: the weight of the values violating tuples take on it.
+        sums = [(sum([scaled[v][0][x] for x in {t[k] for t in event.violating}]), scaled[v][1])
+                for k, v in enumerate(event.vbl) if v in singles]
+        sums += [_weight_sum(scaled, *_project(event, s)) for s in found if singles.isdisjoint(s)]
+        for num, den in sums:
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
     return Fraction(best_num, best_den)
 
 

@@ -5,7 +5,8 @@ from its name) as an independent reference for
 ``tests/test_setup_reference.py``:
 
 * ``is_extremal_pairwise`` checks every dependent pair of the dependency
-  graph in ascending order, applying the state cap to each;
+  graph in ascending order, applying the state cap to each, with the
+  pair test ``_pair_conflicts``;
 * ``parse_edge_list`` parses labels token by token and relabels always;
 * ``make_event`` permutes every event's tuples, sorted or not;
 * ``uniform_variable`` builds a fresh weight tuple per variable.
@@ -24,8 +25,15 @@ from prsampling.model import (
     EventSpec,
     Instance,
     VariableSpec,
-    _pair_conflicts,
 )
+
+
+def _pair_conflicts(ei: EventSpec, ej: EventSpec, shared: tuple[int, ...]) -> bool:
+    """Can ei and ej occur simultaneously? (They share the given variables.)"""
+    pos_i = [ei.vbl.index(v) for v in shared]
+    pos_j = [ej.vbl.index(v) for v in shared]
+    proj_j = {tuple(t[p] for p in pos_j) for t in ej.violating}
+    return any(tuple(t[p] for p in pos_i) in proj_j for t in ei.violating)
 
 
 def is_extremal_pairwise(

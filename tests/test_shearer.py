@@ -17,6 +17,7 @@ from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_span
 from prsampling.graphs import complete_graph, cycle_graph
 from prsampling.model import (
     DependencyGraph,
+    EventSpec,
     Instance,
     VariableSpec,
     build_dependency_graph,
@@ -519,6 +520,53 @@ class TestIntegerArithmetic:
             expect = reference.r_matrix(instance)
             assert list(r.items()) == list(expect.items()), instance
             assert r_max(instance) == max(expect.values(), default=F(0))
+
+    def test_r_max_on_generated_instances(self):
+        # r_max weighs each event once per variable it shares alone and once
+        # per other shared set holding none of those; the reference
+        # weighs every ordered dependent pair.
+        rng = random.Random(13)
+        generators = (
+            verify.random_instance,
+            verify.random_weighted_instance,
+            verify.random_extremal_instance,
+        )
+        for _ in range(700):
+            for generate in generators:
+                instance = generate(rng)
+                expect = reference.r_matrix(instance)
+                assert r_max(instance) == max(expect.values(), default=F(0)), instance
+
+    @pytest.mark.parametrize(
+        "name", ["K4", "grid3x3", "petersen", "R16-1", "R16-2", "R16-3"]
+    )
+    def test_r_on_spanning_tree_encodings(self, name):
+        # Cycle events share paths, so their shared sets hold one variable
+        # or several, and a set can contain another.
+        instance = analysis_input("spanning-tree/" + name)
+        expect = reference.r_matrix(instance)
+        assert list(r_matrix(instance).items()) == list(expect.items())
+        assert r_max(instance) == max(expect.values())
+
+    def test_r_of_two_shared_variables(self):
+        # The only dependent pair shares variables 1 and 2. Each of them
+        # alone would let event 0 occur whatever its value (r = 1), but on
+        # the pair of them event 0 takes 3 of the 4 values.
+        variables = (
+            uniform_variable(0, 2),
+            VariableSpec(1, 2, (F(1, 3), F(2, 3))),
+            VariableSpec(2, 2, (F(1, 4), F(3, 4))),
+            uniform_variable(3, 2),
+        )
+        events = (
+            EventSpec(0, (0, 1, 2), frozenset({(0, 0, 0), (1, 0, 1), (0, 1, 1)})),
+            EventSpec(1, (1, 2, 3), frozenset({(1, 0, 0), (1, 0, 1)})),
+        )
+        instance = Instance(variables, events)
+        expect = {(0, 1): F(1, 6), (1, 0): F(1, 12) + F(3, 12) + F(6, 12)}
+        assert reference.r_matrix(instance) == expect
+        assert r_matrix(instance) == expect
+        assert r_max(instance) == F(5, 6)
 
     def test_asymmetric_lll(self):
         rng = random.Random(12)
