@@ -17,9 +17,16 @@ weights.
 
 An instance compiles what the samplers need on first use and keeps it: the
 variable-to-events index, each event's occurrence test (an ``itemgetter``
-over its variables and the set that value is looked up in), the dependency
-graph, the sampling tables and the extremality verdict. :func:`occurs`
-stays the reference definition the compiled tests must agree with.
+over its variables and the set that value is looked up in), the watch
+index, the dependency graph, the sampling tables and the extremality
+verdict. :func:`occurs` stays the reference definition the compiled tests
+must agree with.
+
+The watch index lets a sampler find the events occurring under a fresh
+draw without testing every event: each event is watched at one variable,
+and only the events watched at a variable's drawn value need a test. It is
+built only where the counts say it pays (:func:`build_watch_index`), and
+decides which events get tested, never how.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter, lt
+from itertools import chain, groupby, product, repeat
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
@@ -124,9 +131,14 @@ class EventSpec:
 
 
 def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int]]) -> EventSpec:
-    """Build an event from variables in any order, permuting tuples to match."""
+    """Build an event from variables in any order, permuting tuples to match.
+
+    For ascending variables a frozenset of tuples is kept as it is, so that
+    events can share one."""
     if all(map(lt, variables, variables[1:])):
-        return EventSpec(eid, tuple(variables), frozenset(map(tuple, tuples)))
+        if type(tuples) is not frozenset:
+            tuples = frozenset(map(tuple, tuples))
+        return EventSpec(eid, tuple(variables), tuples)
     order = sorted(range(len(variables)), key=lambda k: variables[k])
     vbl = tuple(variables[k] for k in order)
     # A tuple of the wrong arity is passed on as given, for EventSpec to reject.
@@ -141,10 +153,11 @@ class Instance:
     """A product distribution plus bad events over its variables.
 
     What the samplers derive from an instance (the variable-to-events index,
-    the compiled occurrence tests, the dependency graph, the sampling tables
-    and the extremality verdict) is built on first use and kept for every
-    later call on the same object; the instance is immutable, so none of it
-    can go stale. The cached values take no part in ``==`` or ``hash``.
+    the compiled occurrence tests, the watch index, the dependency graph,
+    the sampling tables and the extremality verdict) is built on first use
+    and kept for every later call on the same object; the instance is
+    immutable, so none of it can go stale. The cached values take no part
+    in ``==`` or ``hash``.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -210,6 +223,11 @@ class Instance:
         return keys, violating
 
     @cached_property
+    def watch_index(self) -> tuple | None:
+        """:func:`build_watch_index` of this instance."""
+        return build_watch_index(self)
+
+    @cached_property
     def dependency_graph(self) -> DependencyGraph:
         """:func:`build_dependency_graph` of this instance."""
         return build_dependency_graph(self)
@@ -255,6 +273,80 @@ def build_dependency_graph(instance: Instance) -> DependencyGraph:
     return DependencyGraph(
         len(instance.events), tuple(tuple(sorted(s)) for s in neigh)
     )
+
+
+def build_watch_index(instance: Instance) -> tuple | None:
+    """Triples ``(x, row, by_truth)``, ascending in x: ``row[v]`` lists,
+    ascending, the events watched at variable v that some violating tuple
+    lets take value x there. None where testing every event is cheaper.
+
+    Each event is watched at its variable whose violating values weigh
+    least (the first on ties), so an event can occur under sigma only if it
+    is listed under ``sigma[v]`` at its watched variable. Finding the
+    listed events costs one pass over the variables per watched value, plus
+    a test per listed event; the index is built only when that is expected
+    to be fewer steps than the events, which needs more events than
+    variables. The weights are the sampling tables' floats: the watched
+    variable sets the cost of a scan, never its result. ``by_truth`` says
+    that every variable is binary and x is 1, so that the variables valued
+    x are those whose value is true, found without comparing.
+    """
+    n, events = instance.num_variables, instance.events
+    if n >= len(events):
+        return None
+    tables = instance.sampling_tables
+    table_ids = list(map(id, tables))
+    probs = {  # table id -> the probability of each value
+        k: [b - a for a, b in zip((0.0, *t), (*t, 1.0))]
+        for k, t in dict(zip(table_ids, tables)).items()
+    }
+    # Events with equal violating sets over equally weighted variables are
+    # watched alike; with one weight vector the violating set alone decides.
+    if len(probs) == 1:
+        (p,) = probs.values()
+        groups = list(map(attrgetter("violating"), events))
+        chosen = {g: _watch(g, repeat(p)) for g in dict.fromkeys(groups)}
+    else:
+        groups = [(e.violating, tuple(map(table_ids.__getitem__, e.vbl))) for e in events]
+        chosen = {g: _watch(g[0], map(probs.__getitem__, g[1])) for g in dict.fromkeys(groups)}
+    watches = list(map(chosen.__getitem__, groups))
+    values = set().union(*(vals for _, vals, _ in chosen.values()))
+    if len(values) * n + sum(map(itemgetter(2), watches)) >= len(events):
+        return None
+    watched = [e.vbl[k] for e, (k, _, _) in zip(events, watches)]
+    var_events = instance.var_events
+    binary = {v.domain_size for v in instance.variables} == {2}
+    index = []
+    # Rows are cut from one sorted list, not appended to a list per
+    # variable: n lists would add n objects for the cyclic collector to
+    # walk, which cost a one-draw run a full collection.
+    for x in sorted(values):
+        listed = sorted(
+            [e.id for e, (_, vals, _) in zip(events, watches) if x in vals],
+            key=watched.__getitem__,
+        )
+        row = [()] * n
+        for v, ids in groupby(listed, watched.__getitem__):
+            ids = tuple(ids)
+            # A variable watching all its events under x lists them by the
+            # var_events tuple it already has, not by a copy.
+            row[v] = var_events[v] if len(ids) == len(var_events[v]) else ids
+        index.append((x, tuple(row), binary and x == 1))
+    return tuple(index)
+
+
+def _watch(violating, probs) -> tuple[int, frozenset[int], float]:
+    """``(k, values, weight)`` for the position k of the event's variables
+    whose values in its violating tuples weigh least, the first on ties;
+    ``probs`` gives each position's probabilities. An event with no
+    violating tuple takes no value, so no index lists it."""
+    best = (0, frozenset(), 0.0)
+    for k, (p, column) in enumerate(zip(probs, zip(*violating))):
+        values = frozenset(column)
+        weight = sum(map(p.__getitem__, values))
+        if k == 0 or weight < best[2]:
+            best = k, values, weight
+    return best
 
 
 def occurs(event: EventSpec, assignment) -> bool:
@@ -494,6 +586,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _typed_events(raws: list) -> bool:
+    """Is every event a dict whose 'id' is an integer, whose 'vars' is a
+    list of integers and whose 'violating' is a list of integer lists? One
+    pass over the types of all of them, where a check per entry calls
+    ``_is_int`` once per integer. False also for ``int`` subclasses, which
+    the checks per entry then tell from ``bool``."""
+    if not {*map(type, raws)} <= {dict}:
+        return False
+    try:
+        ids, vbls, tuples = zip(*map(itemgetter("id", "vars", "violating"), raws))
+    except (KeyError, ValueError):  # a key missing, or no events
+        return False
+    if not {*map(type, chain(vbls, tuples))} <= {list}:
+        return False
+    rows = list(chain.from_iterable(tuples))
+    ints = chain(ids, chain.from_iterable(vbls), chain.from_iterable(rows))
+    return {*map(type, rows)} <= {list} and {*map(type, ints)} <= {int}
+
+
 def instance_from_json(obj) -> Instance:
     """Build an Instance from the JSON object format, validating shapes.
 
@@ -508,49 +619,54 @@ def instance_from_json(obj) -> Instance:
     variables = []
     parsed: dict[tuple, tuple[Fraction, ...]] = {}  # weight strings -> weights
     for k, raw in enumerate(obj["variables"]):
-        where = "variables[%d]" % k
         if not isinstance(raw, dict) or "id" not in raw or "domain" not in raw:
-            raise ValueError("%s must have 'id' and 'domain'" % where)
+            raise ValueError("variables[%d] must have 'id' and 'domain'" % k)
         vid, dom = raw["id"], raw["domain"]
         if not _is_int(vid) or not _is_int(dom):
-            raise ValueError("%s: 'id' and 'domain' must be integers" % where)
+            raise ValueError("variables[%d]: 'id' and 'domain' must be integers" % k)
         if dom < 1:
-            raise ValueError("%s: 'domain' must be at least 1, got %d" % (where, dom))
+            raise ValueError("variables[%d]: 'domain' must be at least 1, got %d" % (k, dom))
         if "weights" in raw:
             ws = raw["weights"]
             if not isinstance(ws, list) or len(ws) != dom:
-                raise ValueError("%s: 'weights' must list %d entries" % (where, dom))
+                raise ValueError("variables[%d]: 'weights' must list %d entries" % (k, dom))
             try:
                 weights = parsed[tuple(ws)]
             except (KeyError, TypeError):  # TypeError: a list or dict among them
                 weights = parsed[tuple(ws)] = tuple(
-                    parse_rational(w, "%s.weights[%d]" % (where, i)) for i, w in enumerate(ws)
+                    parse_rational(w, "variables[%d].weights[%d]" % (k, i))
+                    for i, w in enumerate(ws)
                 )
             variables.append(VariableSpec(vid, dom, weights))
         else:
             variables.append(uniform_variable(vid, dom))
     events = []
+    shared: dict[tuple, frozenset] = {}  # violating lists -> one frozenset per distinct list
+    typed = _typed_events(obj["events"])  # if so, only repeats and arities are left to check
     for k, raw in enumerate(obj["events"]):
-        where = "events[%d]" % k
-        if not isinstance(raw, dict) or not raw.keys() >= {"id", "vars", "violating"}:
-            raise ValueError("%s must have 'id', 'vars' and 'violating'" % where)
+        if not (typed or isinstance(raw, dict) and raw.keys() >= {"id", "vars", "violating"}):
+            raise ValueError("events[%d] must have 'id', 'vars' and 'violating'" % k)
         eid, vbl, tuples = raw["id"], raw["vars"], raw["violating"]
-        if not _is_int(eid):
-            raise ValueError("%s: 'id' must be an integer, got %r" % (where, eid))
-        if not isinstance(vbl, list) or not all(map(_is_int, vbl)):
-            raise ValueError("%s: 'vars' must be a list of integers" % where)
+        if not (typed or _is_int(eid)):
+            raise ValueError("events[%d]: 'id' must be an integer, got %r" % (k, eid))
+        if not (typed or isinstance(vbl, list) and all(map(_is_int, vbl))):
+            raise ValueError("events[%d]: 'vars' must be a list of integers" % k)
         if len(set(vbl)) != len(vbl):
-            raise ValueError("%s: 'vars' repeats a variable: %r" % (where, vbl))
-        if not isinstance(tuples, list):
-            raise ValueError("%s: 'violating' must be a list of integer lists" % where)
+            raise ValueError("events[%d]: 'vars' repeats a variable: %r" % (k, vbl))
+        if not (typed or isinstance(tuples, list)):
+            raise ValueError("events[%d]: 'violating' must be a list of integer lists" % k)
         for i, t in enumerate(tuples):
-            if not isinstance(t, list) or not all(map(_is_int, t)):
-                raise ValueError("%s.violating[%d] must be a list of integers" % (where, i))
+            if not (typed or isinstance(t, list) and all(map(_is_int, t))):
+                raise ValueError("events[%d].violating[%d] must be a list of integers" % (k, i))
             if len(t) != len(vbl):
                 raise ValueError(
-                    "%s.violating[%d] has %d values for %d vars" % (where, i, len(t), len(vbl))
+                    "events[%d].violating[%d] has %d values for %d vars" % (k, i, len(t), len(vbl))
                 )
-        events.append(make_event(eid, vbl, tuples))
+        key = tuple(map(tuple, tuples))
+        violating = shared.get(key)
+        if violating is None:
+            violating = shared[key] = frozenset(key)
+        events.append(make_event(eid, vbl, violating))
     return Instance(tuple(variables), tuple(events))
 
 

@@ -20,12 +20,14 @@ each sampler runs itself on the round's whole list of variables.
 
 The three generic samplers read what they need from the instance, which
 compiles it on the first draw and keeps it: the sampling tables, the
-variable-to-events index, each event's occurrence test, the dependency
-graph and the extremality verdict. Their finder runs the compiled tests
-(``keys[i](sigma) in violating[i]``), never :func:`prsampling.model.occurs`:
-on every event before the first round, and after that only on the events
-that depend on a variable redrawn in the previous round, since no other
-event can have changed.
+variable-to-events index, each event's occurrence test, the watch index,
+the dependency graph and the extremality verdict. Their finder runs the
+compiled tests (``keys[i](sigma) in violating[i]``), never
+:func:`prsampling.model.occurs`. Before the first round it tests the events
+that the watch index lists under the drawn values, where the instance has
+one, and every event otherwise; after that it tests only the events that
+depend on a variable redrawn in the previous round, since no other event
+can have changed.
 
 Exactness here means the output is distributed as the product distribution
 conditioned on no event occurring. Fresh values are drawn lazily, variable
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import eq
 
 from .errors import RoundCapError
 from .model import DependencyGraph, Instance, sample_product
@@ -154,10 +158,24 @@ def resample_until_valid(
 
 
 def _occurring(instance: Instance, sigma, events=None) -> list[int]:
-    """The ids among ``events`` (default: all) of the events occurring under sigma."""
+    """The ids among ``events`` of the events occurring under sigma, in the
+    order given; with ``events=None``, all of them, ascending.
+
+    Where the instance has a watch index, only the events it lists under
+    each variable's value in sigma are tested, in one pass over sigma per
+    watched value; otherwise every event is.
+    """
     keys, violating = instance.occurrence_tests
-    ids = range(len(keys)) if events is None else events
-    return [i for i in ids if keys[i](sigma) in violating[i]]
+    if events is None:
+        index = instance.watch_index
+        if index is not None:
+            listed = chain.from_iterable(
+                chain.from_iterable(compress(row, sigma if by_truth else map(eq, sigma, repeat(x))))
+                for x, row, by_truth in index
+            )
+            return sorted([i for i in listed if keys[i](sigma) in violating[i]])
+        events = range(len(keys))
+    return [i for i in events if keys[i](sigma) in violating[i]]
 
 
 def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
@@ -165,9 +183,10 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
 
     ``choose_events(sigma, bad, rng)`` picks the events to resample from the
     occurring ones, given in ascending id order; the union of their
-    variables is redrawn in ascending id order. The occurring set is kept
-    across rounds: each round re-tests only the events that depend on a
-    redrawn variable.
+    variables is redrawn in ascending id order. The first round finds the
+    occurring events by :func:`_occurring`, through the instance's watch
+    index where it has one. The occurring set is then kept across rounds:
+    each round re-tests only the events that depend on a redrawn variable.
     """
     rng = make_rng(config.seed)
     random = rng.random

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -565,6 +566,41 @@ class TestJson:
     def test_invalid_json_objects(self, obj):
         with pytest.raises(ValueError):
             instance_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field,where",
+        [
+            ({"id": True}, "events[2]: 'id' must be an integer"),
+            ({"vars": [True]}, "events[2]: 'vars' must be a list"),
+            ({"violating": [[0], [False]]}, "events[2].violating[1] must be a list"),
+            ({"violating": [0]}, "events[2].violating[0] must be a list"),
+        ],
+    )
+    def test_bad_entry_after_good_events_is_named(self, field, where):
+        """A malformed entry among well-typed events is named where it is."""
+        obj = {
+            "variables": [{"id": 0, "domain": 2}],
+            "events": [{"id": k, "vars": [0], "violating": [[1]]} for k in range(3)],
+        }
+        obj["events"][2].update(field)
+        with pytest.raises(ValueError, match=re.escape(where)):
+            instance_from_json(obj)
+
+    def test_equal_violating_lists_share_one_set(self):
+        inst = instance_from_json(instance_to_json(encode_hardcore(cycle_graph(6), Fraction(1, 3))))
+        first = inst.events[0].violating
+        assert first == frozenset({(1, 1)})
+        assert all(e.violating is first for e in inst.events)
+
+    def test_int_subclasses_are_integers(self):
+        class Value(int):
+            pass
+
+        obj = {
+            "variables": [{"id": 0, "domain": 2}],
+            "events": [{"id": 0, "vars": [Value(0)], "violating": [[Value(1)]]}],
+        }
+        assert instance_from_json(obj).events[0].violating == {(1,)}
 
     @given(st.integers(0, 2 ** 32), st.booleans())
     def test_round_trip_through_json_text(self, seed, weighted):

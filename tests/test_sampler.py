@@ -7,13 +7,28 @@ from fractions import Fraction
 import pytest
 
 import prsampling.model as model
-from conftest import clause_instance, hardcore_instance, random_cubic_graph, run_digest
+from conftest import (
+    clause_instance,
+    hardcore_instance,
+    petersen_graph,
+    random_cubic_graph,
+    run_digest,
+)
 from reference_selector import select_resampling_set as reference_selector
 from prsampling.errors import RoundCapError
-from prsampling.graph_apps import encode_hardcore, encode_sink_free
+from prsampling.graph_apps import (
+    cycle_popping,
+    encode_hardcore,
+    encode_sink_free,
+    hardcore_sample,
+    sink_popping,
+)
 from prsampling.model import (
+    EventSpec,
     Instance,
+    VariableSpec,
     build_dependency_graph,
+    build_watch_index,
     enumerate_assignments,
     is_extremal,
     make_event,
@@ -24,6 +39,7 @@ from prsampling.model import (
 from prsampling.rng import derive_seed
 from prsampling.sampler import (
     SamplerConfig,
+    _occurring,
     extremal_prs,
     general_prs,
     moser_tardos,
@@ -31,7 +47,8 @@ from prsampling.sampler import (
     run_sampler,
     select_resampling_set,
 )
-from prsampling.verify import random_instance, random_weighted_instance
+from prsampling.shearer import analyze_instance
+from prsampling.verify import random_extremal_instance, random_instance, random_weighted_instance
 
 F = Fraction
 
@@ -484,11 +501,14 @@ class TestFrozenStream:
         assert generic_stream_digests(kind, name) == FROZEN_GENERIC_DIGESTS[kind, name]
 
 
+COMPILED = ("build_dependency_graph", "build_watch_index", "cumulative_tables", "is_extremal")
+
+
 class TestCompileOnce:
     @pytest.mark.parametrize("kind", ["moser_tardos", "extremal_prs", "general_prs"])
     def test_five_draws_compile_once(self, kind, monkeypatch):
         calls = Counter()
-        for name in ("build_dependency_graph", "cumulative_tables", "is_extremal"):
+        for name in COMPILED:
 
             def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -499,9 +519,117 @@ class TestCompileOnce:
         for i in range(5):
             run_sampler(kind, instance, cfg(derive_seed(44, i)))
         # Only the selector walks the dependency graph; the extremality
-        # check groups events by variable instead.
+        # check groups events by variable instead. The watch index is
+        # weighed on the first draw, although this instance keeps the scan.
         assert calls == Counter(
             cumulative_tables=1,
+            build_watch_index=1,
             build_dependency_graph=int(kind == "general_prs"),
             is_extremal=int(kind == "extremal_prs"),
         )
+
+    def test_analysis_and_specialized_samplers_build_no_watch_index(self, monkeypatch):
+        calls = Counter()
+
+        def counted(instance):
+            calls["build_watch_index"] += 1
+            return build_watch_index(instance)
+
+        monkeypatch.setattr(model, "build_watch_index", counted)
+        g = random_cubic_graph(200, 3)
+        analyze_instance(encode_hardcore(petersen_graph(), F(1, 10)))
+        analyze_instance(encode_sink_free(petersen_graph()))
+        hardcore_sample(g, F(1, 10), cfg(1))
+        sink_popping(g, cfg(2))
+        cycle_popping(g, 0, cfg(3))
+        assert not calls
+
+
+def repeated(instance, times):
+    """``instance`` with its events listed ``times`` over, under fresh ids:
+    more events over the same variables, so that the gate can let the index in."""
+    m = instance.num_events
+    return Instance(
+        instance.variables,
+        tuple(
+            EventSpec(k * m + e.id, e.vbl, e.violating)
+            for k in range(times)
+            for e in instance.events
+        ),
+    )
+
+
+class TestIndexedScan:
+    """``_occurring(inst, sigma)`` equals ``occurring_events(inst, sigma)``,
+    ascending, whether it scans every event or the watch index's candidates."""
+
+    def assert_exact(self, instance, sigmas):
+        for sigma in sigmas:
+            assert _occurring(instance, sigma) == occurring_events(instance, sigma)
+
+    def draws(self, instance, rng, k=10):
+        """k product draws, then the all-zero and the all-maximum assignments."""
+        sigmas = [sample_product(instance, rng) for _ in range(k)]
+        sigmas.append([0] * instance.num_variables)
+        sigmas.append([v.domain_size - 1 for v in instance.variables])
+        return sigmas
+
+    @pytest.mark.parametrize(
+        "family", [random_instance, random_weighted_instance, random_extremal_instance]
+    )
+    def test_random_families(self, family):
+        sides = Counter()
+        for seed in range(100):
+            rng = random.Random(seed)
+            base = family(rng)
+            for instance in (base, repeated(base, 8)):
+                self.assert_exact(instance, self.draws(instance, rng))
+                sides[instance.watch_index is not None] += 1
+        assert sides[True] >= 50 and sides[False] >= 50
+
+    def test_hand_built(self):
+        variables = (
+            uniform_variable(0, 1),
+            VariableSpec(1, 3, (F(1, 10), F(3, 5), F(3, 10))),
+            uniform_variable(2, 3),
+            uniform_variable(3, 2),
+        )
+        specs = [
+            ((0,), [(0,)]),  # a one-value domain: occurs always
+            ((1, 2), [(0, 0), (0, 2), (2, 1)]),  # watched at 1, under 0 and 2
+            ((2, 3), []),  # occurs never
+            ((0, 1, 3), [(0, 1, 1), (0, 2, 0)]),
+            ((2, 3), [(0, 0), (1, 0), (2, 0), (2, 1)]),
+        ]
+        instance = Instance(
+            variables,
+            tuple(make_event(k, vbl, ts) for k, (vbl, ts) in enumerate(specs * 8)),
+        )
+        assert [(x, by_truth) for x, _, by_truth in instance.watch_index] == [
+            (0, False),
+            (1, False),
+            (2, False),
+        ]
+        listed = {
+            x: {i: v for v, ids in enumerate(row) for i in ids} for x, row, _ in instance.watch_index
+        }
+        assert listed[0][1] == listed[2][1] == 1 and 1 not in listed[1]
+        assert all(2 not in ids for ids in listed.values())
+        self.assert_exact(instance, map(list, enumerate_assignments(instance)))
+
+    @pytest.mark.parametrize("lam,indexed", [(F(1, 3), True), (F(1), False), (F(3), False)])
+    def test_weights_on_each_side_of_the_gate(self, lam, indexed):
+        """K5: 10 events over 5 variables, one watched value, so the index
+        pays while 5 + 10·P(occupied) < 10, that is for lam < 1."""
+        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        instance = hardcore_instance(edges, 5, lam)
+        assert (instance.watch_index is not None) == indexed
+        self.assert_exact(instance, map(list, enumerate_assignments(instance)))
+
+    def test_gate_sides_of_the_encodings(self):
+        g = random_cubic_graph(2000, 1)
+        hardcore, sink_free = encode_hardcore(g, F(1, 10)), encode_sink_free(g)
+        assert [(x, by_truth) for x, _, by_truth in hardcore.watch_index] == [(1, True)]
+        assert sink_free.watch_index is None
+        for instance in (hardcore, sink_free):
+            self.assert_exact(instance, self.draws(instance, random.Random(7), k=3))
