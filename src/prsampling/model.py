@@ -6,8 +6,8 @@ weights; each event names the variables it depends on and lists the
 violating joint values explicitly. Two events are dependent when they
 share a variable; a valid assignment is one under which no event occurs.
 
-Each distinct weight vector is validated once, not once per variable that
-shares it.
+Each distinct weight vector is validated once, and scaled to integers once
+per computation, not once per variable that shares it.
 
 All probability computations in this module are exact. Weight sums run in
 integers, each variable's weights scaled to their least common denominator,
@@ -435,16 +435,19 @@ def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> b
 
 class _ScaledWeights(dict):
     """Variable id -> (numerators, denominator): the variable's weights as
-    integers over their least common denominator, worked out on first use."""
+    integers over their least common denominator, worked out on first use
+    and kept once per weight vector object: variables sharing one share a row."""
 
     def __init__(self, variables: Sequence[VariableSpec]):
         super().__init__()
-        self.variables = variables
+        self.variables, self.rows = variables, {}  # rows: id(weights) -> row
 
     def __missing__(self, v: int) -> tuple[tuple[int, ...], int]:
-        weights = self.variables[v].weights
-        den = math.lcm(*(w.denominator for w in weights))
-        got = self[v] = tuple(w.numerator * (den // w.denominator) for w in weights), den
+        ws = self.variables[v].weights
+        if id(ws) not in self.rows:
+            den = math.lcm(*[w.denominator for w in ws])
+            self.rows[id(ws)] = tuple([w.numerator * den // w.denominator for w in ws]), den
+        got = self[v] = self.rows[id(ws)]
         return got
 
 
@@ -494,22 +497,33 @@ def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
     r_ij depends only on j and on S, the variables j shares with i: it is the
     weight of the values on S that extend to a violating tuple of j. It only
     shrinks as S grows: a value on a larger set that extends restricts on S
-    to one that does. So each event is weighed once per variable it shares
-    alone with a neighbour, and once per other distinct S that holds none of
-    those; the sums are compared exactly, as integer cross-products.
+    to one that does. So r_ij <= w_jv for v in S, where w_jv, j weighed alone
+    at v, is the weight of the values j's violating tuples take there. This
+    bounds a search, in order: weigh each event alone at its shared
+    variables; skip it if no w_jv beats the best so far; fold into the best
+    the variables some neighbour shares alone; then weigh a larger shared set
+    only if each of its w_jv still beats the best. ``graph`` is the
+    instance's dependency graph; sums are compared as integer cross-products.
     """
-    graph, vsets = graph or instance.dependency_graph, [frozenset(e.vbl) for e in instance.events]
-    scaled, best_num, best_den = _ScaledWeights(instance.variables), 0, 1
-    for event, vj, adjacent in zip(instance.events, vsets, graph.adjacency):
-        found = set(map(vj.__and__, map(vsets.__getitem__, adjacent)))
-        singles = {v for s in found if len(s) == 1 for v in s}
-        # A variable shared alone: the weight of the values violating tuples take on it.
-        sums = [(sum([scaled[v][0][x] for x in {t[k] for t in event.violating}]), scaled[v][1])
-                for k, v in enumerate(event.vbl) if v in singles]
-        sums += [_weight_sum(scaled, *_project(event, s)) for s in found if singles.isdisjoint(s)]
-        for num, den in sums:
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
+    graph, var_events = graph or instance.dependency_graph, instance.var_events
+    events, scaled, best_num, best_den = instance.events, _ScaledWeights(instance.variables), 0, 1
+    for event, adjacent in zip(events, graph.adjacency):
+        over = {}  # v -> w_jv, for the shared variables whose w_jv beats the best
+        for v, column in zip(event.vbl, zip(*event.violating)):
+            if len(var_events[v]) > 1:
+                nums, den = scaled[v]
+                num = sum(map(nums.__getitem__, set(column)))
+                if num * best_den > best_num * den:
+                    over[v] = num, den
+        if not over:
+            continue
+        vj = frozenset(event.vbl)
+        for s in sorted({vj.intersection(events[i].vbl) for i in adjacent}, key=len):
+            if over.keys() >= s:  # singles come first, and are weighed already
+                num, den = over[min(s)] if len(s) == 1 else _weight_sum(scaled, *_project(event, s))
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    over = {v: w for v, w in over.items() if w[0] * best_den > best_num * w[1]}
     return Fraction(best_num, best_den)
 
 
@@ -586,6 +600,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _typed_variables(raws: list) -> bool:
+    """Is every variable a dict with integer 'id' and 'domain'? One type pass, as for events."""
+    try:
+        ints = chain.from_iterable(map(itemgetter("id", "domain"), raws))
+        return {*map(type, raws)} <= {dict} and {*map(type, ints)} <= {int}
+    except KeyError:
+        return False
+
+
 def _typed_events(raws: list) -> bool:
     """Is every event a dict whose 'id' is an integer, whose 'vars' is a
     list of integers and whose 'violating' is a list of integer lists? One
@@ -618,11 +641,12 @@ def instance_from_json(obj) -> Instance:
             raise ValueError("'%s' must be a list, got %s" % (key, type(obj[key]).__name__))
     variables = []
     parsed: dict[tuple, tuple[Fraction, ...]] = {}  # weight strings -> weights
+    typed = _typed_variables(obj["variables"])  # if so, only the values are left to check
     for k, raw in enumerate(obj["variables"]):
-        if not isinstance(raw, dict) or "id" not in raw or "domain" not in raw:
+        if not (typed or isinstance(raw, dict) and "id" in raw and "domain" in raw):
             raise ValueError("variables[%d] must have 'id' and 'domain'" % k)
         vid, dom = raw["id"], raw["domain"]
-        if not _is_int(vid) or not _is_int(dom):
+        if not (typed or _is_int(vid) and _is_int(dom)):
             raise ValueError("variables[%d]: 'id' and 'domain' must be integers" % k)
         if dom < 1:
             raise ValueError("variables[%d]: 'domain' must be at least 1, got %d" % (k, dom))

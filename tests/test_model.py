@@ -9,7 +9,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MALFORMED_INSTANCE_JSON
+import prsampling.model as model
+import reference_analysis as reference
+from conftest import MALFORMED_INSTANCE_JSON, grid_graph, petersen_graph
 from prsampling.errors import BudgetError
 from prsampling.model import (
     EventSpec,
@@ -35,7 +37,7 @@ from prsampling.model import (
     save_instance,
     uniform_variable,
 )
-from prsampling.graph_apps import encode_hardcore
+from prsampling.graph_apps import encode_hardcore, encode_spanning_tree
 from prsampling.graphs import cycle_graph
 from prsampling.rng import cumulative_table, derive_seed, draw_index, make_rng
 from prsampling.sampler import _occurring
@@ -451,6 +453,27 @@ class TestRMatrix:
         assert r_matrix(inst) == {}
         assert r_max(inst) == 0
 
+    @pytest.mark.parametrize("graph", [petersen_graph(), grid_graph(3, 3)], ids=["petersen", "grid3x3"])
+    def test_no_shared_set_weighed_on_spanning_trees(self, graph, monkeypatch):
+        # A cycle event weighs 2/3 alone at each of its variables, and the
+        # first one sharing a variable alone sets the best to 2/3; no later
+        # event or shared set can beat it, so none is weighed as a set.
+        weighed = []
+        weight_sum = model._weight_sum
+        monkeypatch.setattr(model, "_weight_sum", lambda *a: weighed.append(a) or weight_sum(*a))
+        inst = encode_spanning_tree(graph, 0)
+        assert r_max(inst) == max(reference.r_matrix(inst).values()) == Fraction(2, 3)
+        assert weighed == []
+
+    def test_one_scaled_row_per_weight_vector(self):
+        occupied = encode_hardcore(cycle_graph(5), Fraction(1, 3)).variables
+        scaled = model._ScaledWeights(occupied)
+        assert scaled[0] == ((3, 1), 4)
+        assert all(scaled[v] is scaled[0] for v in range(5))
+        equal = tuple(VariableSpec(v, 2, (Fraction(3, 4), Fraction(1, 4))) for v in range(2))
+        scaled = model._ScaledWeights(equal)
+        assert scaled[0] == scaled[1] == ((3, 1), 4)
+
 
 class TestSampleProduct:
     def test_deterministic_domain(self):
@@ -586,6 +609,31 @@ class TestJson:
         with pytest.raises(ValueError, match=re.escape(where)):
             instance_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "entry,where",
+        [
+            ({"id": 2, "domain": True}, "variables[2]: 'id' and 'domain' must be integers"),
+            ({"id": 2, "domain": "2"}, "variables[2]: 'id' and 'domain' must be integers"),
+            ({"id": 2.0, "domain": 2}, "variables[2]: 'id' and 'domain' must be integers"),
+            ({"id": 2}, "variables[2] must have 'id' and 'domain'"),
+            ([2, 2], "variables[2] must have 'id' and 'domain'"),
+            ({"id": 2, "domain": 0}, "variables[2]: 'domain' must be at least 1"),
+        ],
+    )
+    def test_bad_entry_after_good_variables_is_named(self, entry, where):
+        """A malformed variable among well-typed ones is named where it is."""
+        obj = {"variables": [{"id": k, "domain": 2} for k in range(3)], "events": []}
+        obj["variables"][2] = entry
+        with pytest.raises(ValueError, match=re.escape(where)):
+            instance_from_json(obj)
+
+    def test_true_is_not_a_variable_id(self):
+        # True == 1, so without the type check it would pass as the id of
+        # the variable at position 1.
+        obj = {"variables": [{"id": 0, "domain": 2}, {"id": True, "domain": 2}], "events": []}
+        with pytest.raises(ValueError, match=re.escape("variables[1]: 'id' and 'domain'")):
+            instance_from_json(obj)
+
     def test_equal_violating_lists_share_one_set(self):
         inst = instance_from_json(instance_to_json(encode_hardcore(cycle_graph(6), Fraction(1, 3))))
         first = inst.events[0].violating
@@ -597,10 +645,12 @@ class TestJson:
             pass
 
         obj = {
-            "variables": [{"id": 0, "domain": 2}],
+            "variables": [{"id": 0, "domain": 2}, {"id": Value(1), "domain": Value(3)}],
             "events": [{"id": 0, "vars": [Value(0)], "violating": [[Value(1)]]}],
         }
-        assert instance_from_json(obj).events[0].violating == {(1,)}
+        inst = instance_from_json(obj)
+        assert inst.events[0].violating == {(1,)}
+        assert inst.variables[1].domain_size == 3
 
     @given(st.integers(0, 2 ** 32), st.booleans())
     def test_round_trip_through_json_text(self, seed, weighted):

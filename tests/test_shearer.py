@@ -10,7 +10,7 @@ import pytest
 
 import prsampling.shearer as shearer
 import reference_analysis as reference
-from conftest import grid_graph, petersen_graph, random_cubic_graph
+from conftest import clause_instance, grid_graph, petersen_graph, random_cubic_graph
 from prsampling import verify
 from prsampling.errors import BudgetError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
@@ -567,6 +567,105 @@ class TestIntegerArithmetic:
         assert reference.r_matrix(instance) == expect
         assert r_matrix(instance) == expect
         assert r_max(instance) == F(5, 6)
+
+    @pytest.mark.parametrize("taken,expect", [(7, F(7, 8)), (3, F(5, 6))])
+    def test_shared_set_below_its_variables_alone(self, taken, expect):
+        # The pair above, after two events that share variable 4: the first
+        # sets the best to taken/8 before the pair is reached. Variables 1
+        # and 2 each weigh 1 alone, which beats both bests, so the shared
+        # set {1, 2} is weighed, and its 5/6 is taken only if it beats 7/8
+        # or 3/8.
+        variables = (
+            uniform_variable(0, 2),
+            VariableSpec(1, 2, (F(1, 3), F(2, 3))),
+            VariableSpec(2, 2, (F(1, 4), F(3, 4))),
+            uniform_variable(3, 2),
+            uniform_variable(4, 8),
+        )
+        events = (
+            EventSpec(0, (4,), frozenset((x,) for x in range(taken))),
+            EventSpec(1, (4,), frozenset({(7,)})),
+            EventSpec(2, (0, 1, 2), frozenset({(0, 0, 0), (1, 0, 1), (0, 1, 1)})),
+            EventSpec(3, (1, 2, 3), frozenset({(1, 0, 0), (1, 0, 1)})),
+        )
+        instance = Instance(variables, events)
+        assert max(reference.r_matrix(instance).values()) == expect
+        assert r_max(instance) == expect
+
+    def test_largest_r_at_the_last_event(self):
+        # Only the last event, on variables 2 and 3, takes every value of
+        # variable 2, which it shares alone with event 1: r_12 = 1, and
+        # every other r_ij is 3/5.
+        variables = tuple(VariableSpec(v, 2, (F(2, 5), F(3, 5))) for v in range(4))
+        events = (
+            EventSpec(0, (0, 1), frozenset({(1, 1)})),
+            EventSpec(1, (1, 2), frozenset({(1, 1)})),
+            EventSpec(2, (2, 3), frozenset({(0, 1), (1, 0)})),
+        )
+        instance = Instance(variables, events)
+        r = reference.r_matrix(instance)
+        assert max(r, key=r.get) == (1, 2) and r[1, 2] == 1
+        assert sorted(r.values())[-2] == F(3, 5)
+        assert r_max(instance) == 1
+
+    def test_zero_weights(self):
+        # Variables 0 and 2 never take value 0, and every event needs a 0
+        # at each variable it shares, so every r_ij is 0 until event 3,
+        # which also allows value 2 of variable 2.
+        variables = (
+            VariableSpec(0, 2, (F(0), F(1))),
+            uniform_variable(1, 2),
+            VariableSpec(2, 3, (F(0), F(1, 3), F(2, 3))),
+        )
+        needs_zero = (
+            EventSpec(0, (0, 1), frozenset({(0, 0), (0, 1)})),
+            EventSpec(1, (0, 2), frozenset({(0, 0)})),
+            EventSpec(2, (2,), frozenset({(0,)})),
+        )
+        instance = Instance(variables, needs_zero)
+        assert max(reference.r_matrix(instance).values()) == 0
+        assert r_max(instance) == 0
+        instance = Instance(variables, needs_zero + (EventSpec(3, (2,), frozenset({(0,), (2,)})),))
+        assert r_max(instance) == max(reference.r_matrix(instance).values()) == F(2, 3)
+
+    def test_event_without_violating_tuples(self):
+        variables = tuple(uniform_variable(v, 2) for v in range(3))
+        events = (
+            EventSpec(0, (0, 1), frozenset()),
+            EventSpec(1, (1, 2), frozenset({(0, 1)})),
+        )
+        instance = Instance(variables, events)
+        assert reference.r_matrix(instance) == {(0, 1): F(1, 2), (1, 0): 0}
+        assert r_max(instance) == F(1, 2)
+        instance = Instance(variables, (events[0], EventSpec(1, (1, 2), frozenset())))
+        assert r_max(instance) == 0
+
+    def test_isolated_event(self):
+        # Event 2 would weigh 1 alone at variable 3, but shares it with none.
+        variables = tuple(uniform_variable(v, 2) for v in range(4))
+        events = (
+            EventSpec(0, (0, 1), frozenset({(0, 0)})),
+            EventSpec(1, (1, 2), frozenset({(0, 0)})),
+            EventSpec(2, (3,), frozenset({(0,), (1,)})),
+        )
+        instance = Instance(variables, events)
+        assert max(reference.r_matrix(instance).values()) == F(1, 2)
+        assert r_max(instance) == F(1, 2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_r_max_on_large_encodings(self, seed):
+        graph = random_cubic_graph(200, seed)
+        rng = random.Random(seed)
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 121), 8)]
+            for _ in range(80)
+        ]
+        for instance in (
+            encode_hardcore(graph, F(1, 10)),
+            encode_sink_free(graph),
+            clause_instance(clauses, 120),
+        ):
+            assert r_max(instance) == max(reference.r_matrix(instance).values())
 
     def test_asymmetric_lll(self):
         rng = random.Random(12)
