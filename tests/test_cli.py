@@ -1,5 +1,6 @@
 """The command-line interface: output shapes, exit codes, reproducibility."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -752,6 +753,312 @@ class TestUsageErrors:
         assert code == 0 and err == ""
         samples, trailer = split_samples(out, 3)
         assert len(samples) == 3 and trailer["max_rounds"] == 0
+
+
+# Input files of the frozen command lines; "{d}" in a command line stands for
+# the temporary directory they are written to.
+FROZEN_FILES = {
+    "triangle.edges": "0 1\n1 2\n0 2\n",
+    "c4.edges": "0 1\n1 2\n2 3\n0 3\n",
+    "c31.edges": "".join("%d %d\n" % (v, (v + 1) % 31) for v in range(31)),
+    "edge.edges": "0 1\n",
+    "chain.cnf": "p cnf 3 2\n1 2 0\n2 3 0\n",
+    "bad.cnf": "p cnf 2 1\n1 x 0\n",
+    "two-events.json": json.dumps(
+        {
+            "variables": [{"id": 0, "domain": 4}],
+            "events": [
+                {"id": 0, "vars": [0], "violating": [[0]]},
+                {"id": 1, "vars": [0], "violating": [[1]]},
+            ],
+        }
+    ),
+    "wide.json": json.dumps(
+        {
+            "variables": [{"id": v, "domain": 2} for v in range(31)],
+            "events": [{"id": i, "vars": [i], "violating": [[0]]} for i in range(31)],
+        }
+    ),
+    "bad.json": '{"variables": 3, "events": []}',
+}
+
+# label -> (command line, sha256 of its exit code, stdout, stderr and CSV
+# file). Usage errors are left out: argparse words them differently from
+# one Python version to the next, and TestUsageErrors checks them.
+FROZEN_OUTPUT = {
+    "sample/instance": (
+        "sample instance --file {d}/two-events.json --count 3 --seed 1",
+        "cdfcc98c29b2288e42ea22eae80e8f2937204c00d9421d97931f7fc2bbb180ce",
+    ),
+    "sample/instance-extremal": (
+        "sample instance --file {d}/two-events.json --sampler extremal --count 2 --seed 2",
+        "791f855c231c4f5acdba9d0535db857275f98e23c79f82dfe22646cedcc71ae7",
+    ),
+    "sample/instance-moser-tardos": (
+        "sample instance --file {d}/two-events.json --sampler moser-tardos --count 2 --seed 3",
+        "51478e471f2975c90b80281afe217fcef1cb57e1ded072496f21d2085093b3ac",
+    ),
+    "sample/instance-round-cap-after-some-lines": (
+        "sample instance --file {d}/two-events.json --count 4 --seed 6 --round-cap 0",
+        "7075a729ca2b5ee88d1f125a591a426a9146360bf165efd163f50f9dbe59b7cd",
+    ),
+    "sample/instance-malformed": (
+        "sample instance --file {d}/bad.json",
+        "e6a0b245e75286cb041d72ac1dad84e914ee3f571a102f1790ae1349bdc8f478",
+    ),
+    "sample/cnf-bits": (
+        "sample cnf --file {d}/chain.cnf --count 3 --seed 4",
+        "11054c0104eb6045ed6c71be52cd0a8132a3a63fec12eafacc1378ca2209ac07",
+    ),
+    "sample/cnf-literals": (
+        "sample cnf --file {d}/chain.cnf --format literals --count 2 --seed 4",
+        "7ecaee69dad10399d6a0d800e76c99a2502e15113a5181b36fa82ab34c4e4ec8",
+    ),
+    "sample/cnf-extremal-refused": (
+        "sample cnf --file {d}/chain.cnf --sampler extremal --seed 4",
+        "64327da87d6621be22271f2604fc6b287bdc01f4a24e7fa5c7fab72802177c1b",
+    ),
+    "sample/cnf-malformed": (
+        "sample cnf --file {d}/bad.cnf",
+        "73c4b610a2b77c65208dd0e8eca5892316359a98d8845e1d2729c4b6e3109ee9",
+    ),
+    "sample/sink-free": (
+        "sample sink-free --graph {d}/triangle.edges --count 3 --seed 5",
+        "5a92270b3fbf63d270374b4a9dec33b97c280c6555a48344594f0d0dd0da4169",
+    ),
+    "sample/sink-free-round-cap": (
+        "sample sink-free --graph {d}/edge.edges --round-cap 5 --seed 6",
+        "0ba37bb470352fb12842468e2d7b5180ca0589f31eb7801d5c096f42194d77a3",
+    ),
+    "sample/sink-free-missing-file": (
+        "sample sink-free --graph {d}/missing.edges",
+        "12e10faf2fc8cb1e17ea30f4ac5ab0a795444818983ce2b38e6dd073d3fd0337",
+    ),
+    "sample/spanning-tree": (
+        "sample spanning-tree --graph {d}/c4.edges --root 1 --count 3 --seed 7",
+        "89a6572ae921f03ef8071c55649ff0ae9b8e7dd03483e7922362c7d2ef76c28c",
+    ),
+    "sample/spanning-tree-root-out-of-range": (
+        "sample spanning-tree --graph {d}/triangle.edges --root 5 --seed 7",
+        "8da78dc2fbbcd2dbd55a9bb5f2d546c68f0fa29237754e08c761d16fc4018ea7",
+    ),
+    "sample/hardcore": (
+        "sample hardcore --graph {d}/c4.edges --lam 1/2 --count 3 --seed 8",
+        "a49946f0e20f19aa8da664f1a0d904080ccac7a2aaa81a60a53a607cf68c7795",
+    ),
+    "sample/hardcore-lambda": (
+        "sample hardcore --graph {d}/c4.edges --lambda 3 --count 2 --seed 8",
+        "1b5d54d8b9e42298212df2a660873a515ec745afca5cbfd44dfbd50fa062e422",
+    ),
+    "sample/hardcore-zero-denominator": (
+        "sample hardcore --graph {d}/c4.edges --lam 1/0 --seed 8",
+        "5c3b45b6842baa1093714e073542e6a9d8c7bb3b9b1ffd1a2e6c19bbf0f6a470",
+    ),
+    "sample/hardcore-negative": (
+        "sample hardcore --graph {d}/c4.edges --lam=-1/2 --seed 8",
+        "51f8ee78756d62a05d5729e0876bbce2d91e035c77a645804503a12ded02ad99",
+    ),
+    "analyze/instance": (
+        "analyze instance --file {d}/two-events.json",
+        "6353368105b2156bbbe758e84947be136a3b68913e99beda8a1663db4ef4aec0",
+    ),
+    "analyze/instance-over-guard": (
+        "analyze instance --file {d}/wide.json",
+        "0e3ddce2beac78841b9eeebe2166450a7b166fd38cadce1cff06e96be000d78f",
+    ),
+    "analyze/instance-malformed": (
+        "analyze instance --file {d}/bad.json",
+        "e6a0b245e75286cb041d72ac1dad84e914ee3f571a102f1790ae1349bdc8f478",
+    ),
+    "analyze/cnf": (
+        "analyze cnf --file {d}/chain.cnf",
+        "e3e893e932dd2eae8a3e9b678f70d4de9bb06758a5e1b1a841dcd7802a74a2f4",
+    ),
+    "analyze/cnf-malformed": (
+        "analyze cnf --file {d}/bad.cnf",
+        "73c4b610a2b77c65208dd0e8eca5892316359a98d8845e1d2729c4b6e3109ee9",
+    ),
+    "analyze/graph": (
+        "analyze graph --file {d}/triangle.edges",
+        "0509984582301ac159cb63d7211527dda9479a61f1692a534a30988016661b31",
+    ),
+    "analyze/graph-spanning-tree": (
+        "analyze graph --file {d}/c4.edges --app spanning-tree --root 1",
+        "c5f52430104002388938b07f7d72aac98c63a72137bb227f586698ffda47e8ee",
+    ),
+    "analyze/graph-hardcore": (
+        "analyze graph --file {d}/c4.edges --app hardcore --lam 1/10",
+        "6408c99657bca710e6e033e0570158b84d0eadba0c0b74d0729cddc72f51812d",
+    ),
+    "analyze/graph-hardcore-negative": (
+        "analyze graph --file {d}/c4.edges --app hardcore --lambda=-1",
+        "51f8ee78756d62a05d5729e0876bbce2d91e035c77a645804503a12ded02ad99",
+    ),
+    "analyze/graph-over-event-cap": (
+        "analyze graph --file {d}/c31.edges",
+        "cb794a45646978802bfb8cdc7d6da46611be22b203863bbc073e280b69760512",
+    ),
+    "analyze/graph-root-out-of-range": (
+        "analyze graph --file {d}/triangle.edges --app spanning-tree --root 5",
+        "8da78dc2fbbcd2dbd55a9bb5f2d546c68f0fa29237754e08c761d16fc4018ea7",
+    ),
+    "analyze/condition-extremal-cnf": (
+        "analyze condition --kind extremal-cnf --k 4 --d 2",
+        "7859e1af840c7ec7cb91ed7c54e9b741234bfa8e609b63e06e883d679e8ecd4c",
+    ),
+    "analyze/condition-sharing": (
+        "analyze condition --kind sharing --k 20 --d 60 --s 10",
+        "14fa558cf45ff14f907b0f3fc35e47b987b3550157ab77943819490b4c7ef00f",
+    ),
+    "analyze/condition-hardcore": (
+        "analyze condition --kind hardcore --lam 1/10 --d 3",
+        "44826185921e9860913c8a5ee45cc4083c61f63d6771f07817db7e7c72fe8813",
+    ),
+    "analyze/condition-symmetric": (
+        "analyze condition --kind symmetric --d 3 --p 1/10",
+        "4dbb05d2c220dd22512e18492a19fa3a2bef7bca79b0ae8095b27b8168823681",
+    ),
+    "analyze/condition-symmetric-no-p": (
+        "analyze condition --kind symmetric --d 4",
+        "544bb0a93b39c1434389b93b1de1aa5b6aac59ea1f9cf7087dff70e96f85b672",
+    ),
+    "analyze/condition-gprs": (
+        "analyze condition --kind gprs --p 1/1048576 --r 1/1024 --delta 120",
+        "e23c76c11b3b8fe6d34dae62cb113fb7a5ca2538a098e51419f71ea13af82ed6",
+    ),
+    "analyze/condition-missing-option": (
+        "analyze condition --kind sharing --k 20",
+        "2dc2db63389518c3ea8f02ea963d7e8f94fea00e59970aebfc071a91f04e685b",
+    ),
+    "analyze/condition-not-a-probability": (
+        "analyze condition --kind gprs --p 2 --r 1/2 --delta 3",
+        "53892309618c74bdfb4e324c709a86ceb2cbb0f961d4d1ace05aec2c498d2283",
+    ),
+    "verify/uniformity-sink-c3": (
+        "verify uniformity --case sink-c3 --n 300 --seed 1",
+        "8f449ac15105049e7151eb297cf82d16db2de458dd99f5571252669299f9202d",
+    ),
+    "verify/uniformity-sink-c4": (
+        "verify uniformity --case sink-c4 --n 300 --seed 2",
+        "b470a5fa895f8626336c0f5dab6a27fa5b3994f64682b0871d65448d4c849aed",
+    ),
+    "verify/uniformity-tree-k4": (
+        "verify uniformity --case tree-k4 --n 300 --seed 3 --tv-max 0.1 --p-min 0.001",
+        "bfcbd77a726f6670fe92b85a6b0650c1dece57fef7ba2b8081285ba5116ca472",
+    ),
+    "verify/uniformity-hardcore-p5": (
+        "verify uniformity --case hardcore-p5 --n 300 --seed 4",
+        "353fbb73c591e825726b6bdd7780f8eee56df5e6e7991fe6b46f1119c979f123",
+    ),
+    "verify/uniformity-preset-alias": (
+        "verify uniformity --preset p5-hardcore --n 300 --seed 4",
+        "353fbb73c591e825726b6bdd7780f8eee56df5e6e7991fe6b46f1119c979f123",
+    ),
+    "verify/uniformity-cnf-chain": (
+        "verify uniformity --case cnf-chain --n 300 --seed 5 --tv-max 0.05 --p-min 0.01",
+        "90b89e52e5e85db86e4eb63aaf3f1f8aab4dd673e2b32f94aeab285518911a6e",
+    ),
+    "verify/uniformity-all-fails": (
+        "verify uniformity --n 20 --seed 6",
+        "63a4abd28e1a68988dc32c9efb4a53c3888a8a6ae56087a1abe6e40e16765675",
+    ),
+    "verify/expected-resamples": (
+        "verify expected-resamples --n 300 --seed 7",
+        "ba76cada390e662b858c49cb9b58d068ad67dc0ad9e5d652c22af4ccf5907bd6",
+    ),
+    "verify/expected-resamples-sink-c3": (
+        "verify expected-resamples --case sink-c3 --n 100 --seed 8",
+        "120c167ae34254cf81ce2870a8ccb0fefabe18056ca14a897b92df96835d3087",
+    ),
+    "verify/first-round": (
+        "verify first-round --n 300 --seed 9",
+        "aed754551b047390b9dc19a27555ef5631cb55f0f8174e8b5de83ae6dcfa7953",
+    ),
+    "verify/first-round-sink-c3": (
+        "verify first-round --case sink-c3 --n 100 --seed 10",
+        "cb4c612dca748e8df73cb6dce5b60f94546d6fcf87e604e41fcfd2d0ce0dd1de",
+    ),
+    "verify/res-set": (
+        "verify res-set --trials 30 --seed 11",
+        "d6ddefb115a8e3dbdd5aae9236bcf34a2cc59edb4dac5a609e1ac6211445faf4",
+    ),
+    "verify/cross-order": (
+        "verify cross-order --trials 30 --seed 12",
+        "5eff0779cc4afb2bbf9e7b02a845f5b21a2e68874bc7b02b3ff7552d69e7ee00",
+    ),
+    "verify/truncated-sum-single": (
+        "verify truncated-sum --case single --max-len 6",
+        "790ccd1a1c491e94020407cc8e6ef45ba4ced9faeddcdabc4323785db02ab1d5",
+    ),
+    "verify/truncated-sum": (
+        "verify truncated-sum",
+        "e2fc714de823c8b4ff49560e535a216a4150be7c4278f9b5ea93950c638691ff",
+    ),
+    "verify/negative-control": (
+        "verify negative-control --n 300 --seed 13",
+        "bc6a82b149c3cee4d10f86b6046f8daae0360910f5b1d8df3a2d2f53fed52ba2",
+    ),
+    "experiment/round-scaling": (
+        "experiment round-scaling --sizes 12,16 --trials 2 --seed 14 --csv {d}/scaling.csv",
+        "8d6b6369748f1951b9dbf80208780bb8bd727d66ced80bf2746ad40bf57a6953",
+    ),
+    "experiment/round-scaling-one-size": (
+        "experiment round-scaling --sizes 10",
+        "960e0e93fc787cc9bb49dbb848669ced84dee85c2d1b4817a27cefad83a62f30",
+    ),
+    "experiment/round-scaling-no-size": (
+        "experiment round-scaling --sizes , --trials 1",
+        "4cbc6f64c666f978bd18594751795061a492b44f7ee3ec813b7fc3fe74a187d7",
+    ),
+    "experiment/round-scaling-degree-zero": (
+        "experiment round-scaling --sizes 10,20 --degree 0",
+        "40cd5007b6ac8748c423afce15380b1da9a01d844d9f50e4f10d29a0dc1d87f0",
+    ),
+    "experiment/round-scaling-csv-unwritable": (
+        "experiment round-scaling --sizes 12,16 --trials 1 --seed 14 --csv {d}/no/dir.csv",
+        "9808506aa97a0fa811c19c48d2ace884f06de3b1a36bcf72ecc0a0185e1e7836",
+    ),
+    "experiment/disjoint-paths": (
+        "experiment disjoint-paths --n 8 --L 4 --lam 1/2 --trials 3 --seed 15 --csv {d}/paths.csv",
+        "a2b92c7466aeed29ca980da32d7bbf99cb5018847d19916d67c7936d88e565db",
+    ),
+    "experiment/disjoint-paths-short": (
+        "experiment disjoint-paths --n 6 --L 3 --trials 2 --seed 16",
+        "974123d97c1c0a9ff92d04e846b214376d089c4e487dafddcad60f90c3563858",
+    ),
+    "experiment/disjoint-paths-indivisible": (
+        "experiment disjoint-paths --n 8 --L 3 --seed 16",
+        "31f602722707a6a3ba1eeea9cf2b8e104af8c2aba98ff289cfc20a5fa89f990a",
+    ),
+    "experiment/disjoint-paths-round-cap": (
+        "experiment disjoint-paths --n 8 --L 4 --trials 5 --seed 3 --round-cap 0",
+        "67c64731eb3d851713eabec36ed6ac9c69e1ba19522b4e806e7e7208b4a90918",
+    ),
+}
+
+
+def frozen_digest(capsys, directory, label):
+    """sha256 of what one frozen command line does, with ``directory`` as "<tmp>"."""
+    for name, text in FROZEN_FILES.items():
+        (directory / name).write_text(text)
+    argv = [token.format(d=directory) for token in FROZEN_OUTPUT[label][0].split()]
+    code = main(argv)
+    captured = capsys.readouterr()
+    csv_text = None
+    if "--csv" in argv:
+        path = Path(argv[argv.index("--csv") + 1])
+        csv_text = path.read_text() if path.exists() else None
+    record = json.dumps([code, captured.out, captured.err, csv_text])
+    return hashlib.sha256(record.replace(str(directory), "<tmp>").encode()).hexdigest()
+
+
+class TestFrozenOutput:
+    """Every subcommand's output, byte for byte: valid inputs, input errors
+    (exit 1), the round cap (exit 2) and failed verdicts (exit 3)."""
+
+    @pytest.mark.parametrize("label", sorted(FROZEN_OUTPUT))
+    def test_output_unchanged(self, capsys, tmp_path, label):
+        assert frozen_digest(capsys, tmp_path, label) == FROZEN_OUTPUT[label][1]
 
 
 CONDITION_ARGS = ["analyze", "condition", "--kind", "extremal-cnf", "--k", "3", "--d", "2"]
