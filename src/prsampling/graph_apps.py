@@ -366,6 +366,8 @@ _BOTH_OCCUPIED = frozenset({(1, 1)})
 def encode_hardcore(graph: Graph, lam) -> Instance:
     """Constraint instance: vertex occupation variables, one event per edge."""
     lam = _exact(lam)
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
     w = (1 / (1 + lam), lam / (1 + lam))
     variables = tuple(
         VariableSpec(v, 2, w) for v in range(graph.num_vertices)
@@ -501,6 +503,8 @@ def disjoint_paths_experiment(
     (n, L, lam, trial, rounds, resamples).
     """
     lam = _exact(lam)
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     graph = disjoint_paths_graph(n, L)
     counts = [[0, 0], [0, 0]]
     rows = []
@@ -523,7 +527,7 @@ def disjoint_paths_experiment(
         "lam": str(lam),
         "trials": trials,
         "base_seed": base_seed,
-        "mean_rounds": total_rounds / trials if trials else 0.0,
+        "mean_rounds": total_rounds / trials,
         "endpoint_freq": [[c / paths for c in row] for row in counts],
         "rows": rows,
     }

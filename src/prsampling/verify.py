@@ -150,6 +150,8 @@ def empirical_distribution_test(
     ``target`` maps outcome keys to exact probabilities. Any outcome outside
     the support fails the verdict on its own.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     counts = Counter(draw(derive_seed(base_seed, i)) for i in range(n))
     invalid = sum(c for k, c in counts.items() if k not in target)
     tv = 0.5 * (
@@ -275,6 +277,8 @@ def first_round_test(
     On an extremal instance the set of occurring events after the initial
     product draw hits independent set I with probability exactly q_I.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     if not instance.extremal:
         raise ValueError("first-round law requires an extremal instance")
     qs = all_q_values(instance.dependency_graph, event_probabilities(instance))
@@ -351,10 +355,7 @@ def uniformity_cases() -> dict[str, dict]:
     c4_instance = encode_sink_free(c4)
 
     def draw_c4(seed: int):
-        sigma, _ = _eprs(
-            c4_instance,
-            SamplerConfig(seed=seed, record_log=False, check_extremal=False),
-        )
+        sigma, _ = _eprs(c4_instance, SamplerConfig(seed=seed, record_log=False))
         return tuple(sigma)
 
     cases["sink-c4"] = {

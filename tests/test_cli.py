@@ -687,6 +687,8 @@ class TestUsageErrors:
             (["verify", "res-set"], "--trials"),
             (["verify", "cross-order"], "--trials"),
             (["verify", "truncated-sum"], "--max-len"),
+            (["verify", "expected-resamples"], "--n"),
+            (["experiment", "round-scaling", "--sizes", "12,16"], "--trials"),
         ],
     )
     def test_run_count_below_one_exit_one(self, capsys, argv, option, value):

@@ -571,6 +571,9 @@ class TestHardcoreSampler:
             hardcore_sample(path_graph(2), 0.5, cfg(0))
         with pytest.raises(ValueError, match="nonnegative"):
             hardcore_sample(path_graph(2), F(-1, 2), cfg(0))
+        for lam in (-1, "-1/2"):
+            with pytest.raises(ValueError, match="lam must be nonnegative"):
+                encode_hardcore(path_graph(2), lam)
 
     def test_matches_generic_sampler(self):
         cases = [
@@ -792,6 +795,10 @@ class TestDisjointPaths:
         for a in range(2):
             for b in range(2):
                 assert abs(freq[a][b] - exact[a][b]) < 0.12
+
+    def test_requires_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            disjoint_paths_experiment(8, 4, 1, trials=0, base_seed=1)
 
     def test_short_paths_skip_exact(self):
         rep = disjoint_paths_experiment(6, 2, 1, trials=5, base_seed=1)

@@ -191,6 +191,10 @@ class TestEmpiricalDistributionTest:
         j = verdict.to_json()
         assert j["passed"] is True and j["n"] == 100 and j["tv"] == 0.0
 
+    def test_requires_a_run(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            empirical_distribution_test(lambda seed: 0, {0: F(1)}, 0, 0)
+
 
 class TestUniformityTest:
     def test_two_adjacent_events_pass(self):
@@ -255,6 +259,10 @@ class TestFirstRoundTest:
     def test_requires_extremal(self):
         with pytest.raises(ValueError, match="extremal"):
             first_round_test(cnf_to_instance(chain_cnf()), 10, 0)
+
+    def test_requires_a_run(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            first_round_test(two_adjacent_events_instance(), 0, 0)
 
 
 class TestNamedFixtures:
