@@ -173,6 +173,11 @@ def _sample(read, draw, show, sampler=None):
 
 
 def _draw_generic(args, instance, config):
+    if args.sampler == "extremal" and not instance.extremal:
+        raise ValueError(
+            "instance is not extremal; --sampler extremal would be biased "
+            "(use --sampler general)"
+        )
     return run_sampler(_SAMPLER_NAMES[args.sampler], instance, config)
 
 

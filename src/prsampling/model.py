@@ -18,9 +18,10 @@ weights.
 An instance compiles what the samplers need on first use and keeps it: the
 variable-to-events index, each event's occurrence test (an ``itemgetter``
 over its variables and the set that value is looked up in), the watch
-index, the dependency graph, the sampling tables and the extremality
-verdict. :func:`occurs` stays the reference definition the compiled tests
-must agree with.
+index, the value rows of the resampling-set selector, the sampling tables
+with their byte tables for a whole product draw, and the extremality
+verdict; the dependency graph is kept too, for the analyses. :func:`occurs`
+stays the reference definition the compiled tests must agree with.
 
 The watch index lets a sampler find the events occurring under a fresh
 draw without testing every event: each event is watched at one variable,
@@ -34,16 +35,17 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import chain, groupby, product, repeat
+from itertools import accumulate, chain, count, groupby, product, repeat
 from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
-from .rng import cumulative_table, draw_index  # noqa: F401 (bench/tracing.py counts draw_index)
+from .rng import byte_tables, cumulative_table, draw_indices
+from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 
 # Hard caps; exceeding one raises BudgetError rather than degrading.
 MAX_EVENT_VARS = 24
@@ -152,12 +154,14 @@ def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int
 class Instance:
     """A product distribution plus bad events over its variables.
 
-    What the samplers derive from an instance (the variable-to-events index,
-    the compiled occurrence tests, the watch index, the dependency graph,
-    the sampling tables and the extremality verdict) is built on first use
-    and kept for every later call on the same object; the instance is
-    immutable, so none of it can go stale. The cached values take no part
-    in ``==`` or ``hash``.
+    What the samplers and analyses derive from an instance (the
+    variable-to-events index, the compiled occurrence tests, the watch
+    index, the selector's value rows, the dependency graph, the sampling
+    tables, their byte tables and the extremality verdict) is built on
+    first use and kept for every later call on the same object; the
+    instance is immutable, so none of it can go stale. The cached values
+    take no part in ``==`` or ``hash``. No sampler builds the dependency
+    graph; the analyses and the verification suites do.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -228,6 +232,11 @@ class Instance:
         return build_watch_index(self)
 
     @cached_property
+    def value_rows(self) -> tuple:
+        """:func:`build_value_rows` of this instance."""
+        return build_value_rows(self)
+
+    @cached_property
     def dependency_graph(self) -> DependencyGraph:
         """:func:`build_dependency_graph` of this instance."""
         return build_dependency_graph(self)
@@ -236,6 +245,11 @@ class Instance:
     def sampling_tables(self) -> tuple[tuple[float, ...], ...]:
         """:func:`cumulative_tables` of this instance."""
         return cumulative_tables(self)
+
+    @cached_property
+    def byte_tables(self) -> bytes | tuple:
+        """:func:`prsampling.rng.byte_tables` of the sampling tables."""
+        return byte_tables(self.sampling_tables)
 
     @cached_property
     def extremal(self) -> bool:
@@ -333,6 +347,58 @@ def build_watch_index(instance: Instance) -> tuple | None:
             row[v] = var_events[v] if len(ids) == len(var_events[v]) else ids
         index.append((x, tuple(row), binary and x == 1))
     return tuple(index)
+
+
+_NO_COLUMNS = (frozenset(),) * MAX_EVENT_VARS  # an empty violating set's columns
+
+
+def build_value_rows(instance: Instance) -> tuple:
+    """``(base, live, dead)`` for the resampling-set selector.
+
+    Variable v fixed at value x has the key ``k = base[v] + x``: ``live[k]``
+    lists, ascending, the events on v that some violating tuple lets take x
+    there, and ``dead[k]`` the rest of ``var_events[v]``, which cannot occur
+    while v keeps x. A row holding all of ``var_events[v]`` is that tuple,
+    not a copy, and the rows take one key per domain value, so their size
+    is the sum of the domain sizes.
+    """
+    events, var_events = instance.events, instance.var_events
+    domains = [v.domain_size for v in instance.variables]
+    base = tuple(accumulate(domains, initial=0))
+    violating = list(map(attrgetter("violating"), events))
+    # The values each position of a violating set takes; a set with no
+    # tuple takes none, at every position.
+    columns = {
+        vio: tuple(map(frozenset, zip(*vio))) if vio else _NO_COLUMNS
+        for vio in set(violating)
+    }
+    shared = set(chain.from_iterable(columns.values()))
+    if len(shared) == 1:
+        # Every event takes the same values at each of its variables (the
+        # hard-core encoding, for one), so every row is all or nothing.
+        (values,) = shared
+        pattern = {d: [x in values for x in range(d)] for d in set(domains)}
+        keyed = [(ve, taken) for ve, d in zip(var_events, domains) for taken in pattern[d]]
+        live = [ve if taken else () for ve, taken in keyed]
+        dead = [() if taken else ve for ve, taken in keyed]
+    else:
+        live = [()] * base[-1]
+        dead = list(chain.from_iterable(map(repeat, var_events, domains)))
+        listed = defaultdict(list)  # key -> the events live there
+        vbls = map(attrgetter("vbl"), events)
+        for i, vbl, cols in zip(count(), vbls, map(columns.__getitem__, violating)):
+            for v, values in zip(vbl, cols):
+                b = base[v]
+                for x in values:
+                    listed[b + x].append(i)
+        for k, ids in listed.items():
+            every = dead[k]  # var_events of k's variable
+            if len(ids) == len(every):
+                live[k], dead[k] = every, ()
+            else:
+                taken = set(ids)
+                live[k], dead[k] = tuple(ids), tuple([i for i in every if i not in taken])
+    return base, tuple(live), tuple(dead)
 
 
 def _watch(violating, probs) -> tuple[int, frozenset[int], float]:
@@ -542,12 +608,11 @@ def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:
     return tuple(by_object[id(v.weights)] for v in instance.variables)
 
 
-def sample_product(instance: Instance, rng, tables=None) -> list[int]:
-    """Draw a total assignment from the product distribution, one variate per variable."""
-    if tables is None:
-        tables = instance.sampling_tables
-    random = rng.random
-    return [bisect_right(t, random()) for t in tables]
+def sample_product(instance: Instance, rng) -> list[int]:
+    """Draw a total assignment from the product distribution: the value
+    ``draw_index`` gives each variable in ascending id order, one variate
+    each, taken in one bulk draw (:func:`prsampling.rng.draw_indices`)."""
+    return draw_indices(rng, instance.sampling_tables, instance.byte_tables)
 
 
 def joint_state_count(instance: Instance) -> int:

@@ -19,10 +19,11 @@ occurrence finder, the choice of what to resample and the redraw, which
 each sampler runs itself on the round's whole list of variables.
 
 The three generic samplers read what they need from the instance, which
-compiles it on the first draw and keeps it: the sampling tables, the
-variable-to-events index, each event's occurrence test, the watch index,
-the dependency graph and the extremality verdict. Their finder runs the
-compiled tests (``keys[i](sigma) in violating[i]``), never
+compiles it on the first draw and keeps it: the sampling tables and their
+byte tables, the variable-to-events index, each event's occurrence test,
+the watch index, the selector's value rows and the extremality verdict;
+none of them builds the dependency graph. Their finder runs the compiled
+tests (``keys[i](sigma) in violating[i]``), never
 :func:`prsampling.model.occurs`. Before the first round it tests the events
 that the watch index lists under the drawn values, where the instance has
 one, and every event otherwise; after that it tests only the events that
@@ -30,9 +31,11 @@ depend on a variable redrawn in the previous round, since no other event
 can have changed.
 
 Exactness here means the output is distributed as the product distribution
-conditioned on no event occurring. Fresh values are drawn lazily, variable
-by variable in ascending id order, so independently written specialized
-samplers can stay stream-aligned with them.
+conditioned on no event occurring. Fresh values are drawn variable by
+variable in ascending id order, one ``random()`` variate each (the initial
+draw takes all of them from one bulk call that consumes the same stream),
+so independently written specialized samplers can stay stream-aligned with
+them.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from itertools import chain, compress, repeat
 from operator import eq
 
 from .errors import RoundCapError
-from .model import DependencyGraph, Instance, sample_product
+from .model import Instance, sample_product
 from .model import occurs  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .rng import draw_index, make_rng  # noqa: F401 (bench/tracing.py counts draw_index)
 
@@ -178,21 +181,28 @@ def _occurring(instance: Instance, sigma, events=None) -> list[int]:
     return [i for i in events if keys[i](sigma) in violating[i]]
 
 
+def _with_variables(instance: Instance, chosen: list[int]):
+    """``chosen`` and the union of its events' variables, ascending."""
+    events = instance.events
+    return chosen, sorted({v for i in chosen for v in events[i].vbl})
+
+
 def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
     """Run an instance through the round loop.
 
     ``choose_events(sigma, bad, rng)`` picks the events to resample from the
-    occurring ones, given in ascending id order; the union of their
-    variables is redrawn in ascending id order. The first round finds the
-    occurring events by :func:`_occurring`, through the instance's watch
-    index where it has one. The occurring set is then kept across rounds:
-    each round re-tests only the events that depend on a redrawn variable.
+    occurring ones, given in ascending id order, and returns them with the
+    union of their variables, ascending, which is redrawn in that order.
+    The first round finds the occurring events by :func:`_occurring`,
+    through the instance's watch index where it has one. The occurring set
+    is then kept across rounds: each round re-tests only the events that
+    depend on a redrawn variable.
     """
     rng = make_rng(config.seed)
     random = rng.random
     tables = instance.sampling_tables
-    sigma = sample_product(instance, rng, tables)
-    events, var_events = instance.events, instance.var_events
+    sigma = sample_product(instance, rng)
+    var_events = instance.var_events
     bad: set[int] = set()
 
     def find_bad(redrawn):
@@ -204,10 +214,6 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
         bad.update(_occurring(instance, sigma, touched))
         return sorted(bad)
 
-    def choose(occurring):
-        chosen = choose_events(sigma, occurring, rng)
-        return chosen, sorted({v for i in chosen for v in events[i].vbl})
-
     def redraw(variables):
         for v in variables:
             sigma[v] = bisect_right(tables[v], random())
@@ -217,7 +223,7 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
         sigma,
         redraw,
         find_bad,
-        choose,
+        lambda occurring: choose_events(sigma, occurring, rng),
         num_events=instance.num_events,
     )
 
@@ -225,56 +231,80 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
 def moser_tardos(instance: Instance, config: SamplerConfig):
     """Resample one uniformly chosen occurring event per step."""
     return _resample_events(
-        instance, config, lambda sigma, bad, rng: [bad[rng.randrange(len(bad))]]
+        instance,
+        config,
+        lambda sigma, bad, rng: _with_variables(instance, [bad[rng.randrange(len(bad))]]),
     )
 
 
 def select_resampling_set(
     instance: Instance,
     sigma,
-    graph: DependencyGraph | None = None,
     order: str = "asc",
     _bad: list[int] | None = None,
+    _variables: list[int] | None = None,
 ) -> list[int]:
-    """The deterministic resampling set for one assignment.
+    """The deterministic resampling set R for one assignment, ascending.
 
-    Grow R from the occurring events: repeatedly take the unmarked boundary
-    of R (events adjacent to R, not yet visited), one BFS round at a time,
-    and move each boundary event into R if it is compatible (some violating
+    R starts as the occurring events and grows one BFS round at a time:
+    each round takes the boundary of R, the events not yet visited that
+    share a variable with an event that joined R in the previous round, and
+    moves each boundary event into R if it is compatible (some violating
     tuple agrees with sigma on every variable of R that the event reads),
-    otherwise mark it excluded. Within a round events go in ascending id
-    order (``order="desc"`` flips this; it exists to probe order sensitivity).
+    otherwise marks it excluded. Within a round events go in ascending id
+    order (``order="desc"`` flips this; it exists to probe order
+    sensitivity), and a variable fixed by an event that joins counts for
+    every later event of the same round.
 
-    Deterministic given sigma: no randomness is consumed.
+    The walk runs over variables, through the instance's value rows
+    (:func:`prsampling.model.build_value_rows`). When a variable v becomes
+    fixed at sigma[v], its dead row joins the excluded events: they cannot
+    occur while v keeps its value, and R's variables only grow, so none of
+    them could ever join. Its live row joins the next round's boundary. An
+    event that the walk over shared events would put in the boundary shares
+    with R a variable fixed in the previous round, and is either live there
+    or excluded at once; so the boundaries, and R, are the same. A boundary
+    event not excluded is allowed sigma's value at each fixed variable it
+    reads, one variable at a time; that decides compatibility for an event
+    with one violating tuple, and only one with several is tested.
+
+    Deterministic given sigma: no randomness is consumed. ``_bad`` passes
+    the occurring events where the caller has them, and ``_variables``, a
+    list, receives the variables of R, ascending.
     """
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc', got %r" % order)
-    adjacency = (instance.dependency_graph if graph is None else graph).adjacency
     bad = _occurring(instance, sigma) if _bad is None else _bad
     events = instance.events
+    base, live, dead = instance.value_rows
     in_r = set(bad)
-    marked = set(bad)
-    # The variables of R; each keeps its value in sigma.
-    fixed = {v for i in bad for v in events[i].vbl}
-    frontier = bad
-    while frontier:
-        boundary = set()
-        for i in frontier:
-            boundary.update(adjacency[i])
+    marked = set(bad)  # R and the events excluded from it
+    fixed = {v for i in bad for v in events[i].vbl}  # the variables of R
+    fresh = [base[v] + sigma[v] for v in fixed]  # keys of the variables fixed last
+    for k in fresh:
+        marked.update(dead[k])
+    while fresh:
+        boundary = set(chain.from_iterable(map(live.__getitem__, fresh)))
         boundary -= marked
-        marked |= boundary
-        frontier = []
+        fresh = []
         for j in sorted(boundary, reverse=(order == "desc")):
-            vbl = events[j].vbl
-            for t in events[j].violating:
-                for v, want in zip(vbl, t):
-                    if v in fixed and sigma[v] != want:
-                        break
-                else:
-                    in_r.add(j)
-                    frontier.append(j)
-                    fixed.update(vbl)
-                    break
+            if j in marked:  # excluded at a variable fixed earlier this round
+                continue
+            marked.add(j)
+            vbl, violating = events[j].vbl, events[j].violating
+            if len(violating) > 1 and not any(
+                all(sigma[v] == x for v, x in zip(vbl, t) if v in fixed) for t in violating
+            ):
+                continue
+            in_r.add(j)
+            for v in vbl:
+                if v not in fixed:
+                    fixed.add(v)
+                    k = base[v] + sigma[v]
+                    fresh.append(k)
+                    marked.update(dead[k])
+    if _variables is not None:
+        _variables.extend(sorted(fixed))
     return sorted(in_r)
 
 
@@ -291,7 +321,9 @@ def extremal_prs(instance: Instance, config: SamplerConfig):
             "instance is not extremal; this sampler would be biased "
             "(use general_prs, or disable check_extremal to demonstrate)"
         )
-    return _resample_events(instance, config, lambda sigma, bad, rng: bad)
+    return _resample_events(
+        instance, config, lambda sigma, bad, rng: _with_variables(instance, bad)
+    )
 
 
 def general_prs(instance: Instance, config: SamplerConfig):
@@ -299,14 +331,17 @@ def general_prs(instance: Instance, config: SamplerConfig):
 
     On an extremal instance the selector returns exactly the occurring
     events, so this coincides with ``extremal_prs`` round by round under
-    the same seed. The selector walks the instance's dependency graph,
-    built once per instance.
+    the same seed. The selector walks the variables of the resampling set
+    through the instance's value rows, built once per instance, and hands
+    those variables back for the redraw; it is looked up by its module
+    name each round, so a wrapper installed there sees every selection.
     """
-    return _resample_events(
-        instance,
-        config,
-        lambda sigma, bad, rng: select_resampling_set(instance, sigma, _bad=bad),
-    )
+
+    def choose(sigma, bad, rng):
+        variables: list[int] = []
+        return select_resampling_set(instance, sigma, _bad=bad, _variables=variables), variables
+
+    return _resample_events(instance, config, choose)
 
 
 SAMPLERS = {

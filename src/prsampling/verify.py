@@ -412,18 +412,25 @@ def negative_control_test(
     tv_max: float = DEFAULT_TV_MAX,
     p_min: float = DEFAULT_P_MIN,
 ) -> dict:
-    """The deliberately biased control sampler must fail the uniformity test.
+    """The deliberately biased control sampler must fail the uniformity
+    test, and the exact ``general_prs`` must pass it on the same instance,
+    with the same n, seeds and thresholds.
 
     Guards the test harness itself: if the thresholds ever became too loose
-    to catch a known-biased sampler, this check would fail.
+    to catch a known-biased sampler, the stub would pass; if n is too small
+    for any sampler to meet them, the exact sampler fails too, and the
+    stub's failure shows nothing. Either way the suite fails.
     """
     instance = cnf_to_instance(chain_cnf())
-    verdict = uniformity_test(biased_stub, instance, n, base_seed, tv_max, p_min)
+    stub = uniformity_test(biased_stub, instance, n, base_seed, tv_max, p_min)
+    exact = uniformity_test(make_handle("general_prs"), instance, n, base_seed, tv_max, p_min)
     return {
         "n": n,
-        "stub_verdict": verdict.to_json(),
-        "stub_failed_as_expected": not verdict.passed,
-        "passed": not verdict.passed,
+        "stub_verdict": stub.to_json(),
+        "stub_failed_as_expected": not stub.passed,
+        "exact_verdict": exact.to_json(),
+        "exact_passed": exact.passed,
+        "passed": exact.passed and not stub.passed,
     }
 
 
@@ -551,7 +558,7 @@ def res_set_property_tests(trials: int, base_seed: int) -> dict:
         graph = instance.dependency_graph
         sigma = sample_product(instance, rng)
         bad = occurring_events(instance, sigma)
-        res = select_resampling_set(instance, sigma, graph, _bad=bad)
+        res = select_resampling_set(instance, sigma, _bad=bad)
         res_set = set(res)
         if not set(bad) <= res_set:
             violations["bad_subset"] += 1
@@ -568,7 +575,7 @@ def res_set_property_tests(trials: int, base_seed: int) -> dict:
                 sigma2[v] = rng.randrange(instance.variables[v].domain_size)
         if set(occurring_events(instance, sigma2)) <= res_set:
             stability_checked += 1
-            res2 = select_resampling_set(instance, sigma2, graph)
+            res2 = select_resampling_set(instance, sigma2)
             if res2 != res:
                 violations["stability"] += 1
         if style == 0:

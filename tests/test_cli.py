@@ -15,7 +15,7 @@ import pytest
 from conftest import MALFORMED_INSTANCE_JSON, random_cubic_graph
 import prsampling
 from prsampling.cli import main
-from prsampling.cnf import CnfFormula, write_dimacs
+from prsampling.cnf import CnfFormula, cnf_to_instance, write_dimacs
 from prsampling.graphs import cycle_graph, path_graph, write_edge_list
 from prsampling.model import (
     Instance,
@@ -87,6 +87,22 @@ class TestSample:
         assert trailer["seed"] == 7 and trailer["count"] == 5
         assert trailer["sampler"] == "extremal_prs"
         assert trailer["mean_rounds"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["cnf", "instance"])
+    def test_extremal_refusal_names_the_cli_choice(self, capsys, chain_cnf_file, tmp_path, command):
+        path = chain_cnf_file
+        if command == "instance":
+            path = str(tmp_path / "chain.json")
+            save_instance(cnf_to_instance(CnfFormula(3, ((1, 2), (2, 3)))), path)
+        code, out, err = run_cli(
+            capsys, "sample", command, "--file", path, "--sampler", "extremal", "--seed", "4"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: instance is not extremal; --sampler extremal would be biased "
+            "(use --sampler general)\n"
+        )
+        assert "check_extremal" not in err
 
     def test_seed_replay_is_byte_identical(self, capsys, chain_cnf_file):
         args = (
@@ -545,7 +561,19 @@ class TestVerify:
             capsys, "verify", "negative-control", "--n", "2000", "--seed", "1"
         )
         assert code == 0
-        assert json.loads(out)["stub_failed_as_expected"] is True
+        report = json.loads(out)
+        assert report["stub_failed_as_expected"] is True
+        assert report["exact_passed"] is True and report["exact_verdict"]["passed"] is True
+
+    @pytest.mark.parametrize("n", ["1", "3", "10"])
+    def test_negative_control_fails_below_a_usable_n(self, capsys, n):
+        """At such n even the exact sampler fails the thresholds, so the
+        stub failing them shows nothing, and the suite fails."""
+        code, out, _ = run_cli(capsys, "verify", "negative-control", "--n", n, "--seed", "13")
+        assert code == 3
+        report = json.loads(out)
+        assert report["stub_failed_as_expected"] is True
+        assert report["exact_passed"] is False and report["passed"] is False
 
     @pytest.mark.parametrize(
         "suite,name",
@@ -818,7 +846,7 @@ FROZEN_OUTPUT = {
     ),
     "sample/cnf-extremal-refused": (
         "sample cnf --file {d}/chain.cnf --sampler extremal --seed 4",
-        "64327da87d6621be22271f2604fc6b287bdc01f4a24e7fa5c7fab72802177c1b",
+        "54fe44f70175301c4b9dd5b149ab1b177b5e13a0d5c1e2dfc4d7d12119834fa8",
     ),
     "sample/cnf-malformed": (
         "sample cnf --file {d}/bad.cnf",
@@ -998,7 +1026,7 @@ FROZEN_OUTPUT = {
     ),
     "verify/negative-control": (
         "verify negative-control --n 300 --seed 13",
-        "bc6a82b149c3cee4d10f86b6046f8daae0360910f5b1d8df3a2d2f53fed52ba2",
+        "b997521d75796250a23f5d47004d1a5dcc5bf443b2aa6327ced7a6fc4443378f",
     ),
     "experiment/round-scaling": (
         "experiment round-scaling --sizes 12,16 --trials 2 --seed 14 --csv {d}/scaling.csv",

@@ -4,7 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,7 +41,7 @@ from prsampling.graph_apps import encode_hardcore, encode_spanning_tree
 from prsampling.graphs import cycle_graph
 from prsampling.rng import cumulative_table, derive_seed, draw_index, make_rng
 from prsampling.sampler import _occurring
-from prsampling.verify import random_instance, random_weighted_instance
+from prsampling.verify import random_extremal_instance, random_instance, random_weighted_instance
 
 HALF = Fraction(1, 2)
 
@@ -254,6 +254,63 @@ class TestCompiledArtifacts:
         assert first == frozenset({(1, 1)})
         assert all(e.violating is first for e in inst.events)
         assert all(s is first for s in inst.occurrence_tests[1])
+
+
+def reference_value_rows(inst):
+    """live and dead by their definition: event i is live at (v, x) when
+    some violating tuple of i takes x at v."""
+    live, dead = [], []
+    for v, var in enumerate(inst.variables):
+        for x in range(var.domain_size):
+            ids = inst.var_events[v]
+            taken = [
+                any(t[inst.events[i].vbl.index(v)] == x for t in inst.events[i].violating)
+                for i in ids
+            ]
+            live.append(tuple(i for i, ok in zip(ids, taken) if ok))
+            dead.append(tuple(i for i, ok in zip(ids, taken) if not ok))
+    return tuple(live), tuple(dead)
+
+
+class TestValueRows:
+    def test_rows_match_their_definition(self):
+        shapes = set()
+        for seed in range(300):
+            make = (random_instance, random_weighted_instance, random_extremal_instance)[seed % 3]
+            inst = make(random.Random(seed))
+            base, live, dead = inst.value_rows
+            assert inst.value_rows is inst.value_rows
+            assert base == tuple(accumulate((v.domain_size for v in inst.variables), initial=0))
+            assert (live, dead) == reference_value_rows(inst)
+            columns = {c for e in inst.events for c in map(frozenset, zip(*e.violating))}
+            shapes.add(len(columns) == 1)
+        assert shapes == {True, False}  # both ways of building the rows ran
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            encode_hardcore(grid_graph(3, 4), Fraction(1, 3)),
+            encode_spanning_tree(petersen_graph(), 0),
+            Instance(  # no violating tuple at all, and one-valued domains
+                (uniform_variable(0, 1), uniform_variable(1, 3)),
+                (make_event(0, [0, 1], []), make_event(1, [1], [])),
+            ),
+            Instance(  # a variable in no event
+                (uniform_variable(0, 2), uniform_variable(1, 2)),
+                (make_event(0, [1], [(1,)]),),
+            ),
+        ],
+    )
+    def test_encodings_and_edge_cases(self, inst):
+        base, live, dead = inst.value_rows
+        assert (live, dead) == reference_value_rows(inst)
+        # One key per domain value; a row holding all of a variable's events
+        # is its var_events tuple.
+        assert len(live) == len(dead) == sum(v.domain_size for v in inst.variables)
+        for v, every in enumerate(inst.var_events):
+            for k in range(base[v], base[v + 1]):
+                for row in (live[k], dead[k]):
+                    assert row is every or len(row) < len(every)
 
 
 class TestDependencyGraph:
@@ -499,7 +556,7 @@ class TestSampleProduct:
         assert a == b
 
     def test_inline_draws_follow_draw_index(self):
-        # The inlined rule draws what draw_index draws, one variate per variable.
+        # The bulk draw gives what draw_index gives, one variate per variable.
         weights = {
             1: (Fraction(1),),
             2: (Fraction(1, 3), Fraction(2, 3)),

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,12 @@ from prsampling.certified import (
 )
 from prsampling.errors import BudgetError
 from prsampling.rng import (
+    byte_table,
+    byte_tables,
     cumulative_table,
     derive_seed,
     draw_index,
+    draw_indices,
     make_rng,
     mix64,
 )
@@ -66,6 +70,113 @@ class TestTables:
         n = 40_000
         ones = sum(draw_index(rng, t) for _ in range(n))
         assert abs(ones / n - 0.75) < 0.01
+
+
+# Tables for the bulk draw: two-valued ones whose threshold is on a byte
+# edge (1/2), inside a byte (10/11), and beside edges; several thresholds in
+# one byte, zero weights (thresholds at 0 and 1), and 300 values, more than
+# a byte can index.
+BULK_TABLES = {
+    "half": (0.5,),
+    "ten-elevenths": (10 / 11,),
+    "thirds": (1 / 3, 2 / 3),
+    "byte-edges": (0.25, 0.5, 0.75),
+    "beside-edges": (3 / 256 - 2 ** -40, 3 / 256 + 2 ** -40, 200 / 256, 255 / 256 + 2 ** -45),
+    "one-byte": (0.1, 0.1 + 2 ** -30, 0.1 + 2 ** -20, 0.1 + 2 ** -12),
+    "below-an-edge": (1 / 256 - 2 ** -60, 2 / 256 - 2 ** -57),
+    "zero-weights": cumulative_table((Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0))),
+    "three-hundred": cumulative_table((Fraction(1, 300),) * 300),
+}
+
+
+class WordStream:
+    """A stand-in generator that hands out given 32-bit words, both through
+    ``random()`` (two words, as CPython's Mersenne Twister builds a double)
+    and through ``getrandbits`` (the first word least significant)."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.used = 0
+
+    def _take(self, n):
+        got = self.words[self.used : self.used + n]
+        assert len(got) == n, "stream exhausted"
+        self.used += n
+        return got
+
+    def random(self):
+        w0, w1 = self._take(2)
+        return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        return sum(w << (32 * j) for j, w in enumerate(self._take(k // 32)))
+
+
+def words_for(m, noise):
+    """Two words whose variate is m / 2^53, with ``noise`` in the bits
+    ``random()`` drops."""
+    return [(m >> 26) << 5 | noise & 31, (m & (2 ** 26 - 1)) << 6 | noise >> 5 & 63]
+
+
+class TestBulkDraw:
+    """``draw_indices`` draws ``bisect_right(table, random())`` for each
+    table in turn, and leaves the generator where that many ``random()``
+    calls would."""
+
+    def assert_like_draw_index(self, tables, seeds=range(6)):
+        lookup = byte_tables(tables)
+        for seed in seeds:
+            rng, one_by_one = make_rng(seed), make_rng(seed)
+            assert draw_indices(rng, tables, lookup) == [draw_index(one_by_one, t) for t in tables]
+            assert rng.getstate() == one_by_one.getstate()
+
+    @pytest.mark.parametrize("name", sorted(BULK_TABLES))
+    def test_each_table_shared(self, name):
+        table = BULK_TABLES[name]
+        for n in (0, 1, 2, 257, 3000):
+            self.assert_like_draw_index((table,) * n)
+
+    def test_shared_small_tables_use_bytes(self):
+        assert type(byte_tables((BULK_TABLES["thirds"],) * 4)) is bytes
+        assert type(byte_tables((BULK_TABLES["three-hundred"],) * 4)) is tuple
+        assert type(byte_tables((BULK_TABLES["half"], BULK_TABLES["thirds"]))) is tuple
+
+    def test_mixed_per_variable_tables(self):
+        rng = random.Random(5)
+        names = sorted(BULK_TABLES)
+        for n in (0, 1, 2, 50, 2000):
+            tables = tuple(BULK_TABLES[rng.choice(names)] for _ in range(n))
+            self.assert_like_draw_index(tables)
+
+    def test_byte_table_marks_exactly_the_split_bytes(self):
+        for table in BULK_TABLES.values():
+            looked = byte_table(table)
+            for b, got in enumerate(looked):
+                lo, hi = bisect_right(table, b / 256), bisect_right(table, (b + 1) / 256 - 2 ** -53)
+                assert got == (lo if lo == hi else -1)
+        assert byte_table(BULK_TABLES["half"]) == (0,) * 128 + (1,) * 128
+        assert byte_table(BULK_TABLES["ten-elevenths"]).count(-1) == 1
+
+    @pytest.mark.parametrize("name", sorted(BULK_TABLES))
+    def test_variates_at_and_beside_each_threshold(self, name):
+        """k = ceil(c * 2^53) is the least 53-bit variate numerator drawing
+        past threshold c; k - 1, k and k + 1 for every threshold, and the
+        ends, drawn through stand-in words, against ``random()``."""
+        table = BULK_TABLES[name]
+        numerators = {0, 2 ** 53 - 1}
+        for c in table:
+            k = math.ceil(Fraction(c) * 2 ** 53)
+            numerators |= {m for m in (k - 1, k, k + 1) if 0 <= m < 2 ** 53}
+        numerators = sorted(numerators)
+        words = [w for j, m in enumerate(numerators) for w in words_for(m, 977 * j)]
+        for tables in ((table,) * len(numerators), (table, BULK_TABLES["half"]) * len(numerators)):
+            tables = tables[: len(numerators)]
+            bulk, one_by_one = WordStream(words), WordStream(words)
+            got = draw_indices(bulk, tables, byte_tables(tables))
+            assert got == [draw_index(one_by_one, t) for t in tables]
+            assert got == [bisect_right(t, m / 2 ** 53) for t, m in zip(tables, numerators)]
+            assert bulk.used == one_by_one.used == 2 * len(numerators)
 
 
 # 50-digit references, far more precise than any float64 path.

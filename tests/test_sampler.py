@@ -3,12 +3,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import prsampling.model as model
 from conftest import (
     clause_instance,
+    grid_graph,
     hardcore_instance,
     petersen_graph,
     random_cubic_graph,
@@ -20,6 +22,7 @@ from prsampling.graph_apps import (
     cycle_popping,
     encode_hardcore,
     encode_sink_free,
+    encode_spanning_tree,
     hardcore_sample,
     sink_popping,
 )
@@ -222,29 +225,88 @@ class TestSelectResamplingSet:
         with pytest.raises(ValueError):
             select_resampling_set(inst, [0, 0], order="random")
 
+    @staticmethod
+    def assert_matches_reference(cases, order):
+        """Each (instance, sigma) selects what the dict-based selector does,
+        with ``_bad`` given and not, and hands back R's variables; returns
+        how many selections grew R beyond the occurring events."""
+        grown = 0
+        for inst, sigma in cases:
+            expected = reference_selector(inst, sigma, order=order)
+            assert select_resampling_set(inst, sigma, order=order) == expected
+            bad = occurring_events(inst, sigma)
+            variables = []
+            got = select_resampling_set(inst, sigma, order=order, _bad=bad, _variables=variables)
+            assert got == expected
+            assert variables == sorted({v for i in expected for v in inst.events[i].vbl})
+            grown += len(expected) > len(bad)
+        return grown
+
     @pytest.mark.parametrize("order", ["asc", "desc"])
     def test_equals_the_dict_based_reference(self, order):
         """Every assignment of small random instances, and product draws on
         larger non-extremal ones, select what the dict-based selector did."""
         cases = []
+        families = (random_instance, random_weighted_instance, random_extremal_instance)
         for seed in range(300):
-            make = (random_instance, random_weighted_instance)[seed % 2]
-            inst = make(random.Random(seed))
+            inst = families[seed % 3](random.Random(seed))
             cases += [(inst, list(a)) for a in enumerate_assignments(inst)]
         rng = random.Random(7)
         for inst in [random_cnf_instance(60, 40, 4, s) for s in range(4)] + [
             stream_input("hardcore-200")
         ]:
             cases += [(inst, sample_product(inst, rng)) for _ in range(25)]
-        grown = 0
-        for inst, sigma in cases:
-            expected = reference_selector(inst, sigma, order=order)
-            assert select_resampling_set(inst, sigma, order=order) == expected
-            bad = occurring_events(inst, sigma)
-            assert select_resampling_set(inst, sigma, order=order, _bad=bad) == expected
-            grown += len(expected) > len(bad)
         # The selector grew R beyond the occurring events in many cases.
-        assert grown > 1000
+        assert self.assert_matches_reference(cases, order) > 1000
+
+    @pytest.mark.parametrize("order", ["asc", "desc"])
+    def test_spanning_tree_encodings_match_the_reference(self, order):
+        """Cycle events have two violating tuples, one per direction, so
+        only a test of the tuples decides whether they can join. A cycle
+        that shares a vertex with an occurring cycle and agrees with every
+        fixed arrow must follow those arrows all the way round, so it is
+        that cycle: R stays the occurring set, which the tests of the
+        tuples must find."""
+        graphs = [petersen_graph(), grid_graph(3, 3), random_cubic_graph(10, 2)]
+        cases = []
+        rng = random.Random(11)
+        for g in graphs:
+            inst = encode_spanning_tree(g, 0)
+            assert any(len(e.violating) == 2 and len(e.vbl) > 2 for e in inst.events)
+            cases += [(inst, sample_product(inst, rng)) for _ in range(60)]
+        assert self.assert_matches_reference(cases, order) == 0
+        assert sum(bool(occurring_events(inst, sigma)) for inst, sigma in cases) > 150
+
+    @pytest.mark.parametrize("order", ["asc", "desc"])
+    def test_empty_sets_single_variables_and_wide_domains(self, order):
+        """Events with no violating tuple, one-variable events and domains
+        of three or four values, over every assignment."""
+        cases = []
+        for seed in range(120):
+            inst = mixed_instance(random.Random(seed))
+            cases += [(inst, list(a)) for a in enumerate_assignments(inst)]
+        assert self.assert_matches_reference(cases, order) > 200
+
+    def test_excluded_by_a_variable_fixed_earlier_in_the_round(self):
+        """A occurs on x0. B (x0, x1, x2) and C (x0, x1) are both in the
+        first boundary and both compatible with x0 alone; B joins first
+        in ascending order and fixes x1 = 1, where C cannot occur, so C is
+        excluded. In descending order C goes first and joins, and then B
+        joins too."""
+        inst = Instance(
+            tuple(uniform_variable(v, 2) for v in range(3)),
+            (
+                make_event(0, (0,), [(0,)]),
+                make_event(1, (0, 1, 2), [(0, 1, 0)]),
+                make_event(2, (0, 1), [(0, 0)]),
+            ),
+        )
+        sigma = [0, 1, 1]
+        assert occurring_events(inst, sigma) == [0]
+        assert select_resampling_set(inst, sigma) == [0, 1]
+        assert select_resampling_set(inst, sigma, order="desc") == [0, 1, 2]
+        self.assert_matches_reference([(inst, sigma)], "asc")
+        self.assert_matches_reference([(inst, sigma)], "desc")
 
 
 class TestExtremalPrs:
@@ -371,6 +433,21 @@ class TestDeterminism:
         inst = clause_instance([(1, 2)], 2)
         with pytest.raises(ValueError, match="unknown sampler"):
             run_sampler("gibbs", inst, cfg(0))
+
+
+def mixed_instance(rng):
+    """A small random instance with domains of one to four values, events
+    on one to three variables and violating sets from empty to full."""
+    variables = tuple(
+        VariableSpec(v, d, tuple(F(w, sum(range(1, d + 1))) for w in range(1, d + 1)))
+        for v, d in enumerate(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(2, 4)))
+    )
+    events = []
+    for i in range(rng.randint(1, 6)):
+        vbl = sorted(rng.sample(range(len(variables)), rng.randint(1, min(3, len(variables)))))
+        cells = list(product(*(range(variables[v].domain_size) for v in vbl)))
+        events.append(make_event(i, vbl, rng.sample(cells, rng.randint(0, len(cells)))))
+    return Instance(variables, tuple(events))
 
 
 def random_cnf_instance(num_vars, num_clauses, k, seed):
@@ -501,7 +578,14 @@ class TestFrozenStream:
         assert generic_stream_digests(kind, name) == FROZEN_GENERIC_DIGESTS[kind, name]
 
 
-COMPILED = ("build_dependency_graph", "build_watch_index", "cumulative_tables", "is_extremal")
+COMPILED = (
+    "build_dependency_graph",
+    "build_value_rows",
+    "build_watch_index",
+    "byte_tables",
+    "cumulative_tables",
+    "is_extremal",
+)
 
 
 class TestCompileOnce:
@@ -518,13 +602,15 @@ class TestCompileOnce:
         instance = stream_input("sink-200")  # extremal, so every sampler runs it
         for i in range(5):
             run_sampler(kind, instance, cfg(derive_seed(44, i)))
-        # Only the selector walks the dependency graph; the extremality
-        # check groups events by variable instead. The watch index is
-        # weighed on the first draw, although this instance keeps the scan.
+        # No sampler builds the dependency graph: the selector walks value
+        # rows and the extremality check groups events by variable. The
+        # watch index is weighed on the first draw, although this instance
+        # keeps the scan.
         assert calls == Counter(
             cumulative_tables=1,
+            byte_tables=1,
             build_watch_index=1,
-            build_dependency_graph=int(kind == "general_prs"),
+            build_value_rows=int(kind == "general_prs"),
             is_extremal=int(kind == "extremal_prs"),
         )
 
@@ -539,6 +625,28 @@ class TestCompileOnce:
         g = random_cubic_graph(200, 3)
         analyze_instance(encode_hardcore(petersen_graph(), F(1, 10)))
         analyze_instance(encode_sink_free(petersen_graph()))
+        hardcore_sample(g, F(1, 10), cfg(1))
+        sink_popping(g, cfg(2))
+        cycle_popping(g, 0, cfg(3))
+        assert not calls
+
+
+    def test_analysis_and_specialized_samplers_build_no_value_rows(self, monkeypatch):
+        calls = Counter()
+        for name in ("build_value_rows", "byte_tables"):
+
+            def counted(*args, _fn=getattr(model, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        g = random_cubic_graph(200, 3)
+        for instance in (
+            encode_hardcore(petersen_graph(), F(1, 10)),
+            encode_sink_free(petersen_graph()),
+            encode_spanning_tree(grid_graph(2, 3), 0),
+        ):
+            analyze_instance(instance)
         hardcore_sample(g, F(1, 10), cfg(1))
         sink_popping(g, cfg(2))
         cycle_popping(g, 0, cfg(3))

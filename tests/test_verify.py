@@ -302,9 +302,17 @@ class TestNamedFixtures:
 
 class TestNegativeControl:
     def test_stub_is_caught(self):
-        report = negative_control_test(5_000, 23)
+        # 20,000 draws, the CLI default: at 5,000 the exact sampler's total
+        # variation (0.021 at this seed) is itself above the 0.01 threshold.
+        report = negative_control_test(20_000, 23)
         assert report["passed"] and report["stub_failed_as_expected"]
         assert report["stub_verdict"]["tv"] > 0.15
+        assert report["exact_passed"] and report["exact_verdict"]["tv"] <= 0.01
+
+    def test_too_few_draws_fail_the_suite(self):
+        report = negative_control_test(5_000, 23)
+        assert report["stub_failed_as_expected"] and not report["exact_passed"]
+        assert not report["passed"]
 
 
 class TestGenerators:
