@@ -256,6 +256,15 @@ class Instance:
         """:func:`is_extremal` with its default state cap."""
         return is_extremal(self)
 
+    @cached_property
+    def certified_extremal(self) -> bool:
+        """:attr:`extremal`, or False where its check is over the cap: a
+        BudgetError is not cached by :attr:`extremal`, so it would rerun."""
+        try:
+            return self.extremal
+        except BudgetError:
+            return False
+
 
 @dataclass(frozen=True)
 class DependencyGraph:

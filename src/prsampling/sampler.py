@@ -10,7 +10,9 @@ event occurs, and return the final assignment plus run statistics.
 * ``extremal_prs``: redraw the variables of *all* occurring events per
   round. Exact on extremal instances (dependent events pairwise disjoint).
 * ``general_prs``: redraw the variables of the resampling set chosen by
-  :func:`select_resampling_set` per round. Exact on every instance.
+  :func:`select_resampling_set` per round. Exact on every instance; on an
+  extremal one the set is the occurring events, so it runs the extremal
+  round there.
 
 All of them, and the specialized graph samplers in
 :mod:`prsampling.graph_apps`, run the one round loop
@@ -26,9 +28,10 @@ none of them builds the dependency graph. Their finder runs the compiled
 tests (``keys[i](sigma) in violating[i]``), never
 :func:`prsampling.model.occurs`. Before the first round it tests the events
 that the watch index lists under the drawn values, where the instance has
-one, and every event otherwise; after that it tests only the events that
-depend on a variable redrawn in the previous round, since no other event
-can have changed.
+one, and every event otherwise. After that it tests only events on a
+variable redrawn in the previous round, since no other event can have
+changed: for ``general_prs`` on a non-extremal instance, the events live
+at those variables' new values; otherwise every event on them.
 
 Exactness here means the output is distributed as the product distribution
 conditioned on no event occurring. Fresh values are drawn variable by
@@ -187,16 +190,25 @@ def _with_variables(instance: Instance, chosen: list[int]):
     return chosen, sorted({v for i in chosen for v in events[i].vbl})
 
 
-def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
+def _resample_events(instance: Instance, config: SamplerConfig, choose_events, live_rows=False):
     """Run an instance through the round loop.
 
     ``choose_events(sigma, bad, rng)`` picks the events to resample from the
     occurring ones, given in ascending id order, and returns them with the
     union of their variables, ascending, which is redrawn in that order.
     The first round finds the occurring events by :func:`_occurring`,
-    through the instance's watch index where it has one. The occurring set
-    is then kept across rounds: each round re-tests only the events that
-    depend on a redrawn variable.
+    through the instance's watch index where it has one.
+
+    With ``live_rows`` each later round tests only the events listed in the
+    live value rows (:func:`prsampling.model.build_value_rows`) of the
+    redrawn variables at their new values. That is exact when every round
+    redraws the variables of all the occurring events: an event that
+    occurs after the redraw then reads a redrawn variable, and is live at
+    its new value. ``moser_tardos`` breaks that: it redraws one occurring
+    event, and the others keep their values. ``extremal_prs`` has no value
+    rows, and building them would add the compile cost that its round
+    spares. Both keep the occurring set across rounds and re-test only the
+    events that depend on a redrawn variable.
     """
     rng = make_rng(config.seed)
     random = rng.random
@@ -208,6 +220,10 @@ def _resample_events(instance: Instance, config: SamplerConfig, choose_events):
     def find_bad(redrawn):
         if redrawn is None:
             touched = None
+        elif live_rows:
+            base, live, _ = instance.value_rows
+            listed = {i for v in redrawn for i in live[base[v] + sigma[v]]}
+            return sorted(_occurring(instance, sigma, listed))
         else:
             touched = {i for v in redrawn for i in var_events[v]}
             bad.difference_update(touched)
@@ -329,19 +345,26 @@ def extremal_prs(instance: Instance, config: SamplerConfig):
 def general_prs(instance: Instance, config: SamplerConfig):
     """Resample the selected resampling set each round; exact on every instance.
 
-    On an extremal instance the selector returns exactly the occurring
-    events, so this coincides with ``extremal_prs`` round by round under
-    the same seed. The selector walks the variables of the resampling set
-    through the instance's value rows, built once per instance, and hands
-    those variables back for the redraw; it is looked up by its module
-    name each round, so a wrapper installed there sees every selection.
+    On an extremal instance the selector would return exactly the occurring
+    events, so where :attr:`prsampling.model.Instance.certified_extremal`
+    holds this runs the extremal round instead: the occurring events and
+    their variables, with no selector and no value rows. The samples, stats
+    and logs are those of ``extremal_prs`` under the same seed. Elsewhere
+    the selector walks the variables of the resampling set through the
+    instance's value rows, built once per instance, and hands those
+    variables back for the redraw; it is looked up by its module name each
+    round, so a wrapper installed there sees every selection.
     """
+    if instance.certified_extremal:
+        return _resample_events(
+            instance, config, lambda sigma, bad, rng: _with_variables(instance, bad)
+        )
 
     def choose(sigma, bad, rng):
         variables: list[int] = []
         return select_resampling_set(instance, sigma, _bad=bad, _variables=variables), variables
 
-    return _resample_events(instance, config, choose)
+    return _resample_events(instance, config, choose, live_rows=True)
 
 
 SAMPLERS = {

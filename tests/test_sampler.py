@@ -1,6 +1,7 @@
 """The three resampling algorithms and the resampling-set selector."""
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 import prsampling.model as model
+import prsampling.sampler as sampler
 from conftest import (
     clause_instance,
     grid_graph,
@@ -17,7 +19,7 @@ from conftest import (
     run_digest,
 )
 from reference_selector import select_resampling_set as reference_selector
-from prsampling.errors import RoundCapError
+from prsampling.errors import BudgetError, RoundCapError
 from prsampling.graph_apps import (
     cycle_popping,
     encode_hardcore,
@@ -32,6 +34,7 @@ from prsampling.model import (
     VariableSpec,
     build_dependency_graph,
     build_watch_index,
+    cumulative_tables,
     enumerate_assignments,
     is_extremal,
     make_event,
@@ -39,7 +42,7 @@ from prsampling.model import (
     sample_product,
     uniform_variable,
 )
-from prsampling.rng import derive_seed
+from prsampling.rng import derive_seed, make_rng
 from prsampling.sampler import (
     SamplerConfig,
     _occurring,
@@ -51,7 +54,12 @@ from prsampling.sampler import (
     select_resampling_set,
 )
 from prsampling.shearer import analyze_instance
-from prsampling.verify import random_extremal_instance, random_instance, random_weighted_instance
+from prsampling.verify import (
+    enumerate_valid,
+    random_extremal_instance,
+    random_instance,
+    random_weighted_instance,
+)
 
 F = Fraction
 
@@ -65,6 +73,33 @@ def unsatisfiable_instance():
     return Instance(
         (uniform_variable(0, 2),),
         (make_event(0, (0,), [(0,), (1,)]),),
+    )
+
+
+def reference_general_prs(instance, config):
+    """General PRS by its definition, on the samplers' random stream: each
+    round tests every event with ``occurs`` and resamples the set that the
+    dict-based reference selector grows over the dependency graph."""
+    rng = make_rng(config.seed)
+    sigma = sample_product(instance, rng)
+    tables = cumulative_tables(instance)
+    graph = build_dependency_graph(instance)
+
+    def draw(variables):
+        for v in variables:
+            sigma[v] = bisect_right(tables[v], rng.random())
+
+    def choose(bad):
+        chosen = reference_selector(instance, sigma, graph, _bad=bad)
+        return chosen, sorted({v for i in chosen for v in instance.events[i].vbl})
+
+    return resample_until_valid(
+        config,
+        sigma,
+        draw,
+        lambda redrawn: occurring_events(instance, sigma),
+        choose,
+        num_events=instance.num_events,
     )
 
 
@@ -356,17 +391,59 @@ class TestExtremalPrs:
 
 class TestGeneralPrs:
     def test_coincides_with_extremal_on_extremal_instance(self):
-        from prsampling.graph_apps import encode_sink_free
+        """On an extremal instance general_prs runs the extremal round: the
+        sample and every RunStats field (rounds, total_resamples,
+        event_resamples, variable_resamples, log and var_log) are those of
+        extremal_prs, and, on the first seeds, of the selector's path."""
         from prsampling.graphs import cycle_graph
 
-        inst = encode_sink_free(cycle_graph(4))
-        for i in range(100):
-            seed = derive_seed(21, i)
-            sig_e, st_e = extremal_prs(inst, cfg(seed))
-            sig_g, st_g = general_prs(inst, cfg(seed))
-            assert sig_e == sig_g
-            assert st_e.log == st_g.log
-            assert st_e.rounds == st_g.rounds
+        for inst, seeds in (
+            (encode_sink_free(cycle_graph(4)), 100),
+            (stream_input("sink-200"), 10),
+            (encode_spanning_tree(random_cubic_graph(16, 1), 0), 20),
+        ):
+            assert inst.certified_extremal
+            for i in range(seeds):
+                seed = derive_seed(21, i)
+                sig_e, st_e = extremal_prs(inst, cfg(seed))
+                sig_g, st_g = general_prs(inst, cfg(seed))
+                assert sig_e == sig_g
+                assert st_e == st_g
+                if i < 3:
+                    assert (sig_g, st_g) == reference_general_prs(inst, cfg(seed))
+
+    def test_over_the_cap_runs_the_selector_and_checks_once(self, monkeypatch):
+        """Events 0 and 1 are disjoint, but together they read 25 binary
+        variables, 2^25 joint states, over the cap; so the check raises
+        before it reaches the conflicting clause pair (2, 3). general_prs
+        takes that as not extremal, once per instance, and runs the
+        selector; extremal_prs still refuses the instance."""
+        inst = Instance(
+            tuple(uniform_variable(v, 2) for v in range(28)),
+            (
+                make_event(0, range(13), [(1,) * 13]),
+                make_event(1, range(12, 25), [(0,) * 13]),
+                make_event(2, (25, 26), [(0, 0)]),
+                make_event(3, (26, 27), [(0, 0)]),
+            ),
+        )
+        calls = Counter()
+
+        def counted(*args, _fn=model.is_extremal, **kwargs):
+            calls["is_extremal"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(model, "is_extremal", counted)
+        grown = 0
+        for i in range(5):
+            config = cfg(derive_seed(45, i))
+            run = general_prs(inst, config)
+            assert run == reference_general_prs(inst, config)
+            grown += run != extremal_prs(inst, cfg(config.seed, check_extremal=False))
+        assert calls["is_extremal"] == 1
+        assert grown > 0  # the selector resampled beyond the occurring events
+        with pytest.raises(BudgetError, match="too large to certify"):
+            extremal_prs(inst, cfg(1))
 
     def test_hardcore_single_edge_uniform(self):
         inst = hardcore_instance([(0, 1)], 2)
@@ -589,8 +666,7 @@ COMPILED = (
 
 
 class TestCompileOnce:
-    @pytest.mark.parametrize("kind", ["moser_tardos", "extremal_prs", "general_prs"])
-    def test_five_draws_compile_once(self, kind, monkeypatch):
+    def count_compiles(self, monkeypatch):
         calls = Counter()
         for name in COMPILED:
 
@@ -599,19 +675,40 @@ class TestCompileOnce:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(model, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["moser_tardos", "extremal_prs", "general_prs"])
+    def test_five_draws_compile_once(self, kind, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
         instance = stream_input("sink-200")  # extremal, so every sampler runs it
         for i in range(5):
             run_sampler(kind, instance, cfg(derive_seed(44, i)))
-        # No sampler builds the dependency graph: the selector walks value
-        # rows and the extremality check groups events by variable. The
-        # watch index is weighed on the first draw, although this instance
-        # keeps the scan.
+        # No sampler builds the dependency graph: the extremality check
+        # groups events by variable. On this extremal instance general_prs
+        # runs the extremal round, so it builds no value rows. The watch
+        # index is weighed on the first draw, although this instance keeps
+        # the scan.
         assert calls == Counter(
             cumulative_tables=1,
             byte_tables=1,
             build_watch_index=1,
-            build_value_rows=int(kind == "general_prs"),
-            is_extremal=int(kind == "extremal_prs"),
+            is_extremal=int(kind != "moser_tardos"),
+        )
+
+    @pytest.mark.parametrize("name", ["hardcore-200", "cnf"])
+    def test_five_general_draws_on_a_non_extremal_input(self, name, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
+        instance = stream_input(name)
+        for i in range(5):
+            run_sampler("general_prs", instance, cfg(derive_seed(44, i)))
+        # The verdict is taken once, and the value rows that the selector
+        # and the finder read are built once.
+        assert calls == Counter(
+            cumulative_tables=1,
+            byte_tables=1,
+            build_watch_index=1,
+            build_value_rows=1,
+            is_extremal=1,
         )
 
     def test_analysis_and_specialized_samplers_build_no_watch_index(self, monkeypatch):
@@ -651,6 +748,52 @@ class TestCompileOnce:
         sink_popping(g, cfg(2))
         cycle_popping(g, 0, cfg(3))
         assert not calls
+
+
+class TestLiveRowFinder:
+    """On a non-extremal instance general_prs takes each later round's Bad
+    set from the live rows of the variables just redrawn. After every round
+    that set must be the occurring events, found by testing every event,
+    and every run must be general PRS by its definition."""
+
+    def assert_exact(self, instances, monkeypatch, seeds=3):
+        """Returns how many Bad sets came from the live rows."""
+        later = 0
+
+        def checking(config, sigma, draw, find_bad, choose, **kwargs):
+            def checked(redrawn):
+                nonlocal later
+                bad = find_bad(redrawn)
+                assert bad == occurring_events(instance, sigma)
+                later += redrawn is not None
+                return bad
+
+            return resample_until_valid(config, sigma, draw, checked, choose, **kwargs)
+
+        monkeypatch.setattr(sampler, "resample_until_valid", checking)
+        for instance in instances:
+            assert not instance.certified_extremal
+            for s in range(seeds):
+                config = cfg(derive_seed(46, s))
+                assert general_prs(instance, config) == reference_general_prs(instance, config)
+        return later
+
+    @pytest.mark.parametrize("family", [random_instance, random_weighted_instance])
+    def test_random_families(self, family, monkeypatch):
+        instances = []
+        for seed in range(400):
+            inst = family(random.Random(seed))
+            if not inst.certified_extremal and enumerate_valid(inst).satisfiable:
+                instances.append(inst)
+        assert len(instances) > 100
+        assert any(v.domain_size > 2 for inst in instances for v in inst.variables)
+        assert any(len(e.vbl) > 1 < len(e.violating) for inst in instances for e in inst.events)
+        assert self.assert_exact(instances, monkeypatch) > 300
+
+    def test_hardcore_and_cnf_encodings(self, monkeypatch):
+        instances = [stream_input("hardcore-200"), stream_input("cnf")]
+        instances += [random_cnf_instance(60, 40, 4, s) for s in range(3)]
+        assert self.assert_exact(instances, monkeypatch, seeds=4) > 30
 
 
 def repeated(instance, times):
