@@ -67,20 +67,6 @@ from .shearer import (
     linear_coefficient,
     symmetric_pc,
 )
-from .verify import (
-    DEFAULT_P_MIN,
-    DEFAULT_TV_MAX,
-    cross_order_report,
-    empirical_distribution_test,
-    expected_resamples_test,
-    first_round_test,
-    negative_control_test,
-    res_set_property_tests,
-    round_scaling_experiment,
-    truncated_sum_convergence_test,
-    two_adjacent_events_instance,
-    uniformity_cases,
-)
 
 _SAMPLER_NAMES = {
     "moser-tardos": "moser_tardos",
@@ -128,6 +114,14 @@ def _write_csv(path, header, rows) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+
+
+def _verify():
+    """:mod:`prsampling.verify`, imported by the rows that run it, so that
+    the other commands load neither it nor ``statistics``."""
+    from . import verify
+
+    return verify
 
 
 def _seeded(run):
@@ -295,21 +289,29 @@ def _condition(args) -> dict:
 
 
 def _uniformity(args, seed: int) -> dict:
-    cases = uniformity_cases()
+    verify = _verify()
+    cases = verify.uniformity_cases()
     chosen = _CASE_ALIASES.get(args.case, args.case)
+    # The thresholds' defaults are verify's, read here: their options have none.
+    tv_max = getattr(args, "tv_max", verify.DEFAULT_TV_MAX)
+    p_min = getattr(args, "p_min", verify.DEFAULT_P_MIN)
     reports = []
     for name in list(cases) if chosen == "all" else [chosen]:
         case = cases[name]
-        verdict = empirical_distribution_test(
-            case["draw"], case["target"], args.n, seed, args.tv_max, args.p_min
+        verdict = verify.empirical_distribution_test(
+            case["draw"], case["target"], args.n, seed, tv_max, p_min
         )
         reports.append({**verdict.to_json(), "case": name, "describe": case["describe"]})
     return {"n": args.n, "cases": reports, "passed": all(r["passed"] for r in reports)}
 
 
+def _two_events() -> Instance:
+    return _verify().two_adjacent_events_instance()
+
+
 # The instances of ``verify expected-resamples`` and ``verify first-round``.
 _LAW_CASES = {
-    "two-events": two_adjacent_events_instance,
+    "two-events": _two_events,
     "sink-c3": lambda: encode_sink_free(cycle_graph(3)),
 }
 
@@ -323,14 +325,16 @@ def _case_law(law, args, seed: int) -> dict:
 # The instances of ``verify truncated-sum``.
 _SERIES_CASES = {
     "single": lambda: Instance((uniform_variable(0, 2),), (make_event(0, (0,), [(0,)]),)),
-    "two-events": two_adjacent_events_instance,
+    "two-events": _two_events,
 }
 
 
 def _truncated_sum(args) -> dict:
     instance = _SERIES_CASES[args.case]()
     probs = event_probabilities(instance)
-    report = truncated_sum_convergence_test(instance.dependency_graph, probs, max_len=args.max_len)
+    report = _verify().truncated_sum_convergence_test(
+        instance.dependency_graph, probs, max_len=args.max_len
+    )
     report["case"] = args.case
     return report
 
@@ -342,7 +346,7 @@ def _round_scaling(args, seed: int) -> dict:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     if not sizes:
         raise ValueError("--sizes must list at least one vertex count")
-    report = round_scaling_experiment(
+    report = _verify().round_scaling_experiment(
         sizes, parse_rational(args.lam), trials=args.trials, base_seed=seed, degree=args.degree
     )
     header = ("n", "m", "trials", "mean_rounds", "se_rounds", "resamples_per_event")
@@ -395,7 +399,8 @@ _FORMAT = _option("--format", choices=("bits", "literals"), default="bits")
 _LAW_CASE = _with(_CASE, default="two-events", choices=tuple(_LAW_CASES))
 
 # (family, subcommand) -> (help, options, report). Each report looks the
-# library functions up when it runs, so a test may replace one on this module.
+# library functions up when it runs, so a test may replace one on this module
+# (or, for the ``verify`` functions, on :mod:`prsampling.verify`).
 COMMANDS = {
     ("sample", "instance"): (
         "sample a JSON instance",
@@ -491,11 +496,11 @@ COMMANDS = {
             _N,
             _SEED,
             _option(
-                "--tv-max", type=float, default=DEFAULT_TV_MAX,
+                "--tv-max", type=float, default=argparse.SUPPRESS,
                 help="total-variation threshold override",
             ),
             _option(
-                "--p-min", type=float, default=DEFAULT_P_MIN,
+                "--p-min", type=float, default=argparse.SUPPRESS,
                 help="chi-square p-value threshold override",
             ),
         ),
@@ -504,22 +509,26 @@ COMMANDS = {
     ("verify", "expected-resamples"): (
         "mean resample counts vs exact values",
         (_LAW_CASE, _N, _SEED),
-        _seeded(lambda args, seed: _case_law(expected_resamples_test, args, seed)),
+        _seeded(lambda args, seed: _case_law(_verify().expected_resamples_test, args, seed)),
     ),
     ("verify", "first-round"): (
         "first-round occurring-set law vs exact values",
         (_LAW_CASE, _N, _SEED),
-        _seeded(lambda args, seed: _case_law(first_round_test, args, seed)),
+        _seeded(lambda args, seed: _case_law(_verify().first_round_test, args, seed)),
     ),
     ("verify", "res-set"): (
         "structural properties of the resampling-set selector",
         (_with(_TRIALS, default=10_000), _SEED),
-        _seeded(lambda args, seed: res_set_property_tests(trials=args.trials, base_seed=seed)),
+        _seeded(
+            lambda args, seed: _verify().res_set_property_tests(trials=args.trials, base_seed=seed)
+        ),
     ),
     ("verify", "cross-order"): (
         "selector agreement under reversed scan order",
         (_with(_TRIALS, default=2_000), _SEED),
-        _seeded(lambda args, seed: cross_order_report(trials=args.trials, base_seed=seed)),
+        _seeded(
+            lambda args, seed: _verify().cross_order_report(trials=args.trials, base_seed=seed)
+        ),
     ),
     ("verify", "truncated-sum"): (
         "truncated series vs closed form, exact arithmetic",
@@ -532,7 +541,7 @@ COMMANDS = {
     ("verify", "negative-control"): (
         "a deliberately biased sampler must fail",
         (_with(_N, default=20_000), _SEED),
-        _seeded(lambda args, seed: negative_control_test(n=args.n, base_seed=seed)),
+        _seeded(lambda args, seed: _verify().negative_control_test(n=args.n, base_seed=seed)),
     ),
     ("experiment", "round-scaling"): (
         "rounds vs size on random regular graphs",

@@ -14,35 +14,34 @@ literal v is satisfied by value 1, literal -v by value 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certified import e_leq, e_mult_leq_two_pow_half, two_pow_3e_leq
 from .graphs import Graph, decimal_int
 from .model import Instance, make_event, uniform_variable
+from .records import FrozenRecord
 from .sampler import SamplerConfig, run_sampler
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(FrozenRecord):
     """Clauses as tuples of nonzero DIMACS literals over vars 1..num_vars."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    _fields = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", clauses)
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for ci, clause in enumerate(self.clauses):
+        for ci, clause in enumerate(clauses):
             if not clause:
                 raise ValueError("clause %d is empty" % (ci + 1))
             seen = {}
             for lit in clause:
                 v = abs(lit)
-                if lit == 0 or v > self.num_vars:
+                if lit == 0 or v > num_vars:
                     raise ValueError(
-                        "clause %d: literal %d out of range 1..%d"
-                        % (ci + 1, lit, self.num_vars)
+                        "clause %d: literal %d out of range 1..%d" % (ci + 1, lit, num_vars)
                     )
                 if v in seen:
                     kind = "repeated" if seen[v] == lit else "complementary (tautology)"
@@ -136,8 +135,7 @@ def write_dimacs(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CnfStats:
+class CnfStats(FrozenRecord):
     """Shape summary used by the condition checkers.
 
     ``uniform_width`` is the common clause width, or None for mixed widths;
@@ -147,12 +145,25 @@ class CnfStats:
     whether every dependent pair disagrees in sign somewhere.
     """
 
-    num_vars: int
-    num_clauses: int
-    uniform_width: int | None
-    max_var_degree: int
-    min_shared: int | None
-    extremal: bool
+    _fields = (
+        "num_vars", "num_clauses", "uniform_width", "max_var_degree", "min_shared", "extremal"
+    )
+
+    def __init__(
+        self,
+        num_vars: int,
+        num_clauses: int,
+        uniform_width: int | None,
+        max_var_degree: int,
+        min_shared: int | None,
+        extremal: bool,
+    ):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "num_clauses", num_clauses)
+        object.__setattr__(self, "uniform_width", uniform_width)
+        object.__setattr__(self, "max_var_degree", max_var_degree)
+        object.__setattr__(self, "min_shared", min_shared)
+        object.__setattr__(self, "extremal", extremal)
 
     def to_json(self) -> dict:
         return {

@@ -27,7 +27,6 @@ Conventions
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import sqrt
@@ -36,6 +35,7 @@ from operator import getitem
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
 from .model import EventSpec, Instance, make_event, uniform_variable, VariableSpec
+from .records import FrozenRecord
 from .rng import cumulative_table, derive_seed, make_rng
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .sampler import SamplerConfig, resample_until_valid
@@ -291,15 +291,6 @@ def bad_vertices(graph: Graph, occupied) -> frozenset[int]:
     return frozenset(out)
 
 
-def res_vertices(graph: Graph, occupied) -> frozenset[int]:
-    """Bad vertices plus their outer boundary: the per-round redraw set."""
-    bad = bad_vertices(graph, occupied)
-    out = set(bad)
-    for v in bad:
-        out.update(graph.adjacency[v])
-    return frozenset(out)
-
-
 def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     """Sample a hard-core configuration with exact weights lam^|occupied|.
 
@@ -427,13 +418,17 @@ def path_partition(k: int, lam) -> list[Fraction]:
     return vals[: k + 1]
 
 
-@dataclass(frozen=True)
-class PathEndpointMatrix:
+class PathEndpointMatrix(FrozenRecord):
     """Joint endpoint-occupation distribution of a hard-core k-path."""
 
-    k: int
-    lam: Fraction
-    w: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    _fields = ("k", "lam", "w")
+
+    def __init__(
+        self, k: int, lam: Fraction, w: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "w", w)
 
     @property
     def det(self) -> Fraction:

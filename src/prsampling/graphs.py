@@ -3,40 +3,40 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import eq
 
 from .errors import BudgetError
+from .records import FrozenRecord
 
 MAX_CYCLE_SPACE_DIM = 20
 MAX_ENUMERATED_CYCLES = 10 ** 5
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenRecord):
     """An undirected simple graph with dense 0-based vertex ids.
 
     Edges are stored as (u, v) with u < v, sorted lexicographically; the
     position of an edge in ``edges`` is its edge id.
     """
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("num_vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
         prev = None
-        for k, e in enumerate(self.edges):
+        for k, e in enumerate(edges):
             u, v = e
-            if not (0 <= u < v < self.num_vertices):
+            if not (0 <= u < v < num_vertices):
                 raise ValueError(
                     "edge %r invalid for %d vertices (need 0 <= u < v)"
-                    % (e, self.num_vertices)
+                    % (e, num_vertices)
                 )
             # Strictly ascending edges are sorted and distinct.
             if prev is not None and e <= prev:
-                if e in self.edges[:k]:
+                if e in edges[:k]:
                     raise ValueError("duplicate edge %r" % (e,))
                 raise ValueError("edges must be sorted lexicographically")
             prev = e

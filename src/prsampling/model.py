@@ -11,7 +11,7 @@ per computation, not once per variable that shares it.
 
 All probability computations in this module are exact. Weight sums run in
 integers, each variable's weights scaled to their least common denominator,
-and return one ``Fraction`` per event or per pair. Sampling draws each
+and return one ``Fraction`` per event, or the largest r_ij (:func:`r_max`). Sampling draws each
 variable from a double-precision cumulative table built from the exact
 weights.
 
@@ -36,7 +36,6 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, count, groupby, product, repeat
@@ -44,6 +43,7 @@ from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
+from .records import FrozenRecord
 from .rng import byte_tables, cumulative_table, draw_indices
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 
@@ -54,38 +54,35 @@ MAX_PAIR_STATES = 2 ** 24
 _checked_weights = None  # the last weight tuple checked; it cannot change
 
 
-@dataclass(frozen=True, slots=True)
-class VariableSpec:
+class VariableSpec(FrozenRecord):
     """One variable: a finite domain with exact rational weights summing to 1."""
 
-    id: int
-    domain_size: int
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("id", "domain_size", "weights")
 
-    def __post_init__(self):
+    def __init__(self, id: int, domain_size: int, weights: tuple[Fraction, ...]):
         global _checked_weights
-        if self.id < 0:
-            raise ValueError("variable id must be nonnegative, got %d" % self.id)
-        if self.domain_size < 1:
-            raise ValueError("variable %d: domain_size must be >= 1" % self.id)
-        if len(self.weights) != self.domain_size:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "weights", weights)
+        if id < 0:
+            raise ValueError("variable id must be nonnegative, got %d" % id)
+        if domain_size < 1:
+            raise ValueError("variable %d: domain_size must be >= 1" % id)
+        if len(weights) != domain_size:
             raise ValueError(
-                "variable %d: %d weights for domain of size %d"
-                % (self.id, len(self.weights), self.domain_size)
+                "variable %d: %d weights for domain of size %d" % (id, len(weights), domain_size)
             )
-        if self.weights is _checked_weights:
+        if weights is _checked_weights:
             return
-        for w in self.weights:
+        for w in weights:
             if not isinstance(w, Fraction):
-                raise ValueError("variable %d: weights must be Fractions" % self.id)
+                raise ValueError("variable %d: weights must be Fractions" % id)
             if w < 0:
-                raise ValueError("variable %d: negative weight %s" % (self.id, w))
-        if sum(self.weights) != 1:
-            raise ValueError(
-                "variable %d: weights sum to %s, not 1" % (self.id, sum(self.weights))
-            )
-        if type(self.weights) is tuple:
-            _checked_weights = self.weights
+                raise ValueError("variable %d: negative weight %s" % (id, w))
+        if sum(weights) != 1:
+            raise ValueError("variable %d: weights sum to %s, not 1" % (id, sum(weights)))
+        if type(weights) is tuple:
+            _checked_weights = weights
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -98,37 +95,34 @@ def uniform_variable(vid: int, domain_size: int) -> VariableSpec:
     return VariableSpec(vid, domain_size, _uniform_weights(domain_size))
 
 
-@dataclass(frozen=True, slots=True)
-class EventSpec:
+class EventSpec(FrozenRecord):
     """One bad event: an explicit set of violating joint values.
 
     ``vbl`` lists the variables the event depends on, strictly ascending;
     each violating tuple gives one value per variable in that order.
     """
 
-    id: int
-    vbl: tuple[int, ...]
-    violating: frozenset[tuple[int, ...]]
+    __slots__ = _fields = ("id", "vbl", "violating")
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError("event id must be nonnegative, got %d" % self.id)
-        if not self.vbl:
-            raise ValueError("event %d depends on no variables" % self.id)
-        if not all(map(lt, self.vbl, self.vbl[1:])):
-            raise ValueError(
-                "event %d: vbl must be strictly ascending, got %r" % (self.id, self.vbl)
-            )
-        if len(self.vbl) > MAX_EVENT_VARS:
+    def __init__(self, id: int, vbl: tuple[int, ...], violating: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "vbl", vbl)
+        object.__setattr__(self, "violating", violating)
+        if id < 0:
+            raise ValueError("event id must be nonnegative, got %d" % id)
+        if not vbl:
+            raise ValueError("event %d depends on no variables" % id)
+        if not all(map(lt, vbl, vbl[1:])):
+            raise ValueError("event %d: vbl must be strictly ascending, got %r" % (id, vbl))
+        if len(vbl) > MAX_EVENT_VARS:
             raise BudgetError(
-                "event %d depends on %d variables; cap is %d"
-                % (self.id, len(self.vbl), MAX_EVENT_VARS)
+                "event %d depends on %d variables; cap is %d" % (id, len(vbl), MAX_EVENT_VARS)
             )
-        for t in self.violating:
-            if len(t) != len(self.vbl):
+        for t in violating:
+            if len(t) != len(vbl):
                 raise ValueError(
                     "event %d: violating tuple %r has arity %d, expected %d"
-                    % (self.id, t, len(t), len(self.vbl))
+                    % (id, t, len(t), len(vbl))
                 )
 
 
@@ -150,8 +144,7 @@ def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int
     return EventSpec(eid, vbl, violating)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(FrozenRecord):
     """A product distribution plus bad events over its variables.
 
     What the samplers and analyses derive from an instance (the
@@ -164,18 +157,19 @@ class Instance:
     graph; the analyses and the verification suites do.
     """
 
-    variables: tuple[VariableSpec, ...]
-    events: tuple[EventSpec, ...]
+    _fields = ("variables", "events")
 
-    def __post_init__(self):
-        for k, v in enumerate(self.variables):
+    def __init__(self, variables: tuple[VariableSpec, ...], events: tuple[EventSpec, ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "events", events)
+        for k, v in enumerate(variables):
             if v.id != k:
                 raise ValueError(
                     "variable ids must be dense and ascending: position %d has id %d"
                     % (k, v.id)
                 )
-        domains = [v.domain_size for v in self.variables]
-        for k, e in enumerate(self.events):
+        domains = [v.domain_size for v in variables]
+        for k, e in enumerate(events):
             if e.id != k:
                 raise ValueError(
                     "event ids must be dense and ascending: position %d has id %d"
@@ -266,20 +260,18 @@ class Instance:
             return False
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(FrozenRecord):
     """Events as vertices; an edge joins events sharing a variable."""
 
-    num_events: int
-    adjacency: tuple[tuple[int, ...], ...]
+    _fields = ("num_events", "adjacency")
+
+    def __init__(self, num_events: int, adjacency: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "num_events", num_events)
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
-
-    def dependent_pairs(self) -> list[tuple[int, int]]:
-        """All unordered dependent pairs (i, j) with i < j."""
-        return [(i, j) for i in range(self.num_events) for j in self.adjacency[i] if i < j]
 
     def closed_neighborhood(self, i: int) -> frozenset[int]:
         return frozenset(self.adjacency[i]) | {i}
@@ -551,19 +543,6 @@ def event_probability(instance: Instance, event: EventSpec) -> Fraction:
 def event_probabilities(instance: Instance) -> list[Fraction]:
     scaled = _ScaledWeights(instance.variables)
     return [Fraction(*_weight_sum(scaled, e.vbl, e.violating)) for e in instance.events]
-
-
-def r_matrix(
-    instance: Instance, graph: DependencyGraph | None = None
-) -> dict[tuple[int, int], Fraction]:
-    """For each ordered dependent pair (i, j): the probability that a fresh
-    draw of the shared variables leaves event j still able to occur."""
-    vsets, scaled = [frozenset(e.vbl) for e in instance.events], _ScaledWeights(instance.variables)
-    return {
-        (i, j): Fraction(*_weight_sum(scaled, *_project(instance.events[j], vsets[i])))
-        for i, adjacent in enumerate((graph or instance.dependency_graph).adjacency)
-        for j in adjacent
-    }
 
 
 def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:

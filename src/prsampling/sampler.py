@@ -44,30 +44,40 @@ them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import eq
 
 from .errors import RoundCapError
 from .model import Instance, sample_product
+from .records import FrozenRecord, Record
 from .model import occurs  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .rng import draw_index, make_rng  # noqa: F401 (bench/tracing.py counts draw_index)
 
 DEFAULT_ROUND_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(FrozenRecord):
     """Knobs shared by all samplers; the seed fully determines a run."""
 
-    seed: int
-    round_cap: int = DEFAULT_ROUND_CAP
-    record_log: bool = True
-    check_extremal: bool = True
+    _fields = ("seed", "round_cap", "record_log", "check_extremal")
+
+    def __init__(
+        self,
+        seed: int,
+        round_cap: int = DEFAULT_ROUND_CAP,
+        record_log: bool = True,
+        check_extremal: bool = True,
+    ):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "round_cap", round_cap)
+        object.__setattr__(self, "record_log", record_log)
+        object.__setattr__(self, "check_extremal", check_extremal)
 
 
-@dataclass
-class RunStats:
+_NEW_LOG = object()  # RunStats's default log: a new empty list
+
+
+class RunStats(Record):
     """What one run did.
 
     ``rounds`` counts resampling steps (one event for ``moser_tardos``, one
@@ -82,13 +92,28 @@ class RunStats:
     ``SamplerConfig.record_log`` is off.
     """
 
-    rounds: int = 0
-    total_resamples: int = 0
-    event_resamples: list[int] | None = None
-    variable_resamples: int = 0
-    halted: bool = False
-    log: list[tuple[int, ...]] | None = field(default_factory=list)
-    var_log: list[tuple[int, ...]] | None = field(default_factory=list)
+    _fields = (
+        "rounds", "total_resamples", "event_resamples", "variable_resamples", "halted", "log",
+        "var_log",
+    )
+
+    def __init__(
+        self,
+        rounds: int = 0,
+        total_resamples: int = 0,
+        event_resamples: list[int] | None = None,
+        variable_resamples: int = 0,
+        halted: bool = False,
+        log: list[tuple[int, ...]] | None = _NEW_LOG,
+        var_log: list[tuple[int, ...]] | None = _NEW_LOG,
+    ):
+        self.rounds = rounds
+        self.total_resamples = total_resamples
+        self.event_resamples = event_resamples
+        self.variable_resamples = variable_resamples
+        self.halted = halted
+        self.log = [] if log is _NEW_LOG else log
+        self.var_log = [] if var_log is _NEW_LOG else var_log
 
     def to_json(self, include_log: bool = False) -> dict:
         out = {

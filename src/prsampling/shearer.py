@@ -28,13 +28,13 @@ independent set. Hard guards: at most 30 events per analysis, and at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import certified
 from .errors import BudgetError, PrsError
 from .model import DependencyGraph, Instance, event_probabilities, r_max
+from .records import FrozenRecord
 
 MAX_ANALYSIS_EVENTS = 30
 MAX_MEMO_ENTRIES = 2 ** 21
@@ -185,23 +185,6 @@ def q_empty(graph: DependencyGraph, p: Sequence[Fraction]) -> Fraction:
     return _QEvaluator(graph, p).q_of(())
 
 
-def q_value(graph: DependencyGraph, p: Sequence[Fraction], ids) -> Fraction:
-    """Exact q_I for an event set I; 0 when I is not independent.
-
-    A dependent I yields 0 by definition. Callers needing to distinguish
-    a computed zero from a non-independent I can test ``is_independent``.
-    Event ids outside 0..m-1 raise ``ValueError``.
-    """
-    ev = _QEvaluator(graph, p)
-    ids = frozenset(ids)
-    bad = ids - frozenset(range(graph.num_events))
-    if bad:
-        raise ValueError("event id %d is not in 0..%d" % (min(bad), graph.num_events - 1))
-    if not is_independent(graph, ids):
-        return Fraction(0)
-    return ev.q_of(ids)
-
-
 def q_singletons(graph: DependencyGraph, p: Sequence[Fraction]) -> list[Fraction]:
     """[q_{i}] for every event i (exact)."""
     return _QEvaluator(graph, p).singletons()
@@ -312,13 +295,7 @@ def linear_coefficient(d: int, p: Fraction) -> Fraction:
     return p / (pc - p)
 
 
-def linear_bound(m: int, d: int, p: Fraction) -> Fraction:
-    """Exact bound m * p / (p_c(d) - p) on expected total resamples."""
-    return m * linear_coefficient(d, p)
-
-
-@dataclass(frozen=True)
-class GprsCheck:
+class GprsCheck(FrozenRecord):
     """Verdict of the two general-sampler efficiency conditions.
 
     cond1: c1 * e * p * delta^2 <= 1, cond2: c2 * e * r * delta <= 1,
@@ -326,16 +303,33 @@ class GprsCheck:
     degree below 2, where the guarantee has nothing to say.
     """
 
-    p: Fraction
-    r: Fraction
-    delta: int
-    c1: int
-    c2: int
-    applicable: bool
-    cond1: bool | None
-    cond2: bool | None
-    product1: float
-    product2: float
+    _fields = (
+        "p", "r", "delta", "c1", "c2", "applicable", "cond1", "cond2", "product1", "product2"
+    )
+
+    def __init__(
+        self,
+        p: Fraction,
+        r: Fraction,
+        delta: int,
+        c1: int,
+        c2: int,
+        applicable: bool,
+        cond1: bool | None,
+        cond2: bool | None,
+        product1: float,
+        product2: float,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "cond1", cond1)
+        object.__setattr__(self, "cond2", cond2)
+        object.__setattr__(self, "product1", product1)
+        object.__setattr__(self, "product2", product2)
 
     @property
     def ok(self) -> bool | None:
@@ -440,31 +434,46 @@ def truncated_log_partials(
     return partials
 
 
-def truncated_log_sum(
-    graph: DependencyGraph, p: Sequence[Fraction], max_len: int
-) -> Fraction:
-    """The independent-set-sequence series truncated at length ``max_len``."""
-    return truncated_log_partials(graph, p, max_len)[-1]
-
-
-@dataclass(frozen=True)
-class ShearerReport:
+class ShearerReport(FrozenRecord):
     """Full exact analysis of an instance."""
 
-    num_events: int
-    max_degree: int
-    p: tuple[Fraction, ...]
-    extremal: bool
-    q_empty: Fraction
-    q_singletons: tuple[Fraction, ...]
-    shearer_ok: bool
-    expected_total: Fraction | None
-    expected_per_event: tuple[Fraction, ...] | None
-    lll_ok: bool
-    p_max: Fraction
-    symmetric_pc: Fraction | None
-    linear_coefficient: Fraction | None
-    gprs: GprsCheck
+    _fields = (
+        "num_events", "max_degree", "p", "extremal", "q_empty", "q_singletons", "shearer_ok",
+        "expected_total", "expected_per_event", "lll_ok", "p_max", "symmetric_pc",
+        "linear_coefficient", "gprs",
+    )
+
+    def __init__(
+        self,
+        num_events: int,
+        max_degree: int,
+        p: tuple[Fraction, ...],
+        extremal: bool,
+        q_empty: Fraction,
+        q_singletons: tuple[Fraction, ...],
+        shearer_ok: bool,
+        expected_total: Fraction | None,
+        expected_per_event: tuple[Fraction, ...] | None,
+        lll_ok: bool,
+        p_max: Fraction,
+        symmetric_pc: Fraction | None,
+        linear_coefficient: Fraction | None,
+        gprs: GprsCheck,
+    ):
+        object.__setattr__(self, "num_events", num_events)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "extremal", extremal)
+        object.__setattr__(self, "q_empty", q_empty)
+        object.__setattr__(self, "q_singletons", q_singletons)
+        object.__setattr__(self, "shearer_ok", shearer_ok)
+        object.__setattr__(self, "expected_total", expected_total)
+        object.__setattr__(self, "expected_per_event", expected_per_event)
+        object.__setattr__(self, "lll_ok", lll_ok)
+        object.__setattr__(self, "p_max", p_max)
+        object.__setattr__(self, "symmetric_pc", symmetric_pc)
+        object.__setattr__(self, "linear_coefficient", linear_coefficient)
+        object.__setattr__(self, "gprs", gprs)
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Set-up code as it was before it learnt to skip repeated work.
 
 Each function below is the former implementation, kept verbatim (apart
-from its name) as an independent reference for
+from names) as an independent reference for
 ``tests/test_setup_reference.py``:
 
 * ``is_extremal_pairwise`` checks every dependent pair of the dependency
@@ -26,6 +26,7 @@ from prsampling.model import (
     Instance,
     VariableSpec,
 )
+from reference_helpers import dependent_pairs
 
 
 def _pair_conflicts(ei: EventSpec, ej: EventSpec, shared: tuple[int, ...]) -> bool:
@@ -44,7 +45,7 @@ def is_extremal_pairwise(
     """Are all dependent event pairs disjoint?"""
     if graph is None:
         graph = instance.dependency_graph
-    for i, j in graph.dependent_pairs():
+    for i, j in dependent_pairs(graph):
         ei, ej = instance.events[i], instance.events[j]
         union = sorted(set(ei.vbl) | set(ej.vbl))
         states = 1

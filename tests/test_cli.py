@@ -23,6 +23,7 @@ from prsampling.model import (
     save_instance,
     uniform_variable,
 )
+from prsampling import verify
 from prsampling.verify import two_adjacent_events_instance
 
 
@@ -584,9 +585,7 @@ class TestVerify:
         ],
     )
     def test_failed_verdict_exits_three(self, capsys, monkeypatch, suite, name):
-        import prsampling.cli as cli
-
-        monkeypatch.setattr(cli, name, lambda *a, **kw: {"passed": False})
+        monkeypatch.setattr(verify, name, lambda *a, **kw: {"passed": False})
         code, out, _ = run_cli(capsys, "verify", *suite, "--seed", "4")
         assert code == 3
         assert json.loads(out)["passed"] is False
@@ -1205,3 +1204,92 @@ class TestEntryPoint:
             cwd=tmp_path,
         )
         _assert_reports_holds_false(proc)
+
+
+# Every name ``prsampling`` exported before ``verify`` loaded on first use,
+# less the test-only helpers moved to ``tests/reference_helpers.py``.
+EXPORTED = """
+    CnfFormula CnfStats check_extremal_condition check_sharing_condition cnf_stats
+    cnf_to_instance format_assignment hard_example monotone_cnf_from_graph parse_dimacs
+    sample_cnf sharing_condition_parts write_dimacs
+    BudgetError PrsError RoundCapError
+    alpha assignment_to_arrows bad_vertices corner_matrix cycle_popping
+    disjoint_paths_experiment disjoint_paths_graph encode_hardcore encode_sink_free
+    encode_spanning_tree endpoint_matrix hardcore_condition hardcore_sample is_arrow_tree
+    path_partition PathEndpointMatrix ratio_bounds sink_popping spanning_tree_variables
+    Graph complete_graph cycle_graph make_graph parse_edge_list path_graph
+    random_regular_graph simple_cycles write_edge_list
+    DependencyGraph EventSpec Instance VariableSpec build_dependency_graph compatible
+    enumerate_assignments event_probabilities event_probability instance_from_json
+    instance_to_json is_extremal load_instance make_event occurring_events occurs
+    parse_rational r_max sample_product save_instance uniform_variable
+    derive_seed make_rng
+    DEFAULT_ROUND_CAP RunStats SAMPLERS SamplerConfig extremal_prs general_prs moser_tardos
+    run_sampler select_resampling_set
+    GprsCheck ShearerError ShearerReport all_q_values analyze_instance check_asymmetric_lll
+    check_gprs_conditions expected_resamples expected_resamples_per_event
+    gprs_condition_values independent_sets is_independent linear_coefficient q_empty
+    q_singletons shearer_holds symmetric_pc truncated_log_partials
+    OracleResult UniformityVerdict biased_stub chain_cnf cross_order_report
+    empirical_distribution_test enumerate_valid expected_resamples_test first_round_test
+    make_handle negative_control_test random_extremal_instance random_instance
+    random_weighted_instance res_set_property_tests round_scaling_experiment
+    truncated_sum_convergence_test two_adjacent_events_instance uniformity_cases
+    uniformity_test
+""".split()
+
+# The modules ``bench/tracing.py`` rebinds names in, found in ``sys.modules``
+# right after ``import prsampling``.
+TRACED = ("graphs", "cnf", "graph_apps", "model", "sampler", "shearer")
+
+# Prints which of the modules that a cold call should not load it loaded,
+# and which of the traced ones it did not.
+LOADED = (
+    "print(sorted(set(sys.modules) & {'prsampling.verify', 'statistics', 'dataclasses'}),"
+    " sorted(m for m in %r if 'prsampling.' + m not in sys.modules), file=sys.stderr)" % (TRACED,)
+)
+
+
+class TestColdSurface:
+    """What a fresh interpreter loads: ``import prsampling`` and a ``sample``
+    call leave ``verify`` (with ``statistics``) unloaded and load every
+    module the bench's tracer rebinds names in."""
+
+    def test_import(self, tmp_path):
+        proc = _run_python(["-c", "import sys, prsampling; " + LOADED], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[] []"
+
+    def test_sample_sink_free(self, tmp_path, triangle_file):
+        script = (
+            "import runpy, sys\n"
+            "sys.argv = ['prsampling', 'sample', 'sink-free', '--graph', %r, '--seed', '1']\n"
+            "try:\n"
+            "    runpy.run_module('prsampling', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n" % triangle_file
+        ) + LOADED
+        proc = _run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _run_module(
+            ["sample", "sink-free", "--graph", triangle_file, "--seed", "1"], tmp_path
+        ).stdout
+        assert proc.stderr.strip() == "[] []"
+
+    def test_every_exported_name_resolves(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from prsampling import SamplerConfig, analyze_instance, cycle_graph, "
+            "encode_sink_free, enumerate_valid, general_prs\n"
+            "assert 'prsampling.verify' in sys.modules\n"
+            "import prsampling\n"
+            "names = %r\n"
+            "for name in names:\n"
+            "    exec('from prsampling import ' + name)\n"
+            "missing = sorted(set(names) - set(dir(prsampling)))\n"
+            "assert not missing, missing\n"
+            "assert sorted(prsampling.__all__) == sorted(names)\n"
+            "assert prsampling.enumerate_valid is prsampling.verify.enumerate_valid\n" % (EXPORTED,)
+        )
+        proc = _run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -28,7 +28,6 @@ from prsampling.graph_apps import (
     is_arrow_tree,
     path_partition,
     ratio_bounds,
-    res_vertices,
     sink_popping,
     spanning_tree_variables,
 )
@@ -45,6 +44,7 @@ from prsampling.model import (
 )
 from prsampling.rng import cumulative_table, derive_seed
 from prsampling.sampler import SamplerConfig, extremal_prs, general_prs
+from reference_helpers import res_vertices
 from reference_popping import sink_popping as reference_sink_popping
 
 F = Fraction

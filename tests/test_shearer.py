@@ -23,7 +23,6 @@ from prsampling.model import (
     build_dependency_graph,
     event_probabilities,
     event_probability,
-    r_matrix,
     r_max,
     uniform_variable,
 )
@@ -39,16 +38,14 @@ from prsampling.shearer import (
     gprs_condition_values,
     independent_sets,
     is_independent,
-    linear_bound,
     linear_coefficient,
     q_empty,
     q_singletons,
-    q_value,
     shearer_holds,
     symmetric_pc,
     truncated_log_partials,
-    truncated_log_sum,
 )
+from reference_helpers import linear_bound, q_value, r_matrix, truncated_log_sum
 
 F = Fraction
 
