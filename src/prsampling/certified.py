@@ -12,9 +12,9 @@ apart within the budget.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
-from typing import Callable
 
 from .errors import BudgetError
 

@@ -6,10 +6,14 @@ specialized and generic samplers can be cross-checked. The specialized
 samplers draw fresh values lazily, in ascending vertex/edge id order, with
 the same one-uniform-per-draw rule as the generic samplers
 (``rng.draw_index``), so both sides of the cross-check consume an identical
-randomness stream. Each redraws a round's whole list in a loop of its own:
-``cycle_popping`` with ``bisect_right(table, random())``, and the two
-samplers of two-valued variables with ``1 if random() >= t else 0`` for the
-table ``(t,)``, which is ``bisect_right((t,), u)`` for every u.
+randomness stream. ``hardcore_sample`` takes its initial draw and each
+round's redraw from one ``rng.draw_indices`` call, as ``sample_product``
+does. ``sink_popping`` (``1 if random() >= t else 0`` for the table
+``(t,)``, which is ``bisect_right((t,), u)`` for every u) and
+``cycle_popping`` (``bisect_right(table, random())``) draw one variate per
+value in a loop of their own: each visits every redrawn value in Python
+anyway, to move out-degrees or look up a neighbor, and the bulk draw
+measured no faster there.
 
 Conventions
 -----------
@@ -36,7 +40,7 @@ from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
 from .model import EventSpec, Instance, make_event, uniform_variable, VariableSpec
 from .records import FrozenRecord
-from .rng import cumulative_table, derive_seed, make_rng
+from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .sampler import SamplerConfig, resample_until_valid
 
@@ -298,41 +302,44 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     occupied neighbor) and of every neighbor of a bad vertex.
     ``stats.log`` records the bad edges that triggered each round and
     ``stats.var_log`` the redrawn vertices.
+
+    Each draw is one ``draw_indices`` call; the set of occupied vertices is
+    kept across rounds and updated at the redrawn vertices only.
     """
     lam = _exact(lam)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     rng = make_rng(config.seed)
-    random = rng.random
-    (t,) = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
+    table = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
+    lookup = byte_tables((table,))
     n = graph.num_vertices
-    occ = [1 if random() >= t else 0 for _ in range(n)]
+    first = list(compress(range(n), draw_indices(rng, (table,) * n, lookup)))
+    occupied = set(first)
     adjacency, edges, incident = graph.adjacency, graph.edges, graph.incident_edges
 
     def redraw(vertices):
-        for v in vertices:
-            occ[v] = 1 if random() >= t else 0
+        occupied.difference_update(vertices)
+        occupied.update(compress(vertices, draw_indices(rng, (table,) * len(vertices), lookup)))
 
     def find_bad(redrawn):
         if redrawn is None:
             # Each bad edge at its lower endpoint u, so ids come out ascending
             # (``adjacency[u]`` and ``incident[u]`` are parallel).
+            isdisjoint = occupied.isdisjoint
             return [
-                incident[u][k]
-                for u in compress(range(n), occ)
-                for k, w in enumerate(adjacency[u])
-                if w > u and occ[w]
+                eid
+                for u in first
+                if not isdisjoint(adjacency[u])
+                for w, eid in zip(adjacency[u], incident[u])
+                if w > u and w in occupied
             ]
         # Only edges touching a redrawn vertex can change badness.
-        pairs = (zip(adjacency[v], incident[v]) for v in redrawn if occ[v])
-        return sorted({eid for pair in pairs for w, eid in pair if occ[w]})
+        pairs = (zip(adjacency[v], incident[v]) for v in occupied.intersection(redrawn))
+        return sorted({eid for pair in pairs for w, eid in pair if w in occupied})
 
     def choose(bad_edges):
-        res_vs = set()
-        for eid in bad_edges:
-            for v in edges[eid]:
-                res_vs.add(v)
-                res_vs.update(adjacency[v])
+        ends = set(chain.from_iterable(map(edges.__getitem__, bad_edges)))
+        res_vs = ends.union(*map(adjacency.__getitem__, ends))
         redraw = sorted(res_vs)
         # The resampled events, edges with both endpoints redrawn, are only
         # counted: one entry each, the upper endpoint, stands for the edge.
@@ -340,14 +347,14 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
 
     _, stats = resample_until_valid(
         config,
-        occ,
+        occupied,
         redraw,
         find_bad,
         choose,
         note=" in hard-core sampling",
         logged="bad",
     )
-    return frozenset(compress(range(n), occ)), stats
+    return frozenset(occupied), stats
 
 
 # The violating set that every hard-core edge event shares: both ends occupied.

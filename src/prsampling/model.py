@@ -36,11 +36,11 @@ import json
 import math
 import re
 from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, count, groupby, product, repeat
 from operator import attrgetter, itemgetter, lt
-from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError
 from .records import FrozenRecord

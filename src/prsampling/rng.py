@@ -58,11 +58,13 @@ def draw_index(rng: random.Random, cum: tuple[float, ...]) -> int:
     """Draw a domain-value index from one uniform variate.
 
     Consumes exactly one ``rng.random()`` call, which keeps independently
-    written samplers aligned when they share a stream. The samplers apply
-    this rule inline, in one loop per round over the variables to redraw
-    (for a two-valued table ``(t,)`` it is ``1 if u >= t else 0``), and
-    :func:`draw_indices` applies it to a whole product draw at once, from
-    the same variates.
+    written samplers aligned when they share a stream. The generic round,
+    ``sink_popping`` and ``cycle_popping`` apply this rule inline, in one
+    loop per round over the variables to redraw (for a two-valued table
+    ``(t,)`` it is ``1 if u >= t else 0``). :func:`draw_indices` applies it
+    to a whole list at once, from the same variates: the product draw of
+    ``sample_product``, and every draw of ``hardcore_sample``, whose
+    redraws do nothing per vertex but store the value.
     """
     return bisect_right(cum, rng.random())
 

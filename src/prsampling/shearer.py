@@ -28,8 +28,8 @@ independent set. Hard guards: at most 30 events per analysis, and at most
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from . import certified
 from .errors import BudgetError, PrsError

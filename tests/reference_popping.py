@@ -1,21 +1,29 @@
-"""Sink-popping as it was before the round loop handed samplers a whole list.
+"""Sink-popping and hard-core sampling as they were before their fast paths.
 
-``sink_popping`` below keeps each edge's tail next to the out-degrees,
-moves the tail of every redrawn edge, re-tests both endpoints of each, and
-draws one edge per call of ``draw``; ``_round_loop`` is the round loop it
-ran in then, one ``draw(v)`` call per redrawn variable. Kept as an
-independent reference for ``tests/test_graph_apps.py``.
+``sink_popping`` below is sink-popping as it was before the round loop
+handed samplers a whole list: it keeps each edge's tail next to the
+out-degrees, moves the tail of every redrawn edge, re-tests both endpoints
+of each, and draws one edge per call of ``draw``; ``_round_loop`` is the
+round loop it ran in then, one ``draw(v)`` call per redrawn variable.
+
+``reference_hardcore_sample`` is hard-core sampling as it was before it
+drew in bulk: one ``random()`` call per vertex, an occupation list that the
+first scan walks over every occupied vertex, and the result compressed from
+that list. Both are kept as independent references for
+``tests/test_graph_apps.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 
 from prsampling.errors import RoundCapError
+from prsampling.graph_apps import _exact
 from prsampling.graphs import Graph
 from prsampling.rng import cumulative_table, make_rng
-from prsampling.sampler import RunStats, SamplerConfig
+from prsampling.sampler import RunStats, SamplerConfig, resample_until_valid
 
 
 def _round_loop(config: SamplerConfig, sigma, draw, find_bad, choose, num_events, note):
@@ -78,3 +86,62 @@ def sink_popping(graph: Graph, config: SamplerConfig):
         "; the graph may have no sink-free orientation (tree component)",
     )
     return tuple(orient), stats
+
+
+def reference_hardcore_sample(graph: Graph, lam, config: SamplerConfig):
+    """Sample a hard-core configuration with exact weights lam^|occupied|.
+
+    Each round redraws the occupation of every bad vertex (occupied with an
+    occupied neighbor) and of every neighbor of a bad vertex.
+    ``stats.log`` records the bad edges that triggered each round and
+    ``stats.var_log`` the redrawn vertices.
+    """
+    lam = _exact(lam)
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    rng = make_rng(config.seed)
+    random = rng.random
+    (t,) = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
+    n = graph.num_vertices
+    occ = [1 if random() >= t else 0 for _ in range(n)]
+    adjacency, edges, incident = graph.adjacency, graph.edges, graph.incident_edges
+
+    def redraw(vertices):
+        for v in vertices:
+            occ[v] = 1 if random() >= t else 0
+
+    def find_bad(redrawn):
+        if redrawn is None:
+            # Each bad edge at its lower endpoint u, so ids come out ascending
+            # (``adjacency[u]`` and ``incident[u]`` are parallel).
+            return [
+                incident[u][k]
+                for u in compress(range(n), occ)
+                for k, w in enumerate(adjacency[u])
+                if w > u and occ[w]
+            ]
+        # Only edges touching a redrawn vertex can change badness.
+        pairs = (zip(adjacency[v], incident[v]) for v in redrawn if occ[v])
+        return sorted({eid for pair in pairs for w, eid in pair if occ[w]})
+
+    def choose(bad_edges):
+        res_vs = set()
+        for eid in bad_edges:
+            for v in edges[eid]:
+                res_vs.add(v)
+                res_vs.update(adjacency[v])
+        redraw = sorted(res_vs)
+        # The resampled events, edges with both endpoints redrawn, are only
+        # counted: one entry each, the upper endpoint, stands for the edge.
+        return [u for v in redraw for u in adjacency[v] if u > v and u in res_vs], redraw
+
+    _, stats = resample_until_valid(
+        config,
+        occ,
+        redraw,
+        find_bad,
+        choose,
+        note=" in hard-core sampling",
+        logged="bad",
+    )
+    return frozenset(compress(range(n), occ)), stats

@@ -1260,6 +1260,14 @@ class TestColdSurface:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "[] []"
 
+    def test_import_loads_no_typing(self, tmp_path):
+        # ``-S`` skips ``site``, which may load ``typing`` itself; annotation
+        # names come from ``collections.abc``.
+        script = "import sys, prsampling; print('typing' in sys.modules, file=sys.stderr)"
+        proc = _run_python(["-S", "-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
     def test_sample_sink_free(self, tmp_path, triangle_file):
         script = (
             "import runpy, sys\n"

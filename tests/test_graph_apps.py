@@ -4,11 +4,17 @@ import itertools
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from math import nextafter
 
 import pytest
 
-from conftest import grid_graph, petersen_graph, random_cubic_graph, run_digest
+from conftest import (
+    WordStream,
+    grid_graph,
+    petersen_graph,
+    random_cubic_graph,
+    run_digest,
+    words_for,
+)
 from prsampling import graph_apps
 from prsampling.errors import RoundCapError
 from prsampling.graph_apps import (
@@ -45,6 +51,7 @@ from prsampling.model import (
 from prsampling.rng import cumulative_table, derive_seed
 from prsampling.sampler import SamplerConfig, extremal_prs, general_prs
 from reference_helpers import res_vertices
+from reference_popping import reference_hardcore_sample
 from reference_popping import sink_popping as reference_sink_popping
 
 F = Fraction
@@ -229,27 +236,32 @@ class TestSinkPoppingReference:
             assert new.value.stats.rounds == 25
 
 
-class _FixedUniforms:
-    """A stand-in generator whose ``random()`` returns the given values in turn."""
+class _FixedUniforms(WordStream):
+    """A stand-in generator that hands out the given variates in turn, each
+    as the two 32-bit words ``random()`` builds it from, so ``random()``
+    returns them one by one and ``getrandbits`` in bulk."""
 
     def __init__(self, values):
-        self.values = iter(values)
-
-    def random(self):
-        return next(self.values)
+        grid = [u * 2 ** 53 for u in values]
+        assert all(m == int(m) and 0 <= m < 2 ** 53 for m in grid), "random() never returns these"
+        super().__init__(w for m in grid for w in words_for(int(m), 0))
 
 
 def _fixed_uniforms(monkeypatch, values):
     monkeypatch.setattr(graph_apps, "make_rng", lambda seed: _FixedUniforms(values))
 
 
+TOP = 1 - 2 ** -53  # the largest variate random() returns
+
+
 def _threshold_cases(t):
-    return [0.0, nextafter(t, 0), t, nextafter(t, 2), nextafter(1, 0)]
+    """0, the top variate and the variates at and beside t, in [0, 1)."""
+    return sorted({u for u in (0.0, t - 2 ** -53, t, t + 2 ** -53, TOP) if u < 1})
 
 
 class TestThresholdDraw:
-    """``1 if u >= t else 0`` is ``bisect_right((t,), u)``, at ``u == t`` too,
-    in the initial draw and in a redraw."""
+    """``1 if u >= t else 0`` and the bulk draw are ``bisect_right((t,), u)``,
+    at ``u == t`` too, in the initial draw and in a redraw."""
 
     @pytest.mark.parametrize("lam", [F(0), F(1, 10), F(1, 4), F(7)])
     def test_hardcore(self, lam, monkeypatch):
@@ -259,11 +271,18 @@ class TestThresholdDraw:
             _fixed_uniforms(monkeypatch, [u])
             occupied, _ = hardcore_sample(make_graph(1, []), lam, cfg(0))
             assert len(occupied) == want
-            # Both ends of the edge start occupied (t >= t); then vertex 0
-            # redraws with u and vertex 1 with 0.0, which is below t > 0.
-            _fixed_uniforms(monkeypatch, [t, t, u, 0.0])
+            if t < 1:
+                # Both ends of the edge start occupied (t >= t); then vertex 0
+                # redraws with u and vertex 1 with 0.0, which is below t > 0.
+                _fixed_uniforms(monkeypatch, [t, t, u, 0.0])
+                occupied, stats = hardcore_sample(path_graph(2), lam, cfg(0))
+                assert stats.rounds == 1 and len(occupied) == want
+        if t == 1:
+            # lam = 0: no variate reaches t = 1.0, so even the top one leaves
+            # both ends of the edge empty, and no round runs.
+            _fixed_uniforms(monkeypatch, [TOP, TOP])
             occupied, stats = hardcore_sample(path_graph(2), lam, cfg(0))
-            assert stats.rounds == 1 and len(occupied) == want
+            assert occupied == frozenset() and stats.rounds == 0
 
     def test_sink_popping(self, monkeypatch):
         (t,) = cumulative_table((F(1, 2), F(1, 2)))
@@ -591,6 +610,73 @@ class TestHardcoreSampler:
                 sigma, st_g = general_prs(inst, cfg(seed))
                 assert occ == {v for v, bit in enumerate(sigma) if bit}
                 assert st_s.var_log == st_g.var_log
+
+
+class TestHardcoreSamplerReference:
+    """``hardcore_sample`` against the one-``random()``-per-vertex sampler in
+    ``reference_popping``: the same sample and the same stats, logs included."""
+
+    SEEDS = [derive_seed(14, i) for i in range(100)]
+
+    def assert_same(self, g, lam, seeds):
+        for seed in seeds:
+            assert hardcore_sample(g, lam, cfg(seed)) == reference_hardcore_sample(g, lam, cfg(seed))
+        for seed in seeds[:10]:
+            quiet = cfg(seed, record_log=False)
+            assert hardcore_sample(g, lam, quiet) == reference_hardcore_sample(g, lam, quiet)
+
+    # Thresholds 10/11 and 4/5 split a byte of the bulk draw's lookup.
+    @pytest.mark.parametrize("lam", [F(1, 10), F(1, 4)], ids=["1/10", "1/4"])
+    @pytest.mark.parametrize("n,draws", [(200, 100), (2000, 20)])
+    def test_cubic(self, n, draws, lam):
+        self.assert_same(random_cubic_graph(n, derive_seed(15, n)), lam, self.SEEDS[:draws])
+
+    # Thresholds 1/2 and 1/8 fall on byte boundaries; lam = 7 runs only on
+    # graphs that finish in about a hundred rounds.
+    @pytest.mark.parametrize(
+        "g,lams",
+        [
+            (path_graph(6), (F(1), F(7))),
+            (cycle_graph(5), (F(1), F(7))),
+            (complete_graph(4), (F(1), F(7))),
+            (grid_graph(3, 3), (F(1),)),
+            (petersen_graph(), (F(1),)),
+        ],
+        ids=["P6", "C5", "K4", "grid", "petersen"],
+    )
+    def test_byte_boundary(self, g, lams):
+        for lam in lams:
+            self.assert_same(g, lam, self.SEEDS)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # isolated vertices 0, 3 and 7 beside a triangle and a path
+            make_graph(8, [(1, 2), (1, 4), (2, 4), (5, 6)]),
+            make_graph(0, []),
+        ],
+        ids=["isolated", "empty"],
+    )
+    def test_isolated_and_empty(self, g):
+        for lam in (F(1, 4), F(1), F(7)):
+            self.assert_same(g, lam, self.SEEDS)
+
+    def test_round_cap_same_partial_stats(self):
+        g = complete_graph(4)
+        failed = 0
+        for seed in self.SEEDS:
+            try:
+                want = reference_hardcore_sample(g, F(7), cfg(seed, round_cap=3))
+            except RoundCapError as ref:
+                with pytest.raises(RoundCapError) as new:
+                    hardcore_sample(g, F(7), cfg(seed, round_cap=3))
+                assert str(new.value) == str(ref)
+                assert new.value.stats == ref.stats
+                assert ref.stats.rounds == 3
+                failed += 1
+            else:
+                assert hardcore_sample(g, F(7), cfg(seed, round_cap=3)) == want
+        assert failed >= len(self.SEEDS) // 2
 
 
 class TestBadAndResVertices:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import WordStream, words_for
 from prsampling.certified import (
     e_leq,
     e_mult_leq_two_pow_half,
@@ -87,36 +88,6 @@ BULK_TABLES = {
     "zero-weights": cumulative_table((Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0))),
     "three-hundred": cumulative_table((Fraction(1, 300),) * 300),
 }
-
-
-class WordStream:
-    """A stand-in generator that hands out given 32-bit words, both through
-    ``random()`` (two words, as CPython's Mersenne Twister builds a double)
-    and through ``getrandbits`` (the first word least significant)."""
-
-    def __init__(self, words):
-        self.words = list(words)
-        self.used = 0
-
-    def _take(self, n):
-        got = self.words[self.used : self.used + n]
-        assert len(got) == n, "stream exhausted"
-        self.used += n
-        return got
-
-    def random(self):
-        w0, w1 = self._take(2)
-        return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
-
-    def getrandbits(self, k):
-        assert k % 32 == 0
-        return sum(w << (32 * j) for j, w in enumerate(self._take(k // 32)))
-
-
-def words_for(m, noise):
-    """Two words whose variate is m / 2^53, with ``noise`` in the bits
-    ``random()`` drops."""
-    return [(m >> 26) << 5 | noise & 31, (m & (2 ** 26 - 1)) << 6 | noise >> 5 & 63]
 
 
 class TestBulkDraw:
