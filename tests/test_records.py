@@ -19,6 +19,7 @@ from prsampling.graphs import Graph
 from prsampling.model import DependencyGraph, EventSpec, Instance, VariableSpec
 from prsampling.sampler import RunStats, SamplerConfig
 from prsampling.shearer import GprsCheck, ShearerReport
+from prsampling.verify import OracleResult, UniformityVerdict
 
 HALVES = (F(1, 2), F(1, 2))
 VAR0, VAR1 = VariableSpec(0, 2, HALVES), VariableSpec(1, 2, HALVES)
@@ -105,6 +106,24 @@ FROZEN = {
         "expected_total=Fraction(1, 1), expected_per_event=(Fraction(1, 1),), lll_ok=True, "
         "p_max=Fraction(1, 2), symmetric_pc=None, linear_coefficient=None, gprs=%s)" % GPRS_REPR,
     ),
+    "OracleResult": (
+        OracleResult,
+        {
+            "satisfiable": True, "valid_assignments": ((0, 1), (1, 0)),
+            "probabilities": HALVES, "q_empty_check": F(1, 2),
+        },
+        "OracleResult(satisfiable=True, valid_assignments=((0, 1), (1, 0)), "
+        "probabilities=(Fraction(1, 2), Fraction(1, 2)), q_empty_check=Fraction(1, 2))",
+    ),
+    "UniformityVerdict": (
+        UniformityVerdict,
+        {
+            "n": 100, "num_outcomes": 2, "tv": 0.05, "chi2": 1.25, "dof": 1, "p_value": 0.26,
+            "tv_max": 0.01, "p_min": 0.001, "invalid_outcomes": 0, "passed": True,
+        },
+        "UniformityVerdict(n=100, num_outcomes=2, tv=0.05, chi2=1.25, dof=1, p_value=0.26, "
+        "tv_max=0.01, p_min=0.001, invalid_outcomes=0, passed=True)",
+    ),
 }
 
 # For each class, one field and another valid value for it.
@@ -120,6 +139,8 @@ OTHER_VALUE = {
     "PathEndpointMatrix": ("k", 5),
     "GprsCheck": ("product2", 2.5),
     "ShearerReport": ("lll_ok", False),
+    "OracleResult": ("q_empty_check", F(1, 4)),
+    "UniformityVerdict": ("passed", False),
 }
 
 
@@ -175,6 +196,18 @@ class TestFrozenRecords:
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert type(b) is cls and b == a and hash(b) == hash(a)
 
+    def test_signature_errors(self, case):
+        _, cls, fields, _ = case
+        (first, value), *rest = fields.items()
+        with pytest.raises(TypeError):
+            cls(*fields.values(), value)  # too many positional arguments
+        with pytest.raises(TypeError):
+            cls(**dict(rest))  # the first field, required in every class, missing
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=value)
+        with pytest.raises(TypeError):
+            cls(value, **fields)  # the first field by position and by keyword
+
     def test_defaults(self):
         assert SamplerConfig(7) == SamplerConfig(7, 10 ** 6, True, True)
         assert repr(SamplerConfig(seed=7)) == (
@@ -219,6 +252,15 @@ class TestRunStats:
             assert getattr(by_keyword, name) is value
         assert RunStats(log=None, var_log=None).log is None
         assert RunStats(event_resamples=[0]).event_resamples == [0]
+
+    def test_signature_errors(self):
+        # Every field has a default, so none can be missing.
+        with pytest.raises(TypeError):
+            RunStats(*RUN_FIELDS.values(), None)  # too many positional arguments
+        with pytest.raises(TypeError):
+            RunStats(unknown=0)
+        with pytest.raises(TypeError):
+            RunStats(3, rounds=3)  # by position and by keyword
 
     def test_fresh_logs_per_instance(self):
         a, b = RunStats(), RunStats()
