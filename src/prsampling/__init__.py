@@ -160,34 +160,12 @@ _VERIFY = (
 
 __version__ = "0.1.0"
 
+# The public names imported above but the submodules, which the imports
+# bind here too, and the names of ``verify``.
 __all__ = [
-    "CnfFormula", "CnfStats", "check_extremal_condition", "check_sharing_condition",
-    "cnf_stats", "cnf_to_instance", "format_assignment", "hard_example",
-    "monotone_cnf_from_graph", "parse_dimacs", "sample_cnf", "sharing_condition_parts",
-    "write_dimacs",
-    "BudgetError", "PrsError", "RoundCapError",
-    "alpha", "assignment_to_arrows", "bad_vertices", "corner_matrix", "cycle_popping",
-    "disjoint_paths_experiment", "disjoint_paths_graph", "encode_hardcore", "encode_sink_free",
-    "encode_spanning_tree", "endpoint_matrix", "hardcore_condition", "hardcore_sample",
-    "is_arrow_tree", "path_partition", "PathEndpointMatrix", "ratio_bounds", "sink_popping",
-    "spanning_tree_variables",
-    "Graph", "complete_graph", "cycle_graph", "make_graph", "parse_edge_list", "path_graph",
-    "random_regular_graph", "simple_cycles", "write_edge_list",
-    "DependencyGraph", "EventSpec", "Instance", "VariableSpec", "build_dependency_graph",
-    "compatible", "enumerate_assignments", "event_probabilities", "event_probability",
-    "instance_from_json", "instance_to_json", "is_extremal", "load_instance", "make_event",
-    "occurring_events", "occurs", "parse_rational", "r_max", "sample_product", "save_instance",
-    "uniform_variable",
-    "derive_seed", "make_rng",
-    "DEFAULT_ROUND_CAP", "RunStats", "SAMPLERS", "SamplerConfig", "extremal_prs",
-    "general_prs", "moser_tardos", "run_sampler", "select_resampling_set",
-    "GprsCheck", "ShearerError", "ShearerReport", "all_q_values", "analyze_instance",
-    "check_asymmetric_lll", "check_gprs_conditions", "expected_resamples",
-    "expected_resamples_per_event", "gprs_condition_values", "independent_sets",
-    "is_independent", "linear_coefficient", "q_empty", "q_singletons", "shearer_holds",
-    "symmetric_pc", "truncated_log_partials",
-    *_VERIFY,
-]
+    name for name, value in globals().items()
+    if name[0] != "_" and type(value) is not type(sampler)
+] + list(_VERIFY)
 
 
 def __getattr__(name: str):

@@ -149,22 +149,6 @@ class CnfStats(FrozenRecord):
         "num_vars", "num_clauses", "uniform_width", "max_var_degree", "min_shared", "extremal"
     )
 
-    def __init__(
-        self,
-        num_vars: int,
-        num_clauses: int,
-        uniform_width: int | None,
-        max_var_degree: int,
-        min_shared: int | None,
-        extremal: bool,
-    ):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "num_clauses", num_clauses)
-        object.__setattr__(self, "uniform_width", uniform_width)
-        object.__setattr__(self, "max_var_degree", max_var_degree)
-        object.__setattr__(self, "min_shared", min_shared)
-        object.__setattr__(self, "extremal", extremal)
-
     def to_json(self) -> dict:
         return {
             "num_vars": self.num_vars,

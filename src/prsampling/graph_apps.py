@@ -430,13 +430,6 @@ class PathEndpointMatrix(FrozenRecord):
 
     _fields = ("k", "lam", "w")
 
-    def __init__(
-        self, k: int, lam: Fraction, w: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    ):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "w", w)
-
     @property
     def det(self) -> Fraction:
         return self.w[0][0] * self.w[1][1] - self.w[0][1] * self.w[1][0]

@@ -265,10 +265,6 @@ class DependencyGraph(FrozenRecord):
 
     _fields = ("num_events", "adjacency")
 
-    def __init__(self, num_events: int, adjacency: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "num_events", num_events)
-        object.__setattr__(self, "adjacency", adjacency)
-
     @property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)

@@ -1,12 +1,20 @@
-"""Value records: field-wise ``==``, ``hash`` and ``repr`` with no code
-generation.
+"""Value records: one constructor and field-wise ``==``, ``hash`` and
+``repr``, with no code generation.
 
-A subclass names its fields in ``_fields``, in declaration order, and sets
-each one in its own ``__init__`` with ``object.__setattr__`` before its
-checks. ``==``, ``hash`` and ``repr`` then behave as a dataclass's do
+A subclass declares its fields once: their names in ``_fields``, in
+declaration order, and the values of its trailing optional fields in
+``_defaults``. :class:`Record`'s ``__init__`` binds positional and keyword
+arguments to them as a Python signature would, raising ``TypeError`` where
+one would. ``==``, ``hash`` and ``repr`` then behave as a dataclass's do
 (``FrozenRecord`` as ``frozen=True``), but defining the class costs
 nothing: ``dataclasses`` ``exec``s the methods of every class it makes,
 about a millisecond each, on every import.
+
+A class that checks its input (``Graph``, ``VariableSpec``, ``EventSpec``,
+``Instance``, ``CnfFormula``) keeps its own ``__init__``, which sets each
+field with ``object.__setattr__`` before its checks: the parsers and
+encoders build tens of thousands of ``VariableSpec``s and ``EventSpec``s,
+and a fixed signature binds them faster than this loop does.
 """
 
 from __future__ import annotations
@@ -18,6 +26,33 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                "%s() takes %d positional arguments but %d were given"
+                % (type(self).__qualname__, len(fields), len(args))
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        required = len(fields) - len(self._defaults)
+        for i in range(len(args), len(fields)):
+            name = fields[i]
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif i >= required:
+                value = self._defaults[i - required]
+            else:
+                raise TypeError(
+                    "%s() missing required argument %r" % (type(self).__qualname__, name)
+                )
+            object.__setattr__(self, name, value)
+        if kwargs:  # a keyword left over names no field, or one given by position
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError("%s() got %s argument %r" % (type(self).__qualname__, problem, name))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -60,18 +60,7 @@ class SamplerConfig(FrozenRecord):
     """Knobs shared by all samplers; the seed fully determines a run."""
 
     _fields = ("seed", "round_cap", "record_log", "check_extremal")
-
-    def __init__(
-        self,
-        seed: int,
-        round_cap: int = DEFAULT_ROUND_CAP,
-        record_log: bool = True,
-        check_extremal: bool = True,
-    ):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "round_cap", round_cap)
-        object.__setattr__(self, "record_log", record_log)
-        object.__setattr__(self, "check_extremal", check_extremal)
+    _defaults = (DEFAULT_ROUND_CAP, True, True)
 
 
 _NEW_LOG = object()  # RunStats's default log: a new empty list
@@ -97,23 +86,14 @@ class RunStats(Record):
         "var_log",
     )
 
-    def __init__(
-        self,
-        rounds: int = 0,
-        total_resamples: int = 0,
-        event_resamples: list[int] | None = None,
-        variable_resamples: int = 0,
-        halted: bool = False,
-        log: list[tuple[int, ...]] | None = _NEW_LOG,
-        var_log: list[tuple[int, ...]] | None = _NEW_LOG,
-    ):
-        self.rounds = rounds
-        self.total_resamples = total_resamples
-        self.event_resamples = event_resamples
-        self.variable_resamples = variable_resamples
-        self.halted = halted
-        self.log = [] if log is _NEW_LOG else log
-        self.var_log = [] if var_log is _NEW_LOG else var_log
+    _defaults = (0, 0, None, 0, False, _NEW_LOG, _NEW_LOG)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.log is _NEW_LOG:
+            self.log = []
+        if self.var_log is _NEW_LOG:
+            self.var_log = []
 
     def to_json(self, include_log: bool = False) -> dict:
         out = {

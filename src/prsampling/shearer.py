@@ -307,30 +307,6 @@ class GprsCheck(FrozenRecord):
         "p", "r", "delta", "c1", "c2", "applicable", "cond1", "cond2", "product1", "product2"
     )
 
-    def __init__(
-        self,
-        p: Fraction,
-        r: Fraction,
-        delta: int,
-        c1: int,
-        c2: int,
-        applicable: bool,
-        cond1: bool | None,
-        cond2: bool | None,
-        product1: float,
-        product2: float,
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "cond1", cond1)
-        object.__setattr__(self, "cond2", cond2)
-        object.__setattr__(self, "product1", product1)
-        object.__setattr__(self, "product2", product2)
-
     @property
     def ok(self) -> bool | None:
         if not self.applicable:
@@ -442,38 +418,6 @@ class ShearerReport(FrozenRecord):
         "expected_total", "expected_per_event", "lll_ok", "p_max", "symmetric_pc",
         "linear_coefficient", "gprs",
     )
-
-    def __init__(
-        self,
-        num_events: int,
-        max_degree: int,
-        p: tuple[Fraction, ...],
-        extremal: bool,
-        q_empty: Fraction,
-        q_singletons: tuple[Fraction, ...],
-        shearer_ok: bool,
-        expected_total: Fraction | None,
-        expected_per_event: tuple[Fraction, ...] | None,
-        lll_ok: bool,
-        p_max: Fraction,
-        symmetric_pc: Fraction | None,
-        linear_coefficient: Fraction | None,
-        gprs: GprsCheck,
-    ):
-        object.__setattr__(self, "num_events", num_events)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "extremal", extremal)
-        object.__setattr__(self, "q_empty", q_empty)
-        object.__setattr__(self, "q_singletons", q_singletons)
-        object.__setattr__(self, "shearer_ok", shearer_ok)
-        object.__setattr__(self, "expected_total", expected_total)
-        object.__setattr__(self, "expected_per_event", expected_per_event)
-        object.__setattr__(self, "lll_ok", lll_ok)
-        object.__setattr__(self, "p_max", p_max)
-        object.__setattr__(self, "symmetric_pc", symmetric_pc)
-        object.__setattr__(self, "linear_coefficient", linear_coefficient)
-        object.__setattr__(self, "gprs", gprs)
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,6 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cnf import CnfFormula, cnf_to_instance
@@ -35,6 +34,7 @@ from .model import (
     uniform_variable,
     VariableSpec,
 )
+from .records import FrozenRecord
 from .rng import derive_seed, make_rng
 from .sampler import (
     SamplerConfig,
@@ -50,14 +50,14 @@ DEFAULT_P_MIN = 1e-3
 MAX_ORACLE_STATES = 2 ** 24
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Exhaustive enumeration of an instance's valid assignments."""
+class OracleResult(FrozenRecord):
+    """Exhaustive enumeration of an instance's valid assignments.
 
-    satisfiable: bool
-    valid_assignments: tuple[tuple[int, ...], ...]
-    probabilities: tuple[Fraction, ...]  # conditional on validity; sums to 1
-    q_empty_check: Fraction  # unconditional probability that nothing occurs
+    ``probabilities`` are conditional on validity and sum to 1;
+    ``q_empty_check`` is the unconditional probability that nothing occurs.
+    """
+
+    _fields = ("satisfiable", "valid_assignments", "probabilities", "q_empty_check")
 
     def conditional(self) -> dict[tuple[int, ...], Fraction]:
         return dict(zip(self.valid_assignments, self.probabilities))
@@ -81,34 +81,16 @@ def enumerate_valid(instance: Instance, cap: int = MAX_ORACLE_STATES) -> OracleR
     )
 
 
-@dataclass(frozen=True)
-class UniformityVerdict:
+class UniformityVerdict(FrozenRecord):
     """Outcome of one empirical-vs-exact distribution comparison."""
 
-    n: int
-    num_outcomes: int
-    tv: float
-    chi2: float
-    dof: int
-    p_value: float
-    tv_max: float
-    p_min: float
-    invalid_outcomes: int
-    passed: bool
+    _fields = (
+        "n", "num_outcomes", "tv", "chi2", "dof", "p_value", "tv_max", "p_min", "invalid_outcomes",
+        "passed",
+    )
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "num_outcomes": self.num_outcomes,
-            "tv": self.tv,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "tv_max": self.tv_max,
-            "p_min": self.p_min,
-            "invalid_outcomes": self.invalid_outcomes,
-            "passed": self.passed,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def chi2_sf(stat: float, dof: int) -> float:

@@ -1268,6 +1268,13 @@ class TestColdSurface:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "False"
 
+    def test_verify_loads_no_dataclasses(self, tmp_path):
+        # The value records, ``verify``'s among them, are plain classes.
+        script = "import sys, prsampling.verify; print('dataclasses' in sys.modules, file=sys.stderr)"
+        proc = _run_python(["-S", "-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
     def test_sample_sink_free(self, tmp_path, triangle_file):
         script = (
             "import runpy, sys\n"
