@@ -1,5 +1,6 @@
 """The value classes' record behaviour: ``==``, ``hash``, ``repr``,
-construction and (im)mutability, pinned class by class.
+construction and (im)mutability, pinned class by class, and the exact JSON
+form of each class that has one.
 
 Each case gives a class, one value per field in declaration order, and the
 exact ``repr``. The expectations are those of a frozen dataclass (a plain
@@ -7,6 +8,7 @@ one for ``RunStats``), so any reimplementation must keep them.
 """
 
 import copy
+import json
 import pickle
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from prsampling.cnf import CnfFormula, CnfStats
 from prsampling.graph_apps import PathEndpointMatrix
 from prsampling.graphs import Graph
 from prsampling.model import DependencyGraph, EventSpec, Instance, VariableSpec
+from prsampling.records import FrozenRecord, Record
 from prsampling.sampler import RunStats, SamplerConfig
 from prsampling.shearer import GprsCheck, ShearerReport
 from prsampling.verify import OracleResult, UniformityVerdict
@@ -288,3 +291,113 @@ class TestRunStats:
         a = RunStats(**RUN_FIELDS)
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert type(b) is RunStats and b == a
+
+
+FAILED_GPRS = GprsCheck(F(25, 36), F(5, 6), 1, 6, 3, False, None, None, 4.5, 2.25)
+GPRS_JSON = {
+    "p": "1/8", "r": "1/4", "delta": 2, "constants": [1, 2], "applicable": True,
+    "cond1": True, "cond2": False, "product1": 0.5, "product2": 1.5, "ok": False,
+}
+FAILED_GPRS_JSON = {
+    "p": "25/36", "r": "5/6", "delta": 1, "constants": [6, 3], "applicable": False,
+    "cond1": None, "cond2": None, "product1": 4.5, "product2": 2.25, "ok": None,
+}
+
+# (record, its exact to_json()): each class with a JSON form, on fixed values
+JSON_FORMS = {
+    "GprsCheck": (GPRS, GPRS_JSON),
+    "GprsCheck-not-applicable": (FAILED_GPRS, FAILED_GPRS_JSON),
+    "CnfStats-no-shared": (
+        CnfStats(2, 1, 2, 1, None, True),
+        {
+            "num_vars": 2, "num_clauses": 1, "uniform_width": 2, "max_var_degree": 1,
+            "min_shared": "infinity", "extremal": True,
+        },
+    ),
+    "CnfStats-shared": (
+        CnfStats(4, 3, None, 2, 2, False),
+        {
+            "num_vars": 4, "num_clauses": 3, "uniform_width": None, "max_var_degree": 2,
+            "min_shared": 2, "extremal": False,
+        },
+    ),
+    "PathEndpointMatrix": (
+        PathEndpointMatrix(4, F(1, 2), ((F(8, 15), F(1, 5)), (F(1, 5), F(1, 15)))),
+        {"k": 4, "lam": "1/2", "w": [["8/15", "1/5"], ["1/5", "1/15"]], "det": "-1/225"},
+    ),
+    "UniformityVerdict": (
+        UniformityVerdict(*FROZEN["UniformityVerdict"][1].values()),
+        {
+            "n": 100, "num_outcomes": 2, "tv": 0.05, "chi2": 1.25, "dof": 1, "p_value": 0.26,
+            "tv_max": 0.01, "p_min": 0.001, "invalid_outcomes": 0, "passed": True,
+        },
+    ),
+    "ShearerReport-criterion-fails": (
+        ShearerReport(
+            4, 2, (F(25, 36),) * 4, False, F(-527, 648), (F(275, 1296),) * 4, False, None,
+            None, False, F(25, 36), F(1, 4), None, FAILED_GPRS,
+        ),
+        {
+            "num_events": 4, "max_degree": 2, "p": ["25/36"] * 4, "extremal": False,
+            "q_empty": "-527/648", "q_singletons": ["275/1296"] * 4, "shearer_ok": False,
+            "expected_total": None, "expected_per_event": None, "lll_ok": False,
+            "p_max": "25/36", "symmetric_pc": "1/4", "linear_coefficient": None,
+            "gprs": FAILED_GPRS_JSON,
+        },
+    ),
+    "ShearerReport-criterion-holds": (
+        ShearerReport(*FROZEN["ShearerReport"][1].values()),
+        {
+            "num_events": 1, "max_degree": 0, "p": ["1/2"], "extremal": True,
+            "q_empty": "1/2", "q_singletons": ["1/2"], "shearer_ok": True,
+            "expected_total": "1", "expected_per_event": ["1"], "lll_ok": True,
+            "p_max": "1/2", "symmetric_pc": None, "linear_coefficient": None,
+            "gprs": GPRS_JSON,
+        },
+    ),
+}
+RUN_JSON = {
+    "rounds": 3, "total_resamples": 4, "per_event": [1, 3], "variable_resamples": 5,
+    "halted": True,
+}
+
+
+class TestJsonForm:
+    """Each record's JSON form: exact rationals as ``a/b`` strings, tuples as
+    lists, a nested record as its own JSON form."""
+
+    @pytest.mark.parametrize("label", sorted(JSON_FORMS))
+    def test_exact_json(self, label):
+        record, expected = JSON_FORMS[label]
+        out = record.to_json()
+        assert out == expected
+        assert json.loads(json.dumps(out)) == expected
+
+    def test_only_these_classes_have_one(self):
+        assert not hasattr(Record, "to_json") and not hasattr(FrozenRecord, "to_json")
+        with_json = {label for label, (cls, _, _) in FROZEN.items() if hasattr(cls, "to_json")}
+        assert with_json == {label.split("-")[0] for label in JSON_FORMS}
+        assert hasattr(RunStats, "to_json")
+
+    def test_run_stats(self):
+        stats = RunStats(**RUN_FIELDS)
+        out = stats.to_json()
+        assert out == RUN_JSON and list(out) == list(RUN_JSON)
+        assert out["per_event"] == stats.event_resamples
+        with_log = stats.to_json(include_log=True)
+        assert with_log == {**RUN_JSON, "log": [[0], [1]], "var_log": [[2]]}
+        assert list(with_log) == [*RUN_JSON, "log", "var_log"]
+        assert json.loads(json.dumps(with_log)) == with_log
+
+    def test_run_stats_without_logs(self):
+        # cycle_popping logs no events; record_log=False logs nothing.
+        no_events = RunStats(rounds=2, total_resamples=3, log=None, var_log=[(0, 1), (2,)])
+        assert no_events.to_json(include_log=True) == {
+            "rounds": 2, "total_resamples": 3, "per_event": None, "variable_resamples": 0,
+            "halted": False, "log": None, "var_log": [[0, 1], [2]],
+        }
+        assert RunStats(log=None, var_log=None).to_json(include_log=True) == {
+            "rounds": 0, "total_resamples": 0, "per_event": None, "variable_resamples": 0,
+            "halted": False, "log": None, "var_log": None,
+        }
+        assert list(no_events.to_json()) == list(RUN_JSON)
