@@ -19,7 +19,7 @@ from fractions import Fraction
 from .certified import e_leq, e_mult_leq_two_pow_half, two_pow_3e_leq
 from .graphs import Graph, decimal_int
 from .model import Instance, make_event, uniform_variable
-from .records import FrozenRecord
+from .records import FrozenRecord, fields_json
 from .sampler import SamplerConfig, run_sampler
 
 
@@ -150,14 +150,10 @@ class CnfStats(FrozenRecord):
     )
 
     def to_json(self) -> dict:
-        return {
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "uniform_width": self.uniform_width,
-            "max_var_degree": self.max_var_degree,
-            "min_shared": "infinity" if self.min_shared is None else self.min_shared,
-            "extremal": self.extremal,
-        }
+        out = fields_json(self)
+        if self.min_shared is None:
+            out["min_shared"] = "infinity"
+        return out
 
 
 def cnf_stats(formula: CnfFormula) -> CnfStats:

@@ -39,7 +39,7 @@ from operator import getitem
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
 from .model import EventSpec, Instance, make_event, uniform_variable, VariableSpec
-from .records import FrozenRecord
+from .records import FrozenRecord, fields_json
 from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .sampler import SamplerConfig, resample_until_valid
@@ -435,12 +435,7 @@ class PathEndpointMatrix(FrozenRecord):
         return self.w[0][0] * self.w[1][1] - self.w[0][1] * self.w[1][0]
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "lam": str(self.lam),
-            "w": [[str(x) for x in row] for row in self.w],
-            "det": str(self.det),
-        }
+        return {**fields_json(self), "det": str(self.det)}
 
 
 def endpoint_matrix(k: int, lam) -> PathEndpointMatrix:
@@ -481,6 +476,8 @@ def disjoint_paths_graph(n: int, L: int) -> Graph:
     """n/L vertex-disjoint paths of L vertices each, numbered consecutively."""
     if L < 1 or n % L != 0:
         raise ValueError("need L >= 1 dividing n, got n=%d L=%d" % (n, L))
+    if n < L:
+        raise ValueError("need n >= L, got n=%d L=%d" % (n, L))
     edges = []
     for start in range(0, n, L):
         edges.extend((v, v + 1) for v in range(start, start + L - 1))

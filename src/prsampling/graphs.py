@@ -26,6 +26,8 @@ class Graph(FrozenRecord):
     def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", edges)
+        if num_vertices < 0:
+            raise ValueError("num_vertices = %d is negative" % num_vertices)
         prev = None
         for k, e in enumerate(edges):
             u, v = e

@@ -1,5 +1,5 @@
-"""Value records: one constructor and field-wise ``==``, ``hash`` and
-``repr``, with no code generation.
+"""Value records: one constructor, field-wise ``==``, ``hash`` and ``repr``,
+and one JSON form, with no code generation.
 
 A subclass declares its fields once: their names in ``_fields``, in
 declaration order, and the values of its trailing optional fields in
@@ -10,6 +10,11 @@ one would. ``==``, ``hash`` and ``repr`` then behave as a dataclass's do
 nothing: ``dataclasses`` ``exec``s the methods of every class it makes,
 about a millisecond each, on every import.
 
+The same declaration gives a report its JSON form: :func:`fields_json`
+writes the fields by name, every exact rational as its ``a/b`` string, and
+a report's ``to_json`` writes only what differs from that. ``Record`` has
+no ``to_json``: an ``Instance``'s file format is ``model.instance_to_json``.
+
 A class that checks its input (``Graph``, ``VariableSpec``, ``EventSpec``,
 ``Instance``, ``CnfFormula``) keeps its own ``__init__``, which sets each
 field with ``object.__setattr__`` before its checks: the parsers and
@@ -18,6 +23,8 @@ and a fixed signature binds them faster than this loop does.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class Record:
@@ -86,3 +93,20 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+
+def fields_json(record) -> dict:
+    """``record``'s fields by name, in ``_fields`` order, as JSON data."""
+    return {name: _json(getattr(record, name)) for name in record._fields}
+
+
+def _json(value):
+    """A ``Fraction`` as its ``a/b`` string, a tuple or list as a list of
+    converted values, a record as its ``to_json()``; anything else as is."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_json(x) for x in value]
+    if isinstance(value, Record):
+        return value.to_json()
+    return value

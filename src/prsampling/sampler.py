@@ -49,7 +49,7 @@ from operator import eq
 
 from .errors import RoundCapError
 from .model import Instance, sample_product
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, fields_json
 from .model import occurs  # noqa: F401 (bench/tracing.py counts calls through this name)
 from .rng import draw_index, make_rng  # noqa: F401 (bench/tracing.py counts draw_index)
 
@@ -96,19 +96,11 @@ class RunStats(Record):
             self.var_log = []
 
     def to_json(self, include_log: bool = False) -> dict:
-        out = {
-            "rounds": self.rounds,
-            "total_resamples": self.total_resamples,
-            "per_event": self.event_resamples,
-            "variable_resamples": self.variable_resamples,
-            "halted": self.halted,
-        }
-        if include_log:
-            out["log"] = None if self.log is None else [list(s) for s in self.log]
-            out["var_log"] = (
-                None if self.var_log is None else [list(s) for s in self.var_log]
-            )
-        return out
+        out = fields_json(self)
+        if not include_log:
+            del out["log"], out["var_log"]
+        # ``event_resamples`` is written as "per_event", in its place.
+        return {"per_event" if k == "event_resamples" else k: v for k, v in out.items()}
 
 
 def resample_until_valid(

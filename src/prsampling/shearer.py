@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import certified
 from .errors import BudgetError, PrsError
 from .model import DependencyGraph, Instance, event_probabilities, r_max
-from .records import FrozenRecord
+from .records import FrozenRecord, fields_json
 
 MAX_ANALYSIS_EVENTS = 30
 MAX_MEMO_ENTRIES = 2 ** 21
@@ -314,18 +314,10 @@ class GprsCheck(FrozenRecord):
         return bool(self.cond1 and self.cond2)
 
     def to_json(self) -> dict:
-        return {
-            "p": str(self.p),
-            "r": str(self.r),
-            "delta": self.delta,
-            "constants": [self.c1, self.c2],
-            "applicable": self.applicable,
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "product1": self.product1,
-            "product2": self.product2,
-            "ok": self.ok,
-        }
+        out = fields_json(self)
+        out["constants"] = [out.pop("c1"), out.pop("c2")]
+        out["ok"] = self.ok
+        return out
 
 
 def gprs_condition_values(
@@ -419,27 +411,7 @@ class ShearerReport(FrozenRecord):
         "linear_coefficient", "gprs",
     )
 
-    def to_json(self) -> dict:
-        return {
-            "num_events": self.num_events,
-            "max_degree": self.max_degree,
-            "p": [str(x) for x in self.p],
-            "extremal": self.extremal,
-            "q_empty": str(self.q_empty),
-            "q_singletons": [str(x) for x in self.q_singletons],
-            "shearer_ok": self.shearer_ok,
-            "expected_total": None if self.expected_total is None else str(self.expected_total),
-            "expected_per_event": None
-            if self.expected_per_event is None
-            else [str(x) for x in self.expected_per_event],
-            "lll_ok": self.lll_ok,
-            "p_max": str(self.p_max),
-            "symmetric_pc": None if self.symmetric_pc is None else str(self.symmetric_pc),
-            "linear_coefficient": None
-            if self.linear_coefficient is None
-            else str(self.linear_coefficient),
-            "gprs": self.gprs.to_json(),
-        }
+    to_json = fields_json
 
 
 def analyze_instance(instance: Instance) -> ShearerReport:

@@ -19,8 +19,16 @@ from fractions import Fraction
 
 from .cnf import CnfFormula, cnf_to_instance
 from .errors import BudgetError
-from .graph_apps import encode_sink_free, hardcore_sample
-from .graphs import make_graph, random_regular_graph
+from .graph_apps import (
+    assignment_to_arrows,
+    cycle_popping,
+    encode_hardcore,
+    encode_sink_free,
+    encode_spanning_tree,
+    hardcore_sample,
+    sink_popping,
+)
+from .graphs import complete_graph, cycle_graph, make_graph, path_graph, random_regular_graph
 from .model import (
     DependencyGraph,
     Instance,
@@ -34,7 +42,7 @@ from .model import (
     uniform_variable,
     VariableSpec,
 )
-from .records import FrozenRecord
+from .records import FrozenRecord, fields_json
 from .rng import derive_seed, make_rng
 from .sampler import (
     SamplerConfig,
@@ -89,8 +97,7 @@ class UniformityVerdict(FrozenRecord):
         "passed",
     )
 
-    def to_json(self) -> dict:
-        return dict(zip(self._fields, self._values()))
+    to_json = fields_json
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -163,13 +170,16 @@ def empirical_distribution_test(
     )
 
 
+def _config(seed: int) -> SamplerConfig:
+    """A sampler configuration for ``seed`` that keeps no log."""
+    return SamplerConfig(seed=seed, record_log=False)
+
+
 def make_handle(kind: str):
     """A sampler handle (instance, seed) -> outcome tuple for uniformity tests."""
 
     def handle(instance: Instance, seed: int):
-        sigma, _ = run_sampler(
-            kind, instance, SamplerConfig(seed=seed, record_log=False)
-        )
+        sigma, _ = run_sampler(kind, instance, _config(seed))
         return tuple(sigma)
 
     return handle
@@ -181,8 +191,8 @@ def biased_stub(instance: Instance, seed: int):
     Each sub-draw is exact, so the minimum provably tilts mass toward
     lexicographically small valid assignments; uniformity tests must fail.
     """
-    a, _ = general_prs(instance, SamplerConfig(seed=derive_seed(seed, 0), record_log=False))
-    b, _ = general_prs(instance, SamplerConfig(seed=derive_seed(seed, 1), record_log=False))
+    a, _ = general_prs(instance, _config(derive_seed(seed, 0)))
+    b, _ = general_prs(instance, _config(derive_seed(seed, 1)))
     return tuple(min(a, b))
 
 
@@ -228,8 +238,7 @@ def expected_resamples_test(
     totals = []
     per = []
     for i in range(n):
-        cfg = SamplerConfig(seed=derive_seed(base_seed, i), record_log=False)
-        _, stats = extremal_prs(instance, cfg)
+        _, stats = extremal_prs(instance, _config(derive_seed(base_seed, i)))
         totals.append(stats.total_resamples)
         per.append(stats.event_resamples)
 
@@ -312,80 +321,48 @@ def uniformity_cases() -> dict[str, dict]:
     Each value has ``draw(seed) -> outcome``, ``target`` (outcome -> exact
     probability), and a human-readable ``describe``.
     """
-    from .graph_apps import (
-        assignment_to_arrows,
-        cycle_popping,
-        encode_hardcore,
-        encode_spanning_tree,
-        sink_popping,
-    )
-    from .graphs import complete_graph, cycle_graph, path_graph
-    from .sampler import extremal_prs as _eprs
-
-    cases: dict[str, dict] = {}
-
-    c3 = cycle_graph(3)
-    cases["sink-c3"] = {
-        "describe": "sink-free orientations of the 3-cycle, sink-popping sampler",
-        "draw": lambda seed: sink_popping(
-            c3, SamplerConfig(seed=seed, record_log=False)
-        )[0],
-        "target": enumerate_valid(encode_sink_free(c3)).conditional(),
-    }
-
-    c4 = cycle_graph(4)
+    c3, c4, k4, p5 = cycle_graph(3), cycle_graph(4), complete_graph(4), path_graph(5)
     c4_instance = encode_sink_free(c4)
-
-    def draw_c4(seed: int):
-        sigma, _ = _eprs(c4_instance, SamplerConfig(seed=seed, record_log=False))
-        return tuple(sigma)
-
-    cases["sink-c4"] = {
-        "describe": "sink-free orientations of the 4-cycle, all-occurring-events sampler",
-        "draw": draw_c4,
-        "target": enumerate_valid(c4_instance).conditional(),
-    }
-
-    k4 = complete_graph(4)
-    k4_instance = encode_spanning_tree(k4, 0)
-    k4_oracle = enumerate_valid(k4_instance)
-    k4_target = {
-        assignment_to_arrows(k4, 0, a): p
-        for a, p in zip(k4_oracle.valid_assignments, k4_oracle.probabilities)
-    }
-    cases["tree-k4"] = {
-        "describe": "spanning trees of K4 rooted at 0, cycle-popping sampler",
-        "draw": lambda seed: cycle_popping(
-            k4, 0, SamplerConfig(seed=seed, record_log=False)
-        )[0],
-        "target": k4_target,
-    }
-
-    p5 = path_graph(5)
+    chain_instance = cnf_to_instance(chain_cnf())
 
     def draw_p5(seed: int):
-        occupied, _ = hardcore_sample(
-            p5, 1, SamplerConfig(seed=seed, record_log=False)
-        )
+        occupied, _ = hardcore_sample(p5, 1, _config(seed))
         return tuple(1 if v in occupied else 0 for v in range(5))
 
-    cases["hardcore-p5"] = {
-        "describe": "hard-core configurations on the 5-path at lam=1 (13 outcomes)",
-        "draw": draw_p5,
-        "target": enumerate_valid(encode_hardcore(p5, 1)).conditional(),
-    }
-
-    chain_instance = cnf_to_instance(chain_cnf())
-    cases["cnf-chain"] = {
-        "describe": "solutions of (x|y)&(y|z), resampling-set sampler",
-        "draw": lambda seed: tuple(
-            general_prs(
-                chain_instance, SamplerConfig(seed=seed, record_log=False)
-            )[0]
+    rows = {
+        "sink-c3": (
+            "sink-free orientations of the 3-cycle, sink-popping sampler",
+            lambda seed: sink_popping(c3, _config(seed))[0],
+            enumerate_valid(encode_sink_free(c3)).conditional(),
         ),
-        "target": enumerate_valid(chain_instance).conditional(),
+        "sink-c4": (
+            "sink-free orientations of the 4-cycle, all-occurring-events sampler",
+            lambda seed: tuple(extremal_prs(c4_instance, _config(seed))[0]),
+            enumerate_valid(c4_instance).conditional(),
+        ),
+        "tree-k4": (
+            "spanning trees of K4 rooted at 0, cycle-popping sampler",
+            lambda seed: cycle_popping(k4, 0, _config(seed))[0],
+            {
+                assignment_to_arrows(k4, 0, a): p
+                for a, p in enumerate_valid(encode_spanning_tree(k4, 0)).conditional().items()
+            },
+        ),
+        "hardcore-p5": (
+            "hard-core configurations on the 5-path at lam=1 (13 outcomes)",
+            draw_p5,
+            enumerate_valid(encode_hardcore(p5, 1)).conditional(),
+        ),
+        "cnf-chain": (
+            "solutions of (x|y)&(y|z), resampling-set sampler",
+            lambda seed: tuple(general_prs(chain_instance, _config(seed))[0]),
+            enumerate_valid(chain_instance).conditional(),
+        ),
     }
-    return cases
+    return {
+        name: {"describe": describe, "draw": draw, "target": target}
+        for name, (describe, draw, target) in rows.items()
+    }
 
 
 def negative_control_test(

@@ -882,6 +882,15 @@ class TestDisjointPaths:
             for b in range(2):
                 assert abs(freq[a][b] - exact[a][b]) < 0.12
 
+    @pytest.mark.parametrize("n", [0, -8])
+    def test_requires_n_at_least_l(self, n):
+        # Both are multiples of L; n = 0 used to divide by zero paths.
+        message = "need n >= L, got n=%d L=4" % n
+        with pytest.raises(ValueError, match=message):
+            disjoint_paths_graph(n, 4)
+        with pytest.raises(ValueError, match=message):
+            disjoint_paths_experiment(n, 4, 1, trials=3, base_seed=0)
+
     def test_requires_a_trial(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             disjoint_paths_experiment(8, 4, 1, trials=0, base_seed=1)

@@ -53,6 +53,23 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=msg):
             Graph(3, edges)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(-1, ()),
+            lambda: make_graph(-3, []),
+            lambda: path_graph(-2),
+            lambda: complete_graph(-1),
+        ],
+    )
+    def test_negative_vertex_count(self, build):
+        with pytest.raises(ValueError, match="is negative"):
+            build()
+
+    def test_no_vertices(self):
+        g = make_graph(0, [])
+        assert g.num_vertices == g.num_edges == g.cycle_space_dim == 0
+
     def test_make_graph_normalizes(self):
         g = make_graph(3, [(2, 0), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2))
