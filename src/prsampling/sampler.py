@@ -99,7 +99,7 @@ class RunStats(Record):
         out = fields_json(self)
         if not include_log:
             del out["log"], out["var_log"]
-        # ``event_resamples`` is written as "per_event", in its place.
+        # Renamed in place: run digests dump this dict without sorting its keys.
         return {"per_event" if k == "event_resamples" else k: v for k, v in out.items()}
 
 

@@ -15,6 +15,7 @@ from prsampling.model import (
     is_extremal,
 )
 from prsampling.rng import make_rng
+from prsampling.sampler import SamplerConfig
 from prsampling.shearer import q_empty
 from prsampling.verify import (
     biased_stub,
@@ -287,6 +288,26 @@ class TestNamedFixtures:
             assert sum(case["target"].values()) == 1, name
             for i in range(3):
                 assert case["draw"](1000 + i) in case["target"], name
+
+    def test_each_case_draws_once_per_seed(self, monkeypatch):
+        samplers = {
+            "sink-c3": "sink_popping",
+            "sink-c4": "extremal_prs",
+            "tree-k4": "cycle_popping",
+            "hardcore-p5": "hardcore_sample",
+            "cnf-chain": "general_prs",
+        }
+        calls = []
+        for name in samplers.values():
+            def counted(*args, _name=name, _sampler=getattr(verify, name)):
+                calls.append((_name, args[-1]))
+                return _sampler(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        for case, sampler in samplers.items():
+            calls.clear()
+            uniformity_cases()[case]["draw"](7)
+            assert calls == [(sampler, SamplerConfig(7, record_log=False))], case
 
     def test_case_support_sizes(self):
         cases = uniformity_cases()
