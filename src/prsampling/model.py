@@ -496,27 +496,25 @@ def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> b
     return True
 
 
-class _ScaledWeights(dict):
-    """Variable id -> (numerators, denominator): the variable's weights as
-    integers over their least common denominator, worked out on first use
-    and kept once per weight vector object: variables sharing one share a row."""
-
-    def __init__(self, variables: Sequence[VariableSpec]):
-        super().__init__()
-        self.variables, self.rows = variables, {}  # rows: id(weights) -> row
-
-    def __missing__(self, v: int) -> tuple[tuple[int, ...], int]:
-        ws = self.variables[v].weights
-        if id(ws) not in self.rows:
-            den = math.lcm(*[w.denominator for w in ws])
-            self.rows[id(ws)] = tuple([w.numerator * den // w.denominator for w in ws]), den
-        got = self[v] = self.rows[id(ws)]
-        return got
+def _scale(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The weights as integers over their least common denominator."""
+    den = math.lcm(*[w.denominator for w in weights])
+    return tuple([w.numerator * den // w.denominator for w in weights]), den
 
 
-def _weight_sum(scaled: _ScaledWeights, vbl: Sequence[int], tuples) -> tuple[int, int]:
+def _scaled_rows(variables: Sequence[VariableSpec]) -> list[tuple[tuple[int, ...], int]]:
+    """Each variable's :func:`_scale` row; each distinct weight vector object
+    is scaled once, and the variables that share it share its row."""
+    weights = [v.weights for v in variables]
+    rows = {id(ws): ws for ws in weights}
+    rows = {k: _scale(ws) for k, ws in rows.items()}
+    return [rows[id(ws)] for ws in weights]
+
+
+def _weight_sum(scaled, vbl: Sequence[int], tuples) -> tuple[int, int]:
     """Exact product-measure weight of the value tuples over ``vbl``, as an
-    unreduced ``(numerator, denominator)`` pair of integers."""
+    unreduced ``(numerator, denominator)`` pair of integers; ``scaled[v]``
+    is variable v's row of :func:`_scale`."""
     rows = [scaled[v] for v in vbl]
     num = 0
     for t in tuples:
@@ -532,12 +530,12 @@ def _weight_sum(scaled: _ScaledWeights, vbl: Sequence[int], tuples) -> tuple[int
 
 def event_probability(instance: Instance, event: EventSpec) -> Fraction:
     """Exact probability that the event occurs under the product measure."""
-    scaled = _ScaledWeights(instance.variables)
+    scaled = {v: _scale(instance.variables[v].weights) for v in event.vbl}
     return Fraction(*_weight_sum(scaled, event.vbl, event.violating))
 
 
 def event_probabilities(instance: Instance) -> list[Fraction]:
-    scaled = _ScaledWeights(instance.variables)
+    scaled = _scaled_rows(instance.variables)
     return [Fraction(*_weight_sum(scaled, e.vbl, e.violating)) for e in instance.events]
 
 
@@ -556,7 +554,7 @@ def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
     instance's dependency graph; sums are compared as integer cross-products.
     """
     graph, var_events = graph or instance.dependency_graph, instance.var_events
-    events, scaled, best_num, best_den = instance.events, _ScaledWeights(instance.variables), 0, 1
+    events, scaled, best_num, best_den = instance.events, _scaled_rows(instance.variables), 0, 1
     for event, adjacent in zip(events, graph.adjacency):
         over = {}  # v -> w_jv, for the shared variables whose w_jv beats the best
         for v, column in zip(event.vbl, zip(*event.violating)):

@@ -18,7 +18,14 @@ sum without enumerating all independent sets. It runs in integers: with
 every p_v = a_v / D over one common denominator D, the memo holds
 D^|S| * q(S) (see ``_QEvaluator``), and each returned value is one
 ``Fraction``. The Shearer verdict is read off the chain of suffix sets that
-recursion memoizes on its way to q_empty.
+recursion memoizes on its way to q_empty. Every q_i comes from that same
+memo: q_empty is multilinear in the p's, and differentiating the
+independent-set sum term by term gives
+
+    q_i = p_i * q(V - N+[i]) = -p_i * d q_empty / d p_i,
+
+so one reverse sweep over the memo (reverse-mode differentiation of the
+recursion) yields all of them, with no recursion per event.
 Enumeration (with pruning and explicit budgets) is used only by
 ``all_q_values`` and ``truncated_log_partials``, which need every
 independent set. Hard guards: at most 30 events per analysis, and at most
@@ -84,19 +91,34 @@ class _QEvaluator:
     products need no gcd, while every ``Fraction`` operation reduces by one;
     a result becomes a ``Fraction`` only when it is returned. D^|S| > 0, so
     Q(S) and q(S) have the same sign, which is all ``holds`` reads.
+
+    The q_i come from the memo of Q(V), by q_i = -p_i * d q_empty / d p_i
+    (see the module docstring). With D fixed, that is
+    q_i = a_i * (-dQ(V)/da_i) / D^m, and ``numerators`` finds every
+    a_i * (-dQ(V)/da_i) in one reverse sweep: it pushes the adjoint
+    dQ(V)/dQ(S) from each subset S to the two subsets S's line of the
+    recursion reads, and collects at v = min(S) what a_v contributes
+    there. That is valid in reverse insertion order of the memo, because
+    ``scaled`` stores a subset only after the two it reads: every subset
+    is swept after all the subsets that read it, so its adjoint is
+    complete when it is swept.
     """
 
     def __init__(self, graph: DependencyGraph, p: Sequence[Fraction]):
-        p = _check_inputs(graph, p)
+        self.p = p = _check_inputs(graph, p)
         self.m = graph.num_events
         self.full = (1 << self.m) - 1
-        self.closed = [
-            sum(1 << j for j in graph.closed_neighborhood(i)) for i in range(self.m)
-        ]
-        self.den = math.lcm(*(pi.denominator for pi in p))
+        self.closed = []  # N+[i] as a bitmask
+        for i in range(self.m):
+            mask = 1 << i
+            for j in graph.adjacency[i]:
+                mask |= 1 << j
+            self.closed.append(mask)
+        self.den = math.lcm(*[pi.denominator for pi in p])
         self.a = [pi.numerator * (self.den // pi.denominator) for pi in p]
         self.powers = [self.den ** k for k in range(self.m + 1)]
         self.memo: dict[int, int] = {0: 1}
+        self._numerators: list[int] | None = None
 
     def scaled(self, mask: int) -> int:
         """Q(S) = D^|S| * q(S)."""
@@ -124,22 +146,40 @@ class _QEvaluator:
             num *= self.a[i]
         return Fraction(num * self.scaled(rest), self.den ** (len(ids) + rest.bit_count()))
 
+    def numerators(self) -> list[int]:
+        """[a_i * (-dQ(V)/da_i)] = [D^m * q_i] for every event i, by one
+        reverse sweep over the memo of Q(V); each adjoint is dropped once
+        it has been pushed on."""
+        if self._numerators is None:
+            memo, closed, a, powers, den = self.memo, self.closed, self.a, self.powers, self.den
+            self.scaled(self.full)
+            nums = [0] * self.m
+            adjoint = {self.full: 1}  # dQ(V)/dQ(S), for the subsets still to sweep
+            for mask in reversed(memo):
+                w = adjoint.pop(mask, 0)
+                if not (w and mask):
+                    continue
+                v = (mask & -mask).bit_length() - 1
+                near = mask & closed[v]
+                rest, low = mask ^ (1 << v), mask ^ near
+                w_low = a[v] * powers[near.bit_count() - 1] * w
+                nums[v] += w_low * memo[low]
+                adjoint[rest] = adjoint.get(rest, 0) + den * w
+                adjoint[low] = adjoint.get(low, 0) - w_low
+            self._numerators = nums
+        return self._numerators
+
     def singletons(self) -> list[Fraction]:
-        return [self.q_of((i,)) for i in range(self.m)]
+        top = self.powers[self.m]
+        return [Fraction(num, top) for num in self.numerators()]
 
     def expected(self) -> tuple[list[Fraction], Fraction]:
         """[q_i / q_empty] for every event i, and their sum; needs q_empty > 0.
 
-        With R = V - N+[i], q_i / q_empty = a_i * Q(R) * D^(m - 1 - |R|) / Q(V),
-        so each ratio and the sum are one ``Fraction`` each.
+        q_i / q_empty = a_i * (-dQ(V)/da_i) / Q(V), so each ratio and the
+        sum are one ``Fraction`` each.
         """
-        top = self.scaled(self.full)
-        nums = []
-        for i in range(self.m):
-            rest = self.full & ~self.closed[i]
-            nums.append(
-                self.a[i] * self.scaled(rest) * self.powers[self.m - 1 - rest.bit_count()]
-            )
+        top, nums = self.scaled(self.full), self.numerators()
         return [Fraction(num, top) for num in nums], Fraction(sum(nums), top)
 
     def holds(self) -> bool:
@@ -255,13 +295,18 @@ def check_asymmetric_lll(
     for i, xi in enumerate(x):
         if not 0 < xi.numerator < xi.denominator:
             raise ValueError("x[%d] = %s must lie strictly inside (0, 1)" % (i, xi))
+    return _lll_holds(graph, p, x)
+
+
+def _lll_holds(graph: DependencyGraph, p: list[Fraction], x: list[Fraction]) -> bool:
+    """``check_asymmetric_lll`` on inputs it has checked, as Fractions."""
     # Cross-multiplied: p_i * den <= num, where num / den is the bound.
-    for i in range(graph.num_events):
-        num, den = x[i].numerator, x[i].denominator
+    for i, (pi, xi) in enumerate(zip(p, x)):
+        num, den = xi.numerator, xi.denominator
         for j in graph.adjacency[i]:
             num *= x[j].denominator - x[j].numerator
             den *= x[j].denominator
-        if p[i].numerator * den > num * p[i].denominator:
+        if pi.numerator * den > num * pi.denominator:
             return False
     return True
 
@@ -325,18 +370,22 @@ def gprs_condition_values(
 ) -> GprsCheck:
     """Evaluate the efficiency conditions for given p, r and max degree.
 
-    ``ValueError`` if p or r is not a probability or delta is negative.
+    ``ValueError`` if p or r is not a probability, or if delta, c1 or c2
+    is negative or not an int (a bool is not taken for one).
     """
     p, r = as_probability(p), as_probability(r, "r")
-    if delta < 0:
-        raise ValueError("delta = %d is negative" % delta)
-    k1 = c1 * p * delta * delta
-    k2 = c2 * r * delta
+    for name, value in (("delta", delta), ("c1", c1), ("c2", c2)):
+        if type(value) is bool or not isinstance(value, int):
+            raise ValueError("%s = %r is not an integer" % (name, value))
+        if value < 0:
+            raise ValueError("%s = %d is negative" % (name, value))
+    k1 = Fraction(c1 * delta * delta * p.numerator, p.denominator)
+    k2 = Fraction(c2 * delta * r.numerator, r.denominator)
     applicable = delta >= 2
     cond1 = cond2 = None
     if applicable:
-        cond1 = True if k1 == 0 else certified.e_leq(1 / k1)
-        cond2 = True if k2 == 0 else certified.e_leq(1 / k2)
+        cond1 = not k1 or certified.e_leq(Fraction(k1.denominator, k1.numerator))
+        cond2 = not k2 or certified.e_leq(Fraction(k2.denominator, k2.numerator))
     return GprsCheck(
         p=p,
         r=r,
@@ -422,9 +471,8 @@ def analyze_instance(instance: Instance) -> ShearerReport:
     p_i < 1.
     """
     graph = instance.dependency_graph
-    p = tuple(event_probabilities(instance))
     delta = graph.max_degree
-    ev = _QEvaluator(graph, p)
+    ev = _QEvaluator(graph, event_probabilities(instance))
     qe = ev.q_of(())
     qs = tuple(ev.singletons())
     ok = ev.holds()
@@ -433,11 +481,10 @@ def analyze_instance(instance: Instance) -> ShearerReport:
         per, expected_total = ev.expected()
         expected_per = tuple(per)
     if delta >= 1:
-        x = [Fraction(1, delta + 1)] * graph.num_events
-        lll_ok = check_asymmetric_lll(graph, p, x)
+        lll_ok = _lll_holds(graph, ev.p, [Fraction(1, delta + 1)] * ev.m)
     else:
-        lll_ok = all(pi < 1 for pi in p)
-    p_max = max(p, default=Fraction(0))
+        lll_ok = all(a < ev.den for a in ev.a)
+    p_max = Fraction(max(ev.a, default=0), ev.den)
     pc = symmetric_pc(delta) if delta >= 2 else None
     coeff = None
     if pc is not None and p_max < pc:
@@ -445,7 +492,7 @@ def analyze_instance(instance: Instance) -> ShearerReport:
     return ShearerReport(
         num_events=graph.num_events,
         max_degree=delta,
-        p=p,
+        p=tuple(ev.p),
         extremal=instance.extremal,
         q_empty=qe,
         q_singletons=qs,

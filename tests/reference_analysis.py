@@ -1,20 +1,24 @@
 """The exact analysis as it was computed in ``Fraction`` at every step.
 
 ``QEvaluator`` is the memoized q-recursion over bitmask subsets, and
-``event_probability``, ``event_probabilities``, ``r_matrix`` and
-``check_asymmetric_lll`` are the weight sums and the LLL check, each kept
-verbatim (apart from names) from before ``prsampling`` did this arithmetic
-in integers. They are an independent reference for ``tests/test_shearer.py``.
+``event_probability``, ``event_probabilities``, ``r_matrix``,
+``check_asymmetric_lll`` and ``gprs_condition_values`` are the weight sums,
+the LLL check and the efficiency conditions, each kept verbatim (apart from
+names) from before ``prsampling`` did this arithmetic in integers. They are
+an independent reference for ``tests/test_shearer.py``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
+from prsampling import certified
+
 from prsampling.errors import BudgetError
 from prsampling.model import DependencyGraph, EventSpec, Instance
-from prsampling.shearer import MAX_MEMO_ENTRIES, _check_inputs
+from prsampling.shearer import MAX_MEMO_ENTRIES, GprsCheck, _check_inputs, as_probability
 
 
 class QEvaluator:
@@ -118,3 +122,31 @@ def check_asymmetric_lll(
         if Fraction(p[i]) > bound:
             return False
     return True
+
+
+def gprs_condition_values(
+    p: Fraction, r: Fraction, delta: int, c1: int = 6, c2: int = 3
+) -> GprsCheck:
+    """The efficiency conditions for given p, r and max degree."""
+    p, r = as_probability(p), as_probability(r, "r")
+    if delta < 0:
+        raise ValueError("delta = %d is negative" % delta)
+    k1 = c1 * p * delta * delta
+    k2 = c2 * r * delta
+    applicable = delta >= 2
+    cond1 = cond2 = None
+    if applicable:
+        cond1 = True if k1 == 0 else certified.e_leq(1 / k1)
+        cond2 = True if k2 == 0 else certified.e_leq(1 / k2)
+    return GprsCheck(
+        p=p,
+        r=r,
+        delta=delta,
+        c1=c1,
+        c2=c2,
+        applicable=applicable,
+        cond1=cond1,
+        cond2=cond2,
+        product1=float(k1) * math.e,
+        product2=float(k2) * math.e,
+    )

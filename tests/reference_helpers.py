@@ -16,7 +16,7 @@ from typing import Sequence
 
 from prsampling.graph_apps import bad_vertices
 from prsampling.graphs import Graph
-from prsampling.model import DependencyGraph, Instance, _project, _ScaledWeights, _weight_sum
+from prsampling.model import DependencyGraph, Instance, _project, _scaled_rows, _weight_sum
 from prsampling.shearer import (
     _QEvaluator,
     is_independent,
@@ -30,7 +30,7 @@ def r_matrix(
 ) -> dict[tuple[int, int], Fraction]:
     """For each ordered dependent pair (i, j): the probability that a fresh
     draw of the shared variables leaves event j still able to occur."""
-    vsets, scaled = [frozenset(e.vbl) for e in instance.events], _ScaledWeights(instance.variables)
+    vsets, scaled = [frozenset(e.vbl) for e in instance.events], _scaled_rows(instance.variables)
     return {
         (i, j): Fraction(*_weight_sum(scaled, *_project(instance.events[j], vsets[i])))
         for i, adjacent in enumerate((graph or instance.dependency_graph).adjacency)

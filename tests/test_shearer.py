@@ -303,11 +303,28 @@ class TestConditionCheckers:
             (F(1, 8), F(2), 3, "r = 2 is not a probability"),
             (F(1, 8), F(-1, 2), 3, "r = -1/2 is not a probability"),
             (F(1, 8), F(1, 2), -4, "delta = -4 is negative"),
+            (F(1, 100), F(0), 2.0, "delta = 2.0 is not an integer"),
+            (F(1, 100), F(0), True, "delta = True is not an integer"),
         ],
     )
     def test_gprs_rejects_bad_values(self, p, r, delta, message):
         with pytest.raises(ValueError, match=message):
             gprs_condition_values(p, r, delta)
+
+    @pytest.mark.parametrize(
+        "constants,message",
+        [
+            # -6 * e * p * delta^2 <= 1 holds, yet the product was taken as is.
+            ({"c1": -6}, "c1 = -6 is negative"),
+            ({"c2": -1}, "c2 = -1 is negative"),
+            ({"c1": 6.0}, "c1 = 6.0 is not an integer"),
+            ({"c2": F(3)}, "c2 = Fraction\\(3, 1\\) is not an integer"),
+            ({"c2": False}, "c2 = False is not an integer"),
+        ],
+    )
+    def test_gprs_rejects_bad_constants(self, constants, message):
+        with pytest.raises(ValueError, match=message):
+            gprs_condition_values(F(1, 100), F(0), 3, **constants)
 
     def test_gprs_accepts_the_closed_interval(self):
         assert gprs_condition_values(F(0), F(0), 0).applicable is False
@@ -420,6 +437,38 @@ class TestAnalyzeInstance:
         assert analyze_instance(instance) == first
         check_gprs_conditions(instance)
         assert builds == [instance]
+
+    def test_single_check_path(self):
+        # The LLL verdict, p_max and the gprs check, each from the inputs
+        # the evaluator checked once, against the public calls on p.
+        for instance in random_instances(40, 9):
+            report = analyze_instance(instance)
+            graph = instance.dependency_graph
+            p = event_probabilities(instance)
+            delta, m = graph.max_degree, graph.num_events
+            if delta >= 1:
+                assert report.lll_ok is check_asymmetric_lll(graph, p, [F(1, delta + 1)] * m)
+            else:
+                assert report.lll_ok is all(pi < 1 for pi in p)
+            assert report.p == tuple(p)
+            assert report.p_max == max(p, default=F(0))
+            expect = reference.gprs_condition_values(max(p, default=F(0)), r_max(instance), delta)
+            assert report.gprs == expect, instance
+            for got, want in ((report.gprs.product1, expect.product1), (report.gprs.product2, expect.product2)):
+                assert got.hex() == want.hex()
+
+    def test_caches_nothing(self):
+        from functools import cached_property
+
+        cached = {k for k, v in vars(Instance).items() if isinstance(v, cached_property)}
+        for instance in (encode_sink_free(cycle_graph(7)), encode_hardcore(petersen_graph(), F(1, 10))):
+            first = analyze_instance(instance)
+            graph = instance.dependency_graph
+            held = set(vars(instance))
+            assert held - set(Instance._fields) <= cached
+            assert analyze_instance(instance) == first
+            assert set(vars(instance)) == held
+            assert set(vars(graph)) <= set(DependencyGraph._fields)
 
     def test_extremality_read_from_instance(self, monkeypatch):
         import prsampling.model as model
@@ -773,3 +822,98 @@ class TestFrozenAnalysis:
     def test_cubic_spanning_tree_over_the_cap(self, seed):
         with pytest.raises(BudgetError, match="at most 30 events"):
             analysis_digest("spanning-tree/R16-%d" % seed)
+
+
+def per_event_reference(graph, p):
+    """The q_i, and the q_i / q_empty where q_empty > 0, as they were
+    computed before the reverse sweep: each q_i by ``q_of((i,))`` on a
+    fresh evaluator, and each ratio by its own recursion on
+    q(V - N+[i]), also on a fresh evaluator."""
+    singles = [shearer._QEvaluator(graph, p).q_of((i,)) for i in range(graph.num_events)]
+    ev = shearer._QEvaluator(graph, p)
+    if not ev.holds():
+        return singles, None
+    top = ev.scaled(ev.full)
+    nums = []
+    for i in range(ev.m):
+        rest = ev.full & ~ev.closed[i]
+        nums.append(ev.a[i] * ev.scaled(rest) * ev.powers[ev.m - 1 - rest.bit_count()])
+    return singles, ([F(num, top) for num in nums], F(sum(nums), top))
+
+
+def assert_sweep_matches(graph, p):
+    """``singletons`` and ``expected`` equal the per-event reference, and
+    the sweep adds nothing to the memo of q_empty."""
+    ev = shearer._QEvaluator(graph, p)
+    qe = ev.q_of(())
+    entries = len(ev.memo)
+    singles, expected = per_event_reference(graph, p)
+    assert ev.singletons() == singles, (graph, p)
+    assert qe == shearer._QEvaluator(graph, p).q_of(())
+    if expected is not None:
+        assert ev.expected() == expected, (graph, p)
+    assert len(ev.memo) == entries, (graph, p)
+    return ev
+
+
+class TestReverseSweep:
+    """Every q_i from one reverse sweep over q_empty's memo, against one
+    recursion per event."""
+
+    @pytest.mark.parametrize("label", sorted(FROZEN_ANALYSIS_DIGESTS))
+    def test_frozen_inputs(self, label):
+        instance = analysis_input(label)
+        assert_sweep_matches(instance.dependency_graph, event_probabilities(instance))
+
+    def test_random_instances(self):
+        rng = random.Random(13)
+        checked = negative = 0
+        for instance in random_instances(60, 8):
+            graph = instance.dependency_graph
+            for p in probability_vectors(graph, event_probabilities(instance), rng):
+                ev = assert_sweep_matches(graph, p)
+                checked += 1
+                negative += not ev.holds()
+        assert checked == 4 * 60 * 5
+        assert negative > 100  # the sweep is checked where the criterion fails too
+
+    @pytest.mark.parametrize(
+        "graph,p",
+        [
+            (NO_EVENTS, []),
+            (SINGLE, [F(1, 3)]),
+            (SINGLE, [F(0)]),
+            (SINGLE, [F(1)]),
+            (PATH3, [F(0), F(1, 2), F(0)]),
+            (PATH3, [F(1), F(0), F(1)]),
+            (PATH3, [F(1, 5), F(1), F(2, 7)]),
+            (EMPTY3, [F(1, 2), F(1, 3), F(1, 5)]),
+            (EMPTY3, [F(1), F(0), F(1, 4)]),
+            (TWO_PAIRS, [F(1, 2), F(1, 3), F(1, 3), F(1, 2)]),
+            (CROSSED_PAIRS, [F(1, 4), F(1, 4), F(1), F(1)]),
+            (STAR13, [F(1, 9), F(1, 2), F(0), F(1, 3)]),
+        ],
+        ids=[
+            "no-events", "one-event", "one-event-p0", "one-event-p1", "path-p0", "path-p1",
+            "path-mixed", "isolated", "isolated-p0-p1", "two-components", "crossed-components",
+            "star",
+        ],
+    )
+    def test_edge_cases(self, graph, p):
+        assert_sweep_matches(graph, p)
+
+    def test_neighbour_listed_twice(self):
+        twice = DependencyGraph(3, ((1, 1), (0, 2, 0), (1, 1)))
+        for p in ([F(1, 5), F(1, 4), F(1, 3)], [F(1), F(0), F(1, 2)]):
+            ev = assert_sweep_matches(twice, p)
+            assert ev.singletons() == q_singletons(PATH3, p)
+            assert ev.holds() is shearer_holds(PATH3, p)
+
+    def test_memo_counts(self):
+        # The recursion on the sink-free cycle C_n memoizes 2n - 2 subsets,
+        # and the q_i need no more.
+        instance = encode_sink_free(cycle_graph(22))
+        ev = shearer._QEvaluator(instance.dependency_graph, event_probabilities(instance))
+        ev.singletons()
+        ev.expected()
+        assert len(ev.memo) == 2 * 22 - 2
