@@ -6,6 +6,7 @@ the same verdicts, graphs, instances and error messages.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,15 +18,17 @@ from prsampling import cnf, graph_apps
 from prsampling.cnf import CnfFormula, cnf_to_instance
 from prsampling.errors import BudgetError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
-from prsampling.graphs import complete_graph, cycle_graph, parse_edge_list
+from prsampling.graphs import complete_graph, cycle_graph, make_graph, parse_edge_list
 from prsampling.model import (
     EventSpec,
     Instance,
+    MAX_EVENT_VARS,
     MAX_PAIR_STATES,
     VariableSpec,
     instance_from_json,
     instance_to_json,
     is_extremal,
+    make_event,
 )
 from prsampling.verify import (
     random_extremal_instance,
@@ -99,6 +102,63 @@ class TestIsExtremal:
         got = _outcome(is_extremal, inst)
         assert got == _outcome(ref.is_extremal_pairwise, inst)
         assert got == verdict if verdict is not None else got[0] == "BudgetError"
+
+
+def _cap_cases(width):
+    """``(build, event id)`` for each builder, on input whose widest event
+    depends on ``width`` variables."""
+    wide = list(range(width))
+    return {
+        "EventSpec": (lambda: EventSpec(0, tuple(wide), frozenset()), 0),
+        "make_event": (lambda: make_event(0, wide[::-1], [[0] * width]), 0),
+        "cnf_to_instance": (
+            lambda: cnf_to_instance(CnfFormula(width, ((1,), tuple(v + 1 for v in wide)))),
+            1,
+        ),
+        "instance_from_json": (
+            lambda: instance_from_json(
+                {
+                    "variables": [{"id": v, "domain": 2} for v in wide],
+                    "events": [{"id": 0, "vars": wide, "violating": [[0] * width]}],
+                }
+            ),
+            0,
+        ),
+        # C_width with the root hanging off vertex 0: one event per edge of
+        # the cycle, then the cycle's.
+        "encode_spanning_tree": (
+            lambda: encode_spanning_tree(
+                make_graph(width + 1, [(v, (v + 1) % width) for v in wide] + [(0, width)]),
+                width,
+            ),
+            width,
+        ),
+        "encode_sink_free": (
+            lambda: encode_sink_free(make_graph(width + 1, [(0, v + 1) for v in wide])),
+            0,
+        ),
+    }
+
+
+class TestWidthCap:
+    """Every builder raises the ``MAX_EVENT_VARS`` BudgetError for an event
+    over the cap, with EventSpec's message, and builds one at the cap."""
+
+    @pytest.mark.parametrize("builder", sorted(_cap_cases(MAX_EVENT_VARS)))
+    def test_over_the_cap(self, builder):
+        build, eid = _cap_cases(MAX_EVENT_VARS + 1)[builder]
+        message = "event %d depends on %d variables; cap is %d" % (
+            eid, MAX_EVENT_VARS + 1, MAX_EVENT_VARS
+        )
+        with pytest.raises(BudgetError, match="^%s$" % re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("builder", sorted(_cap_cases(MAX_EVENT_VARS)))
+    def test_at_the_cap(self, builder):
+        build, eid = _cap_cases(MAX_EVENT_VARS)[builder]
+        built = build()
+        events = (built,) if isinstance(built, EventSpec) else built.events
+        assert len(events[eid].vbl) == MAX_EVENT_VARS
 
 
 class TestConstructions:
