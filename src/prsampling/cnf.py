@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .certified import e_leq, e_mult_leq_two_pow_half, two_pow_3e_leq
 from .graphs import Graph, decimal_int
-from .model import Instance, make_event, uniform_variable
+from .model import Instance, _event, _instance, _shared_variables, _uniform_weights
 from .records import FrozenRecord, fields_json
 from .sampler import SamplerConfig, run_sampler
 
@@ -229,17 +229,20 @@ def check_sharing_condition(k: int, d: int, s: int) -> bool:
 
 
 def cnf_to_instance(formula: CnfFormula) -> Instance:
-    """Compile to a constraint instance over uniform binary variables."""
-    variables = tuple(uniform_variable(v, 2) for v in range(formula.num_vars))
-    events = tuple(
-        make_event(
-            ci,
-            [abs(lit) - 1 for lit in clause],
-            [tuple(0 if lit > 0 else 1 for lit in clause)],
-        )
-        for ci, clause in enumerate(formula.clauses)
-    )
-    return Instance(variables, events)
+    """Compile to a constraint instance over uniform binary variables.
+
+    ``CnfFormula`` has checked that every clause is nonempty, with literals
+    in range and on distinct variables, so of the spec and instance checks
+    only the width cap runs, since no clause length is bounded.
+    """
+    variables = _shared_variables(formula.num_vars, 2, _uniform_weights(2))
+    events = []
+    for ci, clause in enumerate(formula.clauses):
+        clause = sorted(clause, key=abs)
+        vbl = tuple([abs(lit) - 1 for lit in clause])
+        violating = frozenset({tuple([0 if lit > 0 else 1 for lit in clause])})
+        events.append(_event(ci, vbl, violating))
+    return _instance(variables, tuple(events))
 
 
 def sample_cnf(formula: CnfFormula, sampler_kind: str, config: SamplerConfig):

@@ -32,13 +32,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import sqrt
 from operator import getitem
 
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
-from .model import EventSpec, Instance, make_event, uniform_variable, VariableSpec
+from .model import (
+    Instance,
+    _ascending,
+    _event,
+    _instance,
+    _shared_variables,
+    _uniform_weights,
+    uniform_variable,
+)
 from .records import FrozenRecord, fields_json
 from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
@@ -113,16 +122,24 @@ def sink_popping(graph: Graph, config: SamplerConfig):
 
 
 def encode_sink_free(graph: Graph) -> Instance:
-    """Constraint instance: edge variables, one sink event per vertex."""
-    variables = tuple(uniform_variable(eid, 2) for eid in range(graph.num_edges))
+    """Constraint instance: edge variables, one sink event per vertex.
+
+    ``Graph`` has checked what the spec and instance checks would (each
+    vertex's incident edge ids ascend and are in range), so only the width
+    cap is checked. Events with equal violating tuples share one set.
+    """
+    variables = _shared_variables(graph.num_edges, 2, _uniform_weights(2))
+    heads = [v for _, v in graph.edges]
+    shared = {}  # violating tuple -> the one set of it that its events share
     events = []
-    for v in range(graph.num_vertices):
-        inc = graph.incident_edges[v]
-        if not inc:
-            continue
-        tup = tuple(0 if v == graph.edges[eid][1] else 1 for eid in inc)
-        events.append(make_event(len(events), inc, [tup]))
-    return Instance(variables, tuple(events))
+    for v, inc in enumerate(graph.incident_edges):
+        if inc:
+            tup = tuple([0 if heads[eid] == v else 1 for eid in inc])
+            violating = shared.get(tup)
+            if violating is None:
+                violating = shared[tup] = frozenset((tup,))
+            events.append(_event(len(events), inc, violating))
+    return _instance(variables, tuple(events))
 
 
 # --- spanning trees via cycle popping ------------------------------------
@@ -235,6 +252,10 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
     one event per directed-cycle support: adjacent non-root pairs (the
     two-vertex mutual arrows) and longer simple cycles avoiding the root,
     each with its two traversal directions as violating tuples.
+
+    ``Graph`` and ``simple_cycles`` give distinct vertices in range, and
+    each value is a neighbor's position, so of the event and instance
+    checks only the width cap runs, for cycles longer than it.
     """
     if not graph.is_connected():
         raise ValueError("spanning-tree encoding requires a connected graph")
@@ -251,11 +272,12 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
     for u, v in graph.edges:
         if u == root or v == root:
             continue
+        # var_of ascends with the vertex, so u < v gives an ascending vbl.
         events.append(
-            make_event(
+            _event(
                 len(events),
                 (var_of[u], var_of[v]),
-                [(nbr_index(u, v), nbr_index(v, u))],
+                frozenset({(nbr_index(u, v), nbr_index(v, u))}),
             )
         )
     for cyc in simple_cycles(graph):
@@ -268,9 +290,9 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
             nbr_index(cyc[i], cyc[(i - 1) % len(cyc)]) for i in range(len(cyc))
         )
         events.append(
-            make_event(len(events), [var_of[v] for v in cyc], [forward, backward])
+            _event(len(events), *_ascending([var_of[v] for v in cyc], [forward, backward]))
         )
-    return Instance(variables, tuple(events))
+    return _instance(variables, tuple(events))
 
 
 def assignment_to_arrows(graph: Graph, root: int, assignment) -> tuple[int, ...]:
@@ -295,6 +317,14 @@ def bad_vertices(graph: Graph, occupied) -> frozenset[int]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=16)
+def _occupation_draw(lam: Fraction) -> tuple[tuple[float, ...], bytes]:
+    """The sampling table of a vertex's occupation at ``lam``, and its
+    ``byte_tables`` lookup, made once per ``lam``."""
+    table = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
+    return table, byte_tables((table,))
+
+
 def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     """Sample a hard-core configuration with exact weights lam^|occupied|.
 
@@ -310,16 +340,15 @@ def hardcore_sample(graph: Graph, lam, config: SamplerConfig):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     rng = make_rng(config.seed)
-    table = cumulative_table((1 / (1 + lam), lam / (1 + lam)))
-    lookup = byte_tables((table,))
+    table, lookup = _occupation_draw(lam)
     n = graph.num_vertices
-    first = list(compress(range(n), draw_indices(rng, (table,) * n, lookup)))
+    first = list(compress(range(n), draw_indices(rng, table, lookup, n)))
     occupied = set(first)
     adjacency, edges, incident = graph.adjacency, graph.edges, graph.incident_edges
 
     def redraw(vertices):
         occupied.difference_update(vertices)
-        occupied.update(compress(vertices, draw_indices(rng, (table,) * len(vertices), lookup)))
+        occupied.update(compress(vertices, draw_indices(rng, table, lookup, len(vertices))))
 
     def find_bad(redrawn):
         if redrawn is None:
@@ -362,18 +391,18 @@ _BOTH_OCCUPIED = frozenset({(1, 1)})
 
 
 def encode_hardcore(graph: Graph, lam) -> Instance:
-    """Constraint instance: vertex occupation variables, one event per edge."""
+    """Constraint instance: vertex occupation variables, one event per edge.
+
+    ``Graph`` has checked that each edge (u, v) has 0 <= u < v < n, so only
+    the first variable runs its checks, on the weights all of them share.
+    """
     lam = _exact(lam)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     w = (1 / (1 + lam), lam / (1 + lam))
-    variables = tuple(
-        VariableSpec(v, 2, w) for v in range(graph.num_vertices)
-    )
-    events = tuple(
-        EventSpec(eid, edge, _BOTH_OCCUPIED) for eid, edge in enumerate(graph.edges)
-    )
-    return Instance(variables, events)
+    variables = _shared_variables(graph.num_vertices, 2, w)
+    events = tuple(map(_event, range(graph.num_edges), graph.edges, repeat(_BOTH_OCCUPIED)))
+    return _instance(variables, events)
 
 
 def hardcore_condition(lam, d: int) -> bool:

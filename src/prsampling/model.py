@@ -9,6 +9,18 @@ share a variable; a valid assignment is one under which no event occurs.
 Each distinct weight vector is validated once, and scaled to integers once
 per computation, not once per variable that shares it.
 
+Each check runs once, at the layer that owns it. The public constructors
+check everything: ``VariableSpec`` its id, arity and weights, ``EventSpec``
+its id, ascending vbl, width cap ``MAX_EVENT_VARS`` and tuple arities,
+``Instance`` its dense ids and that every vbl and value is in range. The
+builders whose input is checked already (the encoders of ``graph_apps``,
+``cnf.cnf_to_instance`` and :func:`instance_from_json`, whose docstrings
+say what each relies on) skip those checks through the private helpers
+``_variable``, ``_shared_variables``, ``_event`` and ``_instance``. They
+still check each weight vector they parse or compute through one
+``VariableSpec``, and every event against the width cap, which no input
+layer bounds.
+
 All probability computations in this module are exact. Weight sums run in
 integers, each variable's weights scaled to their least common denominator,
 and return one ``Fraction`` per event, or the largest r_ij (:func:`r_max`). Sampling draws each
@@ -131,17 +143,22 @@ def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int
 
     For ascending variables a frozenset of tuples is kept as it is, so that
     events can share one."""
+    return EventSpec(eid, *_ascending(variables, tuples))
+
+
+def _ascending(variables: Sequence[int], tuples) -> tuple[tuple[int, ...], frozenset]:
+    """``vbl`` and ``violating`` of an event on ``variables`` in any order."""
     if all(map(lt, variables, variables[1:])):
         if type(tuples) is not frozenset:
             tuples = frozenset(map(tuple, tuples))
-        return EventSpec(eid, tuple(variables), tuples)
+        return tuple(variables), tuples
     order = sorted(range(len(variables)), key=lambda k: variables[k])
     vbl = tuple(variables[k] for k in order)
     # A tuple of the wrong arity is passed on as given, for EventSpec to reject.
     violating = frozenset(
         tuple(t[k] for k in order) if len(t) == len(order) else tuple(t) for t in tuples
     )
-    return EventSpec(eid, vbl, violating)
+    return vbl, violating
 
 
 class Instance(FrozenRecord):
@@ -260,14 +277,76 @@ class Instance(FrozenRecord):
             return False
 
 
+# --- specs from checked values ---------------------------------------------
+#
+# For the builders of the module docstring: each sets the fields through
+# the slot setters. Copies and pickles of what they make go through the
+# checked constructors.
+
+_new = object.__new__
+_VARIABLE_SETTERS = tuple(VariableSpec.__dict__[f].__set__ for f in VariableSpec._fields)
+_EVENT_SETTERS = tuple(EventSpec.__dict__[f].__set__ for f in EventSpec._fields)
+
+
+def _variable(vid: int, domain_size: int, weights: tuple[Fraction, ...]) -> VariableSpec:
+    """A VariableSpec, unchecked: the caller guarantees ``vid >= 0`` and a
+    checked ``weights`` of ``domain_size`` entries."""
+    v = _new(VariableSpec)
+    set_id, set_domain, set_weights = _VARIABLE_SETTERS
+    set_id(v, vid)
+    set_domain(v, domain_size)
+    set_weights(v, weights)
+    return v
+
+
+def _shared_variables(count: int, domain_size: int, weights) -> tuple[VariableSpec, ...]:
+    """Variables 0 to count - 1 on one weight vector, which the first one,
+    a checked VariableSpec, checks."""
+    if not count:
+        return ()
+    first = VariableSpec(0, domain_size, weights)
+    return (first, *map(_variable, range(1, count), repeat(domain_size), repeat(weights)))
+
+
+def _event(eid: int, vbl: tuple[int, ...], violating: frozenset) -> EventSpec:
+    """An EventSpec checked for the width cap only: the caller guarantees
+    ``eid >= 0``, a strictly ascending ``vbl`` and violating tuples of its
+    arity."""
+    if len(vbl) > MAX_EVENT_VARS:
+        return EventSpec(eid, vbl, violating)  # which raises the BudgetError
+    e = _new(EventSpec)
+    set_id, set_vbl, set_violating = _EVENT_SETTERS
+    set_id(e, eid)
+    set_vbl(e, vbl)
+    set_violating(e, violating)
+    return e
+
+
+def _instance(variables: tuple[VariableSpec, ...], events: tuple[EventSpec, ...]) -> Instance:
+    """An Instance, unchecked: the caller guarantees dense variable and
+    event ids, every vbl in range and every violating value in its
+    variable's domain."""
+    instance = _new(Instance)
+    object.__setattr__(instance, "variables", variables)
+    object.__setattr__(instance, "events", events)
+    return instance
+
+
 class DependencyGraph(FrozenRecord):
-    """Events as vertices; an edge joins events sharing a variable."""
+    """Events as vertices; an edge joins events sharing a variable.
+
+    A neighbour that an adjacency list names more than once is one
+    neighbour, in ``max_degree`` as in every analysis of ``shearer``.
+    """
 
     _fields = ("num_events", "adjacency")
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        longest = max(self.adjacency, key=len, default=())
+        if len(set(longest)) == len(longest):
+            return len(longest)  # no list has more distinct neighbours
+        return max(map(len, map(set, self.adjacency)))
 
     def closed_neighborhood(self, i: int) -> frozenset[int]:
         return frozenset(self.adjacency[i]) | {i}
@@ -679,7 +758,11 @@ def instance_from_json(obj) -> Instance:
     """Build an Instance from the JSON object format, validating shapes.
 
     Malformed input raises ValueError naming where it is, such as
-    ``events[2].violating[0]``.
+    ``events[2].violating[0]``. The loader checks the shapes and types
+    itself, and each new weight vector through one ``VariableSpec``. An
+    event whose id, vars and tuples pass one test per entry is made without
+    ``EventSpec``'s checks, any other through ``make_event``, which raises
+    what it did before; ``Instance`` still checks the ids and ranges.
     """
     if not isinstance(obj, dict) or "variables" not in obj or "events" not in obj:
         raise ValueError("instance JSON must contain 'variables' and 'events'")
@@ -687,7 +770,8 @@ def instance_from_json(obj) -> Instance:
         if not isinstance(obj[key], list):
             raise ValueError("'%s' must be a list, got %s" % (key, type(obj[key]).__name__))
     variables = []
-    parsed: dict[tuple, tuple[Fraction, ...]] = {}  # weight strings -> weights
+    # Weight strings -> the weights, once a checked VariableSpec has taken them.
+    checked: dict[tuple, tuple[Fraction, ...]] = {}
     typed = _typed_variables(obj["variables"])  # if so, only the values are left to check
     for k, raw in enumerate(obj["variables"]):
         if not (typed or isinstance(raw, dict) and "id" in raw and "domain" in raw):
@@ -697,24 +781,48 @@ def instance_from_json(obj) -> Instance:
             raise ValueError("variables[%d]: 'id' and 'domain' must be integers" % k)
         if dom < 1:
             raise ValueError("variables[%d]: 'domain' must be at least 1, got %d" % (k, dom))
-        if "weights" in raw:
+        if "weights" not in raw:
+            weights = _uniform_weights(dom)  # valid as made
+        else:
             ws = raw["weights"]
             if not isinstance(ws, list) or len(ws) != dom:
                 raise ValueError("variables[%d]: 'weights' must list %d entries" % (k, dom))
             try:
-                weights = parsed[tuple(ws)]
+                weights = checked[tuple(ws)]
             except (KeyError, TypeError):  # TypeError: a list or dict among them
-                weights = parsed[tuple(ws)] = tuple(
+                weights = tuple(
                     parse_rational(w, "variables[%d].weights[%d]" % (k, i))
                     for i, w in enumerate(ws)
                 )
-            variables.append(VariableSpec(vid, dom, weights))
-        else:
-            variables.append(uniform_variable(vid, dom))
+                variables.append(VariableSpec(vid, dom, weights))  # which checks them
+                checked[tuple(ws)] = weights
+                continue
+        # The weights are valid and dom long, so only the id is left to check.
+        make = _variable if vid >= 0 else VariableSpec
+        variables.append(make(vid, dom, weights))
     events = []
-    shared: dict[tuple, frozenset] = {}  # violating lists -> one frozenset per distinct list
+    # Violating lists -> one frozenset per distinct list, and its tuples' lengths.
+    shared: dict[tuple, tuple[frozenset, set[int]]] = {}
     typed = _typed_events(obj["events"])  # if so, only repeats and arities are left to check
     for k, raw in enumerate(obj["events"]):
+        if typed:
+            # An entry with a nonnegative id, strictly ascending vars within
+            # the width cap and tuples of their arity passes every check of
+            # make_event and EventSpec; any other takes the checked path.
+            eid, vbl, tuples = raw["id"], raw["vars"], raw["violating"]
+            key = tuple(map(tuple, tuples))
+            entry = shared.get(key)
+            if entry is None:
+                entry = shared[key] = frozenset(key), {*map(len, key)}
+            violating, arities = entry
+            if (
+                eid >= 0
+                and 0 < len(vbl) <= MAX_EVENT_VARS
+                and arities <= {len(vbl)}
+                and all(map(lt, vbl, vbl[1:]))
+            ):
+                events.append(_event(eid, tuple(vbl), violating))
+                continue
         if not (typed or isinstance(raw, dict) and raw.keys() >= {"id", "vars", "violating"}):
             raise ValueError("events[%d] must have 'id', 'vars' and 'violating'" % k)
         eid, vbl, tuples = raw["id"], raw["vars"], raw["violating"]
@@ -733,11 +841,7 @@ def instance_from_json(obj) -> Instance:
                 raise ValueError(
                     "events[%d].violating[%d] has %d values for %d vars" % (k, i, len(t), len(vbl))
                 )
-        key = tuple(map(tuple, tuples))
-        violating = shared.get(key)
-        if violating is None:
-            violating = shared[key] = frozenset(key)
-        events.append(make_event(eid, vbl, violating))
+        events.append(make_event(eid, vbl, tuples))
     return Instance(tuple(variables), tuple(events))
 
 

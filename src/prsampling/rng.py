@@ -98,9 +98,12 @@ def byte_tables(tables) -> bytes | tuple[tuple[int, ...], ...]:
     return tuple([by_id[id(t)] for t in tables])
 
 
-def draw_indices(rng: random.Random, tables, lookup) -> list[int]:
+def draw_indices(rng: random.Random, tables, lookup, n: int | None = None) -> list[int]:
     """``[draw_index(rng, t) for t in tables]`` from one ``getrandbits``
-    call; ``lookup`` is ``byte_tables(tables)``.
+    call; ``lookup`` is ``byte_tables(tables)``. Where n variables share one
+    table, ``tables`` may be that table alone, with ``n`` given and
+    ``lookup`` its ``byte_tables((table,))``: the same draw, with no n-tuple
+    of the table built unless its lookup is not ``bytes``.
 
     ``random()`` is (w0 >> 5 · 2^26 + w1 >> 6) / 2^53 for the next two
     32-bit Mersenne-Twister words w0 and w1, and ``getrandbits(64 · n)``
@@ -110,7 +113,11 @@ def draw_indices(rng: random.Random, tables, lookup) -> list[int]:
     threshold splits that byte, the variate is rebuilt from both words,
     exactly as ``random()`` builds it, and bisected.
     """
-    n = len(tables)
+    shared = n is not None  # tables is the one table of every variable
+    if not shared:
+        n = len(tables)
+    elif type(lookup) is not bytes:
+        return draw_indices(rng, (tables,) * n, lookup * n)
     raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
     tops = raw[3::8]  # w0 is little-endian, so its top byte is the fourth
     if type(lookup) is bytes:
@@ -125,5 +132,6 @@ def draw_indices(rng: random.Random, tables, lookup) -> list[int]:
     for _ in range(count):
         i = find(mark, i + 1)
         w = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
-        sigma[i] = bisect_right(tables[i], ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) / 2 ** 53)
+        u = ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) / 2 ** 53
+        sigma[i] = bisect_right(tables if shared else tables[i], u)
     return sigma

@@ -303,7 +303,7 @@ def _lll_holds(graph: DependencyGraph, p: list[Fraction], x: list[Fraction]) -> 
     # Cross-multiplied: p_i * den <= num, where num / den is the bound.
     for i, (pi, xi) in enumerate(zip(p, x)):
         num, den = xi.numerator, xi.denominator
-        for j in graph.adjacency[i]:
+        for j in set(graph.adjacency[i]):
             num *= x[j].denominator - x[j].numerator
             den *= x[j].denominator
         if pi.numerator * den > num * pi.denominator:

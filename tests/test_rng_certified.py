@@ -108,6 +108,20 @@ class TestBulkDraw:
         for n in (0, 1, 2, 257, 3000):
             self.assert_like_draw_index((table,) * n)
 
+    @pytest.mark.parametrize("name", sorted(BULK_TABLES))
+    def test_one_table_for_n_variables(self, name):
+        """The table alone with ``n`` draws what its n-tuple draws, with
+        the bytes lookup or, for 255 values and more, without."""
+        table = BULK_TABLES[name]
+        lookup = byte_tables((table,))
+        for n in (0, 1, 2, 257, 3000):
+            for seed in range(4):
+                rng, per_variable = make_rng(seed), make_rng(seed)
+                tables = (table,) * n
+                want = draw_indices(per_variable, tables, byte_tables(tables))
+                assert draw_indices(rng, table, lookup, n) == want
+                assert rng.getstate() == per_variable.getstate()
+
     def test_shared_small_tables_use_bytes(self):
         assert type(byte_tables((BULK_TABLES["thirds"],) * 4)) is bytes
         assert type(byte_tables((BULK_TABLES["three-hundred"],) * 4)) is tuple

@@ -1,12 +1,17 @@
 """The set-up layers against the implementations they replaced.
 
 ``tests/reference_setup.py`` keeps the former extremality check, edge-list
-parser, ``make_event`` and ``uniform_variable``. The current ones must give
-the same verdicts, graphs, instances and error messages.
+parser, ``make_event``, ``uniform_variable``, encoders, ``cnf_to_instance``
+and JSON loader. The current ones must give the same verdicts, graphs,
+instances and error messages: on seeded inputs, on every builder at the
+event width cap, and on seeded mutants of each input format.
 """
 
+import copy
+import pickle
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,11 +19,18 @@ from hypothesis import given, settings, strategies as st
 
 import reference_setup as ref
 from conftest import petersen_graph, random_cubic_graph
-from prsampling import cnf, graph_apps
+from prsampling import cnf
 from prsampling.cnf import CnfFormula, cnf_to_instance
 from prsampling.errors import BudgetError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
-from prsampling.graphs import complete_graph, cycle_graph, make_graph, parse_edge_list
+from prsampling.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    make_graph,
+    parse_edge_list,
+    write_edge_list,
+)
 from prsampling.model import (
     EventSpec,
     Instance,
@@ -161,23 +173,115 @@ class TestWidthCap:
         assert len(events[eid].vbl) == MAX_EVENT_VARS
 
 
+def _rebuilt(instance: Instance) -> Instance:
+    """The instance made again through the checked public constructors."""
+    return Instance(
+        tuple(VariableSpec(*v._values()) for v in instance.variables),
+        tuple(EventSpec(*e._values()) for e in instance.events),
+    )
+
+
+def _seeded_formulas(seed: int, count: int):
+    """Formulas of up to 30 variables, each clause's literals in random
+    order and of random signs, and some of the package's own."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 30)
+        clauses = []
+        for _ in range(rng.randrange(12)):
+            chosen = rng.sample(range(1, n + 1), rng.randint(1, min(n, 8)))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        yield CnfFormula(n, tuple(clauses))
+    yield cnf.hard_example(3)
+    yield cnf.monotone_cnf_from_graph(PETERSEN, 2)
+
+
+def _json_objects(seed: int, count: int):
+    """Instance JSON of random instances, some variables left uniform and
+    some events with their variables in another order."""
+    rng = random.Random(seed)
+    generators = (random_instance, random_extremal_instance, random_weighted_instance)
+    for k in range(count):
+        obj = instance_to_json(generators[k % 3](rng))
+        for v in obj["variables"]:
+            if rng.random() < 0.3:
+                del v["weights"]
+        for e in obj["events"]:
+            if rng.random() < 0.3:
+                order = rng.sample(range(len(e["vars"])), len(e["vars"]))
+                e["vars"] = [e["vars"][i] for i in order]
+                e["violating"] = [[t[i] for i in order] for t in e["violating"]]
+        yield obj
+
+
+SEEDED_GRAPHS = GRAPHS + [random_cubic_graph(n, s) for n, s in ((16, 1), (50, 2), (200, 4))]
+SEEDED_IDS = ["C5", "K4", "petersen", "R12", "R16", "R50", "R200"]
+
+
+def _built(graph: Graph):
+    """What every builder makes of the graph, and of its monotone formula,
+    beside the former builders' outcome for the same input."""
+    calls = [
+        (encode_sink_free, ref.encode_sink_free, (graph,)),
+        (encode_hardcore, ref.encode_hardcore, (graph, Fraction(1, 3))),
+        (encode_spanning_tree, ref.encode_spanning_tree, (graph, 1)),
+        (cnf_to_instance, ref.cnf_to_instance, (cnf.monotone_cnf_from_graph(graph, 2),)),
+    ]
+    return [(_outcome(new, *args), _outcome(former, *args)) for new, former, args in calls]
+
+
+def _cached_properties(instance: Instance):
+    keys, violating = instance.occurrence_tests
+    return (
+        instance.var_events,
+        (tuple(map(repr, keys)), violating),
+        instance.watch_index,
+        instance.value_rows,
+        instance.dependency_graph,
+        instance.sampling_tables,
+        instance.byte_tables,
+        instance.certified_extremal,
+    )
+
+
+def _assert_behaves_as_record(made, rebuilt):
+    """``made`` is to ``rebuilt`` what a record is to its equal twin."""
+    assert type(made) is type(rebuilt)
+    assert made == rebuilt and not made != rebuilt
+    assert hash(made) == hash(rebuilt)
+    assert repr(made) == repr(rebuilt)
+    for twin in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        assert type(twin) is type(made) and twin == made
+    for name in made._fields:
+        with pytest.raises(AttributeError):
+            setattr(made, name, getattr(made, name))
+        with pytest.raises(AttributeError):
+            delattr(made, name)
+
+
 class TestConstructions:
-    @pytest.mark.parametrize("graph", GRAPHS, ids=["C5", "K4", "petersen", "R12"])
-    def test_graph_encodings_equal_the_former_constructions(self, graph, monkeypatch):
-        current = [
-            encode_sink_free(graph),
-            encode_spanning_tree(graph, 1),
-            cnf_to_instance(cnf.monotone_cnf_from_graph(graph, 2)),
-        ]
-        for module in (graph_apps, cnf):
-            monkeypatch.setattr(module, "make_event", ref.make_event)
-            monkeypatch.setattr(module, "uniform_variable", ref.uniform_variable)
-        former = [
-            encode_sink_free(graph),
-            encode_spanning_tree(graph, 1),
-            cnf_to_instance(cnf.monotone_cnf_from_graph(graph, 2)),
-        ]
-        assert current == former
+    """Each builder makes what the former, fully checked builder makes,
+    which is what the public constructors make again of it."""
+
+    @pytest.mark.parametrize("graph", SEEDED_GRAPHS, ids=SEEDED_IDS)
+    def test_graph_encodings_equal_the_former_constructions(self, graph):
+        for current, former in _built(graph):
+            assert current == former
+            if isinstance(current, Instance):  # not the cycle space's BudgetError
+                assert current == _rebuilt(current)
+                assert hash(current) == hash(former)
+
+    @pytest.mark.filterwarnings("ignore:graph is not regular")
+    @pytest.mark.parametrize("graph", [make_graph(0, []), make_graph(7, [(0, 1), (2, 3), (2, 4)])])
+    def test_degenerate_graphs(self, graph):
+        for current, former in _built(graph):
+            assert current == former
+
+    def test_formulas_equal_the_former_construction(self):
+        for formula in _seeded_formulas(5, 300):
+            current = cnf_to_instance(formula)
+            assert current == ref.cnf_to_instance(formula) == _rebuilt(current)
+            assert hash(current) == hash(ref.cnf_to_instance(formula))
 
     @pytest.mark.parametrize("lam", [Fraction(1, 10), Fraction(3), 0])
     def test_hardcore_equals_fresh_weights_per_vertex(self, lam):
@@ -216,6 +320,11 @@ class TestConstructions:
             )
             assert instance_from_json(obj) == former
 
+    def test_instance_from_json_equals_the_former_loader(self):
+        for obj in _json_objects(12, 600):
+            current = instance_from_json(obj)
+            assert current == ref.instance_from_json(obj) == _rebuilt(current)
+
     def test_equal_weight_strings_share_one_tuple(self):
         weights = ["1/3", "2/3"]
         obj = {
@@ -224,6 +333,22 @@ class TestConstructions:
         }
         first, *rest = instance_from_json(obj).variables
         assert all(v.weights is first.weights for v in rest)
+
+    def test_specs_behave_as_records(self):
+        graph = random_cubic_graph(30, 2)
+        built = [
+            encode_sink_free(graph),
+            encode_hardcore(graph, Fraction(1, 10)),
+            encode_spanning_tree(PETERSEN, 0),
+            cnf_to_instance(next(_seeded_formulas(3, 1))),
+            instance_from_json(next(_json_objects(4, 1))),
+        ]
+        for made in built:
+            rebuilt = _rebuilt(made)
+            _assert_behaves_as_record(made, rebuilt)
+            for spec, twin in zip(made.variables + made.events, rebuilt.variables + rebuilt.events):
+                _assert_behaves_as_record(spec, twin)
+            assert _cached_properties(made) == _cached_properties(rebuilt)
 
 
 # Edge-list lines: edges over a few labels, sparse or dense, repeated or
@@ -249,3 +374,158 @@ class TestParseEdgeList:
     def test_valid_lists_match_the_former_parser(self, pairs):
         text = "".join("%d %d\n" % p for p in pairs)
         assert _outcome(parse_edge_list, text) == _outcome(ref.parse_edge_list, text)
+
+
+# --- mutation fuzzing of the three input formats ---------------------------
+
+# Values a mutant puts in place of a JSON value: out of range, of the wrong
+# type, or at the width cap; 2^64 is too large for any index.
+_ODD_JSON = (-1, 0, 1, 2, 3, MAX_EVENT_VARS + 1, 2 ** 64, True, 1.5, "1/2", "x", None, [], {}, [0], [[0]])
+_ODD_DIMACS = ("0", "-0", "1", "-1", "2", "-3", "25", "99", "+1", "1.5", "x", "p", "c", "\u0661", "p cnf 3 2")
+_ODD_EDGES = ("0", "1", "-1", "2", "5", "40", "+1", "-0", "x", "#", "1 2 3", "\u0662")
+_FORBIDDEN = {"TypeError", "KeyError", "IndexError"}
+
+
+def _any_outcome(fn, *args):
+    """The result of a call, or the type name and text of any error it raised."""
+    try:
+        return fn(*args)
+    except Exception as ex:  # noqa: BLE001 - the fuzzer compares every outcome
+        return type(ex).__name__, str(ex)
+
+
+def _mutate_json(obj, rng: random.Random) -> None:
+    """Replace, nudge, delete, repeat or append one value somewhere in obj."""
+    slots = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            for key in list(node.keys() if isinstance(node, dict) else range(len(node))):
+                slots.append((node, key))
+                walk(node[key])
+
+    walk(obj)
+    node, key = rng.choice(slots)
+    op = rng.randrange(5)
+    if op == 0 and type(node[key]) is int:
+        node[key] += rng.choice((-1, 1))
+    elif op == 1:
+        del node[key]
+    elif op == 2 and isinstance(node, list):
+        node.insert(key, copy.deepcopy(node[key]))
+    elif op == 3 and isinstance(node[key], list):
+        node[key].append(copy.deepcopy(rng.choice(_ODD_JSON)))
+    else:
+        node[key] = copy.deepcopy(rng.choice(_ODD_JSON))
+
+
+def _mutate_text(text: str, rng: random.Random, odd: tuple[str, ...]) -> str:
+    """Delete or repeat a line, or replace, delete, repeat or nudge a token."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    j = rng.randrange(len(tokens))
+    op = rng.randrange(6)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        del tokens[j]
+    elif op == 3:
+        tokens.insert(j, tokens[j])
+    elif op == 4 and tokens[j].lstrip("-").isdigit():
+        tokens[j] = str(int(tokens[j]) + rng.choice((-1, 1)))
+    else:
+        tokens[j] = rng.choice(odd)
+    if op >= 2:
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def _mutants(bases, mutate, rng: random.Random, count: int):
+    """``count`` mutants, each of a base copy with one mutation, or two or
+    three in a few."""
+    for k in range(count):
+        mutant = copy.deepcopy(bases[k % len(bases)])
+        for _ in range(rng.choice((1, 1, 1, 1, 2, 2, 3))):
+            mutant = mutate(mutant, rng)
+        yield mutant
+
+
+def _load_edge_list(parse, encoders):
+    def load(text):
+        graph, labels = parse(text)
+        return graph, labels, [_any_outcome(encode, graph) for encode in encoders]
+
+    return load
+
+
+LOADERS = {
+    "json": (instance_from_json, ref.instance_from_json),
+    "dimacs": (
+        lambda text: cnf_to_instance(cnf.parse_dimacs(text)),
+        lambda text: ref.cnf_to_instance(cnf.parse_dimacs(text)),
+    ),
+    "edges": tuple(
+        _load_edge_list(parse, encoders)
+        for parse, encoders in (
+            (
+                parse_edge_list,
+                (
+                    encode_sink_free,
+                    lambda g: encode_hardcore(g, Fraction(1, 3)),
+                    lambda g: encode_spanning_tree(g, 0),
+                ),
+            ),
+            (
+                ref.parse_edge_list,
+                (
+                    ref.encode_sink_free,
+                    lambda g: ref.encode_hardcore(g, Fraction(1, 3)),
+                    lambda g: ref.encode_spanning_tree(g, 0),
+                ),
+            ),
+        )
+    ),
+}
+
+
+def _fuzz_inputs(fmt: str, seed: int, count: int):
+    rng = random.Random(seed)
+    if fmt == "json":
+        bases = list(_json_objects(seed, 30))
+
+        def mutate(obj, rng):
+            _mutate_json(obj, rng)
+            return obj
+
+        return _mutants(bases, mutate, rng, count)
+    if fmt == "dimacs":
+        bases = [cnf.write_dimacs(f) for f in _seeded_formulas(seed, 30)]
+        return _mutants(bases, lambda t, rng: _mutate_text(t, rng, _ODD_DIMACS), rng, count)
+    graphs = [cycle_graph(5), complete_graph(4), PETERSEN, random_cubic_graph(10, seed)]
+    bases = [write_edge_list(g) for g in graphs]
+    # Sparse labels, which the parser makes dense.
+    bases += [write_edge_list(g, [3 * v + 2 for v in range(g.num_vertices)]) for g in graphs]
+    return _mutants(bases, lambda t, rng: _mutate_text(t, rng, _ODD_EDGES), rng, count)
+
+
+class TestMutationFuzz:
+    """Seeded mutants of valid instance JSON, DIMACS and edge lists: the
+    current loaders and the former ones, which check every spec again, load
+    equal instances or raise the same error with the same message, and no
+    mutant ends in a TypeError, KeyError or IndexError."""
+
+    @pytest.mark.parametrize("fmt,count", [("json", 4000), ("dimacs", 4000), ("edges", 1500)])
+    def test_mutants_load_alike(self, fmt, count):
+        current, former = LOADERS[fmt]
+        outcomes = Counter()
+        for mutant in _fuzz_inputs(fmt, 2026, count):
+            got = _any_outcome(current, mutant)
+            assert got == _any_outcome(former, mutant), mutant
+            failed = type(got) is tuple and type(got[0]) is str
+            assert not (failed and got[0] in _FORBIDDEN), (got, mutant)
+            outcomes[got[0] if failed else "loaded"] += 1
+        # The mutants reach the checks, and one in twenty or more loads.
+        assert outcomes["ValueError"] and outcomes["loaded"] * 20 >= count

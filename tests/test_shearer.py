@@ -909,6 +909,16 @@ class TestReverseSweep:
             assert ev.singletons() == q_singletons(PATH3, p)
             assert ev.holds() is shearer_holds(PATH3, p)
 
+    def test_neighbour_listed_twice_counts_once(self):
+        # At p = 1/10 and x = 1/3 the middle event passes the LLL with two
+        # neighbours, 1/10 <= 1/3 * (2/3)^2, and would fail with three.
+        twice = DependencyGraph(3, ((1, 1), (0, 2, 0), (1, 1)))
+        assert twice.max_degree == PATH3.max_degree == 2
+        for p in ([F(1, 10)] * 3, [F(1, 5), F(1, 4), F(1, 3)], [F(1, 20), F(1, 8), F(1, 20)]):
+            for x in ([F(1, 3)] * 3, [F(1, 2), F(1, 3), F(1, 4)]):
+                assert check_asymmetric_lll(twice, p, x) is check_asymmetric_lll(PATH3, p, x)
+        assert check_asymmetric_lll(twice, [F(1, 10)] * 3, [F(1, 3)] * 3) is True
+
     def test_memo_counts(self):
         # The recursion on the sink-free cycle C_n memoizes 2n - 2 subsets,
         # and the q_i need no more.
