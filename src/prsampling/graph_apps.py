@@ -46,7 +46,7 @@ from .model import (
     _instance,
     _shared_variables,
     _uniform_weights,
-    uniform_variable,
+    _variable,
 )
 from .records import FrozenRecord, fields_json
 from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
@@ -54,11 +54,10 @@ from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through
 from .sampler import SamplerConfig, resample_until_valid
 
 
-def _exact(lam, name: str = "lam") -> Fraction:
+def _exact(lam) -> Fraction:
     if isinstance(lam, float):
         raise TypeError(
-            "%s must be exact (int, Fraction or 'a/b' string), got float %r"
-            % (name, lam)
+            "lam must be exact (int, Fraction or 'a/b' string), got float %r" % lam
         )
     return Fraction(lam)
 
@@ -253,16 +252,18 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
     two-vertex mutual arrows) and longer simple cycles avoiding the root,
     each with its two traversal directions as violating tuples.
 
-    ``Graph`` and ``simple_cycles`` give distinct vertices in range, and
-    each value is a neighbor's position, so of the event and instance
-    checks only the width cap runs, for cycles longer than it.
+    ``Graph`` and ``simple_cycles`` give distinct vertices in range, every
+    non-root vertex of a connected graph has a neighbor, and each value is
+    a neighbor's position, so of the spec and instance checks only the
+    width cap runs, for cycles longer than it.
     """
     if not graph.is_connected():
         raise ValueError("spanning-tree encoding requires a connected graph")
     vertices = spanning_tree_variables(graph, root)
     var_of = {v: k for k, v in enumerate(vertices)}
+    degrees = [len(graph.adjacency[v]) for v in vertices]
     variables = tuple(
-        uniform_variable(var_of[v], len(graph.adjacency[v])) for v in vertices
+        map(_variable, range(len(vertices)), degrees, map(_uniform_weights, degrees))
     )
     events = []
 

@@ -159,25 +159,22 @@ def _pair_stubs(d: int, n: int, rng: random.Random) -> set[tuple[int, int]] | No
     return edges
 
 
-def simple_cycles(
-    graph: Graph,
-    max_cycles: int = MAX_ENUMERATED_CYCLES,
-    max_dim: int = MAX_CYCLE_SPACE_DIM,
-) -> list[tuple[int, ...]]:
+def simple_cycles(graph: Graph) -> list[tuple[int, ...]]:
     """All simple cycles (length >= 3), canonicalized and sorted.
 
     Each cycle is returned in traversal order starting at its smallest
     vertex, continuing toward that vertex's smaller cycle-neighbor.
-    Guarded by the cycle-space dimension and an enumeration cap.
+    Guarded by the caps ``MAX_CYCLE_SPACE_DIM`` on the cycle-space
+    dimension and ``MAX_ENUMERATED_CYCLES`` on the cycles.
 
     From each vertex s, a backtracking walk enters only vertices above s and
     records a cycle each time it can close at s; of the two directions of a
     cycle it keeps the one whose second vertex is below its last.
     """
-    if graph.cycle_space_dim > max_dim:
+    if graph.cycle_space_dim > MAX_CYCLE_SPACE_DIM:
         raise BudgetError(
             "cycle space dimension %d exceeds cap %d; too many cycles to enumerate"
-            % (graph.cycle_space_dim, max_dim)
+            % (graph.cycle_space_dim, MAX_CYCLE_SPACE_DIM)
         )
     adj = graph.adjacency
     on_path = [False] * graph.num_vertices
@@ -189,10 +186,10 @@ def simple_cycles(
             for v in stack[-1]:
                 if v == s:
                     if len(path) > 2 and path[1] < path[-1]:
-                        if len(out) >= max_cycles:
+                        if len(out) >= MAX_ENUMERATED_CYCLES:
                             raise BudgetError(
                                 "more than %d simple cycles; enumeration cap exceeded"
-                                % max_cycles
+                                % MAX_ENUMERATED_CYCLES
                             )
                         out.append(tuple(path))
                 elif v > s and not on_path[v]:

@@ -6,20 +6,22 @@ weights; each event names the variables it depends on and lists the
 violating joint values explicitly. Two events are dependent when they
 share a variable; a valid assignment is one under which no event occurs.
 
-Each distinct weight vector is validated once, and scaled to integers once
-per computation, not once per variable that shares it.
-
 Each check runs once, at the layer that owns it. The public constructors
-check everything: ``VariableSpec`` its id, arity and weights, ``EventSpec``
-its id, ascending vbl, width cap ``MAX_EVENT_VARS`` and tuple arities,
-``Instance`` its dense ids and that every vbl and value is in range. The
-builders whose input is checked already (the encoders of ``graph_apps``,
-``cnf.cnf_to_instance`` and :func:`instance_from_json`, whose docstrings
-say what each relies on) skip those checks through the private helpers
-``_variable``, ``_shared_variables``, ``_event`` and ``_instance``. They
-still check each weight vector they parse or compute through one
-``VariableSpec``, and every event against the width cap, which no input
-layer bounds.
+check everything, on every call: ``VariableSpec`` its id, arity and
+weights, ``EventSpec`` its id, ascending vbl, width cap ``MAX_EVENT_VARS``
+and tuple arities, ``Instance`` its dense ids and that every vbl and value
+is in range. The builders whose input is checked already (the encoders of
+``graph_apps``, ``cnf.cnf_to_instance`` and :func:`instance_from_json`,
+whose docstrings say what each relies on) skip those checks through the
+private helpers ``_variable``, ``_shared_variables``, ``_event`` and
+``_instance``. They check each weight vector they parse or compute through
+one ``VariableSpec``, however many variables share it (uniform weights, on
+at most ``MAX_UNIFORM_DOMAIN`` values, are valid as made), and every event
+against the width cap, which no input layer bounds. Each vector is scaled
+to integers once per computation, not once per variable that shares it.
+
+The caps are module constants, read when a function runs; exceeding one
+raises ``BudgetError`` rather than degrading.
 
 All probability computations in this module are exact. Weight sums run in
 integers, each variable's weights scaled to their least common denominator,
@@ -59,11 +61,9 @@ from .records import FrozenRecord
 from .rng import byte_tables, cumulative_table, draw_indices
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 
-# Hard caps; exceeding one raises BudgetError rather than degrading.
 MAX_EVENT_VARS = 24
-MAX_PAIR_STATES = 2 ** 24
-
-_checked_weights = None  # the last weight tuple checked; it cannot change
+MAX_PAIR_STATES = 2 ** 24  # joint states of an event pair, or of an enumerated instance
+MAX_UNIFORM_DOMAIN = 2 ** 22
 
 
 class VariableSpec(FrozenRecord):
@@ -72,7 +72,6 @@ class VariableSpec(FrozenRecord):
     __slots__ = _fields = ("id", "domain_size", "weights")
 
     def __init__(self, id: int, domain_size: int, weights: tuple[Fraction, ...]):
-        global _checked_weights
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "weights", weights)
@@ -84,8 +83,6 @@ class VariableSpec(FrozenRecord):
             raise ValueError(
                 "variable %d: %d weights for domain of size %d" % (id, len(weights), domain_size)
             )
-        if weights is _checked_weights:
-            return
         for w in weights:
             if not isinstance(w, Fraction):
                 raise ValueError("variable %d: weights must be Fractions" % id)
@@ -93,13 +90,17 @@ class VariableSpec(FrozenRecord):
                 raise ValueError("variable %d: negative weight %s" % (id, w))
         if sum(weights) != 1:
             raise ValueError("variable %d: weights sum to %s, not 1" % (id, sum(weights)))
-        if type(weights) is tuple:
-            _checked_weights = weights
 
 
 @lru_cache(maxsize=32, typed=True)
 def _uniform_weights(domain_size: int) -> tuple[Fraction, ...]:
-    return (Fraction(1, domain_size),) * domain_size
+    """The uniform weights on ``domain_size`` values; none below one value,
+    for ``VariableSpec`` to reject."""
+    if domain_size > MAX_UNIFORM_DOMAIN:
+        raise BudgetError(
+            "uniform domain of %d values; cap is %d" % (domain_size, MAX_UNIFORM_DOMAIN)
+        )
+    return (Fraction(1, domain_size),) * domain_size if domain_size > 0 else ()
 
 
 def uniform_variable(vid: int, domain_size: int) -> VariableSpec:
@@ -139,19 +140,14 @@ class EventSpec(FrozenRecord):
 
 
 def make_event(eid: int, variables: Sequence[int], tuples: Iterable[Sequence[int]]) -> EventSpec:
-    """Build an event from variables in any order, permuting tuples to match.
-
-    For ascending variables a frozenset of tuples is kept as it is, so that
-    events can share one."""
+    """Build an event from variables in any order, permuting tuples to match."""
     return EventSpec(eid, *_ascending(variables, tuples))
 
 
 def _ascending(variables: Sequence[int], tuples) -> tuple[tuple[int, ...], frozenset]:
     """``vbl`` and ``violating`` of an event on ``variables`` in any order."""
     if all(map(lt, variables, variables[1:])):
-        if type(tuples) is not frozenset:
-            tuples = frozenset(map(tuple, tuples))
-        return tuple(variables), tuples
+        return tuple(variables), frozenset(map(tuple, tuples))
     order = sorted(range(len(variables)), key=lambda k: variables[k])
     vbl = tuple(variables[k] for k in order)
     # A tuple of the wrong arity is passed on as given, for EventSpec to reject.
@@ -264,7 +260,7 @@ class Instance(FrozenRecord):
 
     @cached_property
     def extremal(self) -> bool:
-        """:func:`is_extremal` with its default state cap."""
+        """:func:`is_extremal` of this instance."""
         return is_extremal(self)
 
     @cached_property
@@ -528,18 +524,19 @@ def _project(event: EventSpec, shared) -> tuple[list[int], set[tuple[int, ...]]]
     return [event.vbl[k] for k in pos], {tuple([t[k] for k in pos]) for t in event.violating}
 
 
-def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> bool:
+def is_extremal(instance: Instance) -> bool:
     """Are all dependent event pairs disjoint?
 
     On an extremal instance the occurring events always form an independent
     set of the dependency graph. Each pair check is exact; the joint state
-    space of each dependent pair is capped to keep certification honest: as
-    in a scan of the pairs in ascending order, the first pair over the cap
-    raises unless a conflicting pair precedes it. Only pairs requiring a
-    common value of a shared variable can conflict; if they share no other
-    variable they do, else they are projected onto their shared variables.
+    space of each dependent pair is capped at ``MAX_PAIR_STATES`` to keep
+    certification honest: as in a scan of the pairs in ascending order, the
+    first pair over the cap raises unless a conflicting pair precedes it.
+    Only pairs requiring a common value of a shared variable can conflict;
+    if they share no other variable they do, else they are projected onto
+    their shared variables.
     """
-    events, variables = instance.events, instance.variables
+    events, variables, cap = instance.events, instance.variables, MAX_PAIR_STATES
 
     def states(i, j):
         union = set(events[i].vbl) | set(events[j].vbl)
@@ -550,11 +547,11 @@ def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> b
     # of the widest event, and no more than the instance has.
     widest = max((len(e.vbl) for e in events), default=0)
     if (
-        max((v.domain_size for v in variables), default=1) ** (2 * widest) > max_pair_states
-        and joint_state_count(instance) > max_pair_states
+        max((v.domain_size for v in variables), default=1) ** (2 * widest) > cap
+        and joint_state_count(instance) > cap
     ):
         dependent = {(i, j) for ids in instance.var_events for i in ids for j in ids if i < j}
-        over = min((p for p in dependent if states(*p) > max_pair_states), default=None)
+        over = min((p for p in dependent if states(*p) > cap), default=None)
     requiring: dict[tuple[int, int], list[int]] = {}  # (variable, value) -> event ids
     tried = set()
     for j, e in enumerate(events):
@@ -570,7 +567,7 @@ def is_extremal(instance: Instance, max_pair_states: int = MAX_PAIR_STATES) -> b
     if over is not None:
         raise BudgetError(
             "extremality check for events (%d, %d) needs %d joint states; "
-            "cap is %d, too large to certify" % (*over, states(*over), max_pair_states)
+            "cap is %d, too large to certify" % (*over, states(*over), cap)
         )
     return True
 
@@ -683,12 +680,13 @@ def joint_state_count(instance: Instance) -> int:
     return n
 
 
-def enumerate_assignments(instance: Instance, cap: int = MAX_PAIR_STATES):
-    """Yield every total assignment (as a tuple), guarded by a state cap."""
+def enumerate_assignments(instance: Instance):
+    """Yield every total assignment (as a tuple), for at most
+    ``MAX_PAIR_STATES`` joint states."""
     states = joint_state_count(instance)
-    if states > cap:
+    if states > MAX_PAIR_STATES:
         raise BudgetError(
-            "instance has %d joint states; enumeration cap is %d" % (states, cap)
+            "instance has %d joint states; enumeration cap is %d" % (states, MAX_PAIR_STATES)
         )
     return product(*(range(v.domain_size) for v in instance.variables))
 

@@ -17,11 +17,11 @@ no ``to_json``: an ``Instance``'s file format is ``model.instance_to_json``.
 
 A class that checks its input (``Graph``, ``VariableSpec``, ``EventSpec``,
 ``Instance``, ``CnfFormula``) keeps its own ``__init__``, which sets each
-field with ``object.__setattr__`` before its checks. The encoders and the
-JSON loader make tens of thousands of ``VariableSpec``s and ``EventSpec``s
-from values already checked, and set their slots through ``model``'s
-private helpers instead: a fixed signature binds faster than this loop
-does, and the slot setters faster still.
+field with ``object.__setattr__`` before its checks and runs them all on
+every call. The encoders and the JSON loader make tens of thousands of
+``VariableSpec``s and ``EventSpec``s from values already checked, and set
+their slots through ``model``'s private helpers instead: a fixed signature
+binds faster than this loop does, and the slot setters faster still.
 """
 
 from __future__ import annotations

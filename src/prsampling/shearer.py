@@ -47,6 +47,7 @@ MAX_ANALYSIS_EVENTS = 30
 MAX_MEMO_ENTRIES = 2 ** 21
 MAX_ENUMERATED_SETS = 2 ** 20
 MAX_SEQUENCE_EVENTS = 6
+GPRS_C1, GPRS_C2 = 6, 3  # the general sampler's efficiency constants
 
 
 class ShearerError(PrsError):
@@ -194,10 +195,9 @@ def is_independent(graph: DependencyGraph, ids) -> bool:
     return all(not (set(graph.adjacency[i]) & ids) for i in ids)
 
 
-def independent_sets(
-    graph: DependencyGraph, max_sets: int = MAX_ENUMERATED_SETS
-) -> Iterator[frozenset[int]]:
-    """All independent sets, DFS over ascending ids, budget-guarded."""
+def independent_sets(graph: DependencyGraph) -> Iterator[frozenset[int]]:
+    """All independent sets, DFS over ascending ids, at most
+    ``MAX_ENUMERATED_SETS`` of them."""
     m = graph.num_events
     adjacency = [set(a) for a in graph.adjacency]
     count = 0
@@ -205,9 +205,9 @@ def independent_sets(
     def rec(start: int, chosen: list[int], blocked: set[int]):
         nonlocal count
         count += 1
-        if count > max_sets:
+        if count > MAX_ENUMERATED_SETS:
             raise BudgetError(
-                "independent-set enumeration exceeded budget of %d sets" % max_sets
+                "independent-set enumeration exceeded budget of %d sets" % MAX_ENUMERATED_SETS
             )
         yield frozenset(chosen)
         for v in range(start, m):
@@ -230,17 +230,13 @@ def q_singletons(graph: DependencyGraph, p: Sequence[Fraction]) -> list[Fraction
     return _QEvaluator(graph, p).singletons()
 
 
-def all_q_values(
-    graph: DependencyGraph,
-    p: Sequence[Fraction],
-    max_sets: int = MAX_ENUMERATED_SETS,
-) -> dict[frozenset[int], Fraction]:
+def all_q_values(graph: DependencyGraph, p: Sequence[Fraction]) -> dict[frozenset[int], Fraction]:
     """q_I for every independent set I, with the normalization check.
 
     The values partition unity: sum_I q_I == 1 is asserted before returning.
     """
     ev = _QEvaluator(graph, p)
-    out = {ids: ev.q_of(ids) for ids in independent_sets(graph, max_sets)}
+    out = {ids: ev.q_of(ids) for ids in independent_sets(graph)}
     total = sum(out.values())
     if total != 1:
         raise AssertionError("q-values sum to %s, expected 1" % total)
@@ -343,9 +339,10 @@ def linear_coefficient(d: int, p: Fraction) -> Fraction:
 class GprsCheck(FrozenRecord):
     """Verdict of the two general-sampler efficiency conditions.
 
-    cond1: c1 * e * p * delta^2 <= 1, cond2: c2 * e * r * delta <= 1,
-    decided by certified comparison. ``applicable`` is False for max
-    degree below 2, where the guarantee has nothing to say.
+    cond1: c1 * e * p * delta^2 <= 1, cond2: c2 * e * r * delta <= 1, with
+    c1 = ``GPRS_C1`` and c2 = ``GPRS_C2``, decided by certified comparison.
+    ``applicable`` is False for max degree below 2, where the guarantee has
+    nothing to say.
     """
 
     _fields = (
@@ -365,22 +362,19 @@ class GprsCheck(FrozenRecord):
         return out
 
 
-def gprs_condition_values(
-    p: Fraction, r: Fraction, delta: int, c1: int = 6, c2: int = 3
-) -> GprsCheck:
+def gprs_condition_values(p: Fraction, r: Fraction, delta: int) -> GprsCheck:
     """Evaluate the efficiency conditions for given p, r and max degree.
 
-    ``ValueError`` if p or r is not a probability, or if delta, c1 or c2
-    is negative or not an int (a bool is not taken for one).
+    ``ValueError`` if p or r is not a probability, or if delta is negative
+    or not an int (a bool is not taken for one).
     """
     p, r = as_probability(p), as_probability(r, "r")
-    for name, value in (("delta", delta), ("c1", c1), ("c2", c2)):
-        if type(value) is bool or not isinstance(value, int):
-            raise ValueError("%s = %r is not an integer" % (name, value))
-        if value < 0:
-            raise ValueError("%s = %d is negative" % (name, value))
-    k1 = Fraction(c1 * delta * delta * p.numerator, p.denominator)
-    k2 = Fraction(c2 * delta * r.numerator, r.denominator)
+    if type(delta) is bool or not isinstance(delta, int):
+        raise ValueError("delta = %r is not an integer" % (delta,))
+    if delta < 0:
+        raise ValueError("delta = %d is negative" % delta)
+    k1 = Fraction(GPRS_C1 * delta * delta * p.numerator, p.denominator)
+    k2 = Fraction(GPRS_C2 * delta * r.numerator, r.denominator)
     applicable = delta >= 2
     cond1 = cond2 = None
     if applicable:
@@ -390,8 +384,8 @@ def gprs_condition_values(
         p=p,
         r=r,
         delta=delta,
-        c1=c1,
-        c2=c2,
+        c1=GPRS_C1,
+        c2=GPRS_C2,
         applicable=applicable,
         cond1=cond1,
         cond2=cond2,
@@ -400,9 +394,7 @@ def gprs_condition_values(
     )
 
 
-def check_gprs_conditions(
-    instance: Instance, c1: int = 6, c2: int = 3, p_max: Fraction | None = None
-) -> GprsCheck:
+def check_gprs_conditions(instance: Instance, p_max: Fraction | None = None) -> GprsCheck:
     """Efficiency conditions with p, r, delta measured from the instance.
 
     ``p_max`` is the largest event probability; it is computed when not given.
@@ -411,7 +403,7 @@ def check_gprs_conditions(
     if p_max is None:
         p_max = max(event_probabilities(instance), default=Fraction(0))
     r = r_max(instance, graph)
-    return gprs_condition_values(p_max, r, graph.max_degree, c1, c2)
+    return gprs_condition_values(p_max, r, graph.max_degree)
 
 
 def truncated_log_partials(

@@ -55,7 +55,7 @@ from .shearer import all_q_values, expected_resamples_per_event, q_empty, trunca
 
 DEFAULT_TV_MAX = 0.01
 DEFAULT_P_MIN = 1e-3
-MAX_ORACLE_STATES = 2 ** 24
+BAND_STANDARD_ERRORS = 3.0  # half-width, in standard errors, of each statistical band
 
 
 class OracleResult(FrozenRecord):
@@ -71,12 +71,13 @@ class OracleResult(FrozenRecord):
         return dict(zip(self.valid_assignments, self.probabilities))
 
 
-def enumerate_valid(instance: Instance, cap: int = MAX_ORACLE_STATES) -> OracleResult:
-    """Enumerate all valid assignments with their exact probabilities."""
+def enumerate_valid(instance: Instance) -> OracleResult:
+    """Enumerate all valid assignments with their exact probabilities, for
+    at most ``model.MAX_PAIR_STATES`` joint states."""
     valid = []
     weights = []
     total = Fraction(0)
-    for sigma in enumerate_assignments(instance, cap):
+    for sigma in enumerate_assignments(instance):
         if not occurring_events(instance, sigma):
             w = assignment_probability(instance, sigma)
             valid.append(tuple(sigma))
@@ -218,14 +219,12 @@ def uniformity_test(
     )
 
 
-def expected_resamples_test(
-    instance: Instance, n: int, base_seed: int, sigma_factor: float = 3.0
-) -> dict:
+def expected_resamples_test(instance: Instance, n: int, base_seed: int) -> dict:
     """Empirical mean resamples (total and per event) vs the exact formula.
 
     Runs the all-occurring-events sampler n times on an extremal instance
-    and checks each mean against its prediction within ``sigma_factor``
-    standard errors.
+    and checks each mean against its prediction within
+    ``BAND_STANDARD_ERRORS`` standard errors.
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
@@ -246,7 +245,7 @@ def expected_resamples_test(
         mean = statistics.fmean(sample)
         se = statistics.stdev(sample) / math.sqrt(n) if n > 1 else 0.0
         err = abs(mean - float(exact))
-        ok = err <= sigma_factor * se if se > 0 else err == 0
+        ok = err <= BAND_STANDARD_ERRORS * se if se > 0 else err == 0
         return {"exact": str(exact), "mean": mean, "se": se, "ok": ok}
 
     report = {
@@ -260,13 +259,12 @@ def expected_resamples_test(
     return report
 
 
-def first_round_test(
-    instance: Instance, n: int, base_seed: int, sigma_factor: float = 3.0
-) -> dict:
+def first_round_test(instance: Instance, n: int, base_seed: int) -> dict:
     """Frequencies of the exact first-round occurrence sets vs their q-values.
 
     On an extremal instance the set of occurring events after the initial
-    product draw hits independent set I with probability exactly q_I.
+    product draw hits independent set I with probability exactly q_I; each
+    frequency must fall within ``BAND_STANDARD_ERRORS`` standard errors.
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
@@ -284,7 +282,7 @@ def first_round_test(
         freq = counts.get(ids, 0) / n
         sigma = math.sqrt(float(q) * (1 - float(q)) / n)
         err = abs(freq - float(q))
-        ok = err <= sigma_factor * sigma if sigma > 0 else counts.get(ids, 0) == 0
+        ok = err <= BAND_STANDARD_ERRORS * sigma if sigma > 0 else counts.get(ids, 0) == 0
         passed &= ok
         rows.append(
             {"set": sorted(ids), "q": str(q), "freq": freq, "sigma": sigma, "ok": bool(ok)}

@@ -1081,6 +1081,7 @@ def frozen_digest(capsys, directory, label):
     return hashlib.sha256(record.replace(str(directory), "<tmp>").encode()).hexdigest()
 
 
+@pytest.mark.stream
 class TestFrozenOutput:
     """Every subcommand's output, byte for byte: valid inputs, input errors
     (exit 1), the round cap (exit 2) and failed verdicts (exit 3)."""

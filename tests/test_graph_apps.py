@@ -139,6 +139,7 @@ class TestEncodeSinkFree:
         inst = encode_sink_free(make_graph(3, [(0, 1)]))
         assert inst.num_events == 2
 
+    @pytest.mark.stream
     def test_matches_specialized_sampler(self):
         # extremal_prs re-tests every event each round, so it checks the
         # out-degree bookkeeping of sink_popping round by round. Isolated
@@ -168,6 +169,7 @@ class TestEncodeSinkFree:
                     tuple(vertex_of[k] for k in sinks) for sinks in st_g.log
                 ]
 
+    @pytest.mark.stream
     def test_tree_component_same_partial_run(self):
         # A triangle plus a path: the path has no sink-free orientation, so
         # both samplers stop at the cap after the same rounds.
@@ -185,6 +187,7 @@ class TestEncodeSinkFree:
             assert st_s.log == st_g.log  # no isolated vertex: ids agree
 
 
+@pytest.mark.stream
 class TestSinkPoppingReference:
     """``sink_popping`` against the tail-array sampler in ``reference_popping``."""
 
@@ -259,6 +262,7 @@ def _threshold_cases(t):
     return sorted({u for u in (0.0, t - 2 ** -53, t, t + 2 ** -53, TOP) if u < 1})
 
 
+@pytest.mark.stream
 class TestThresholdDraw:
     """``1 if u >= t else 0`` and the bulk draw are ``bisect_right((t,), u)``,
     at ``u == t`` too, in the initial draw and in a redraw."""
@@ -428,6 +432,7 @@ class TestEncodeSpanningTree:
         with pytest.raises(ValueError, match=message):
             assignment_to_arrows(g, root, (0, 0, 0))
 
+    @pytest.mark.stream
     def test_matches_specialized_sampler(self):
         cases = [
             (complete_graph(4), 0),
@@ -539,6 +544,7 @@ FROZEN_POPPING_DIGESTS = {
 }
 
 
+@pytest.mark.stream
 class TestFrozenStream:
     @pytest.mark.parametrize("sampler,n", sorted(FROZEN_POPPING_DIGESTS))
     def test_popping_stream_unchanged(self, sampler, n):
@@ -594,6 +600,7 @@ class TestHardcoreSampler:
             with pytest.raises(ValueError, match="lam must be nonnegative"):
                 encode_hardcore(path_graph(2), lam)
 
+    @pytest.mark.stream
     def test_matches_generic_sampler(self):
         cases = [
             (cycle_graph(5), 80),
@@ -612,6 +619,7 @@ class TestHardcoreSampler:
                 assert st_s.var_log == st_g.var_log
 
 
+@pytest.mark.stream
 class TestHardcoreSamplerReference:
     """``hardcore_sample`` against the one-``random()``-per-vertex sampler in
     ``reference_popping``: the same sample and the same stats, logs included."""

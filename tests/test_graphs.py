@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import grid_graph, petersen_graph, random_cubic_graph
+from prsampling import graphs
 from prsampling.errors import BudgetError
 from prsampling.graphs import (
     Graph,
@@ -190,18 +191,22 @@ class TestSimpleCycles:
     def test_tree_has_none(self):
         assert simple_cycles(path_graph(6)) == []
 
-    def test_dimension_guard(self):
+    def test_dimension_guard(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_CYCLE_SPACE_DIM", 20)
         with pytest.raises(BudgetError, match="cycle space dimension"):
-            simple_cycles(complete_graph(9), max_dim=20)
+            simple_cycles(complete_graph(9))
 
-    def test_count_guard(self):
+    def test_count_guard(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_ENUMERATED_CYCLES", 10)
         with pytest.raises(BudgetError, match="cap exceeded"):
-            simple_cycles(complete_graph(6), max_cycles=10)
+            simple_cycles(complete_graph(6))
 
-    def test_count_guard_admits_exactly_the_cap(self):
-        assert len(simple_cycles(complete_graph(4), max_cycles=7)) == 7
+    def test_count_guard_admits_exactly_the_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_ENUMERATED_CYCLES", 7)
+        assert len(simple_cycles(complete_graph(4))) == 7
+        monkeypatch.setattr(graphs, "MAX_ENUMERATED_CYCLES", 6)
         with pytest.raises(BudgetError, match="more than 6 simple cycles"):
-            simple_cycles(complete_graph(4), max_cycles=6)
+            simple_cycles(complete_graph(4))
 
     def test_count_guard_on_a_large_cubic_graph(self):
         # Cycle-space dimension 20 passes the first guard; the count does not.

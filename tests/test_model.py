@@ -14,6 +14,7 @@ import reference_analysis as reference
 from conftest import MALFORMED_INSTANCE_JSON, grid_graph, petersen_graph
 from prsampling.errors import BudgetError
 from prsampling.model import (
+    MAX_UNIFORM_DOMAIN,
     EventSpec,
     Instance,
     VariableSpec,
@@ -119,6 +120,24 @@ class TestVariableSpec:
     def test_uniform_weights_shared_per_domain_size(self):
         assert uniform_variable(0, 3).weights is uniform_variable(7, 3).weights
         assert uniform_variable(0, 2).weights != uniform_variable(0, 3).weights
+
+    @pytest.mark.parametrize("domain_size", [0, -1])
+    def test_uniform_helper_rejects_an_empty_domain(self, domain_size):
+        with pytest.raises(ValueError, match="variable 0: domain_size must be >= 1"):
+            uniform_variable(0, domain_size)
+
+    @pytest.mark.parametrize("domain_size", [MAX_UNIFORM_DOMAIN + 1, 10 ** 9, 2 ** 64])
+    def test_uniform_helper_caps_the_domain(self, domain_size):
+        message = "uniform domain of %d values; cap is %d" % (domain_size, MAX_UNIFORM_DOMAIN)
+        with pytest.raises(BudgetError, match="^%s$" % message):
+            uniform_variable(0, domain_size)
+
+    def test_uniform_domain_cap_read_at_call_time(self, monkeypatch):
+        # A size no other test uses, so that no cached weight tuple answers.
+        monkeypatch.setattr(model, "MAX_UNIFORM_DOMAIN", 12345)
+        assert uniform_variable(0, 12345).weights == (Fraction(1, 12345),) * 12345
+        with pytest.raises(BudgetError, match="uniform domain of 12346 values; cap is 12345"):
+            uniform_variable(0, 12346)
 
 
 class TestEventSpec:
@@ -420,10 +439,11 @@ class TestIsExtremal:
     def test_hardcore_not_extremal(self):
         assert is_extremal(hardcore_p3()) is False
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         inst = clause_instance([(1, 2), (2, 3)], 3)
+        monkeypatch.setattr(model, "MAX_PAIR_STATES", 4)
         with pytest.raises(BudgetError, match="too large to certify"):
-            is_extremal(inst, max_pair_states=4)
+            is_extremal(inst)
 
     def test_extremal_occurring_sets_independent(self):
         inst = clause_instance([(1, 2), (-2, 3), (-1, -3)], 3)
@@ -476,6 +496,7 @@ class TestProbabilities:
             assert hit == target
 
 
+@pytest.mark.stream
 class TestRMatrix:
     def test_shared_clause_pattern(self):
         # Two width-3 clauses sharing s=2 variables with identical signs:
@@ -532,6 +553,7 @@ class TestRMatrix:
         assert scaled[0] == scaled[1] == ((3, 1), 4)
 
 
+@pytest.mark.stream
 class TestSampleProduct:
     def test_deterministic_domain(self):
         inst = Instance(
@@ -579,10 +601,11 @@ class TestEnumeration:
         inst = clause_instance([(1, 2)], 2)
         assert len(list(enumerate_assignments(inst))) == 4
 
-    def test_enumerate_cap(self):
+    def test_enumerate_cap(self, monkeypatch):
         inst = clause_instance([(1, 2)], 2)
+        monkeypatch.setattr(model, "MAX_PAIR_STATES", 3)
         with pytest.raises(BudgetError):
-            enumerate_assignments(inst, cap=3)
+            enumerate_assignments(inst)
 
     def test_assignment_probability_sums_to_one(self):
         lam = Fraction(1, 3)
@@ -608,6 +631,12 @@ class TestJson:
         }
         inst = instance_from_json(obj)
         assert inst.variables[0].weights == (Fraction(1, 3),) * 3
+
+    @pytest.mark.parametrize("domain", [MAX_UNIFORM_DOMAIN + 1, 2 ** 64])
+    def test_weightless_domain_over_the_cap(self, domain):
+        obj = {"variables": [{"id": 0, "domain": domain}], "events": []}
+        with pytest.raises(BudgetError, match="uniform domain of %d values" % domain):
+            instance_from_json(obj)
 
     def test_weights_round_trip_as_strings(self):
         inst = hardcore_p3(Fraction(1, 7))

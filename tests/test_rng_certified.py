@@ -90,6 +90,7 @@ BULK_TABLES = {
 }
 
 
+@pytest.mark.stream
 class TestBulkDraw:
     """``draw_indices`` draws ``bisect_right(table, random())`` for each
     table in turn, and leaves the generator where that many ``random()``

@@ -203,6 +203,7 @@ class TestMoserTardos:
         assert stats.rounds == len(stats.log)
 
 
+@pytest.mark.stream
 class TestSelectResamplingSet:
     def test_no_occurring_events_empty(self):
         inst = clause_instance([(1, 2)], 2)
@@ -389,6 +390,7 @@ class TestExtremalPrs:
                 assert set(t) <= closed
 
 
+@pytest.mark.stream
 class TestGeneralPrs:
     def test_coincides_with_extremal_on_extremal_instance(self):
         """On an extremal instance general_prs runs the extremal round: the
@@ -649,6 +651,7 @@ FROZEN_GENERIC_DIGESTS = {
 }
 
 
+@pytest.mark.stream
 class TestFrozenStream:
     @pytest.mark.parametrize("kind,name", sorted(FROZEN_GENERIC_DIGESTS))
     def test_generic_stream_unchanged(self, kind, name):
@@ -665,6 +668,7 @@ COMPILED = (
 )
 
 
+@pytest.mark.stream
 class TestCompileOnce:
     def count_compiles(self, monkeypatch):
         calls = Counter()
@@ -750,6 +754,7 @@ class TestCompileOnce:
         assert not calls
 
 
+@pytest.mark.stream
 class TestLiveRowFinder:
     """On a non-extremal instance general_prs takes each later round's Bad
     set from the live rows of the variables just redrawn. After every round
@@ -810,6 +815,7 @@ def repeated(instance, times):
     )
 
 
+@pytest.mark.stream
 class TestIndexedScan:
     """``_occurring(inst, sigma)`` equals ``occurring_events(inst, sigma)``,
     ascending, whether it scans every event or the watch index's candidates."""

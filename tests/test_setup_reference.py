@@ -8,6 +8,7 @@ event width cap, and on seeded mutants of each input format.
 """
 
 import copy
+import json
 import pickle
 import random
 import re
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_setup as ref
 from conftest import petersen_graph, random_cubic_graph
-from prsampling import cnf
+from prsampling import cnf, model
+from prsampling.cli import main
 from prsampling.cnf import CnfFormula, cnf_to_instance
 from prsampling.errors import BudgetError
 from prsampling.graph_apps import encode_hardcore, encode_sink_free, encode_spanning_tree
@@ -69,7 +71,7 @@ def _wide_clauses(width_a, width_b, shared):
 
 
 class TestIsExtremal:
-    def test_random_instances_match_the_pairwise_scan(self):
+    def test_random_instances_match_the_pairwise_scan(self, monkeypatch):
         # Small caps put some pair over the cap in many instances, so the
         # order of the over-cap and conflicting pairs is exercised too.
         rng = random.Random(20261018)
@@ -78,13 +80,14 @@ class TestIsExtremal:
         for k in range(2000):
             inst = generators[k % 3](rng)
             for cap in (MAX_PAIR_STATES, 16, 64):
-                got = _outcome(is_extremal, inst, max_pair_states=cap)
+                monkeypatch.setattr(model, "MAX_PAIR_STATES", cap)
+                got = _outcome(is_extremal, inst)
                 assert got == _outcome(ref.is_extremal_pairwise, inst, max_pair_states=cap)
                 outcomes.add(got if isinstance(got, bool) else got[0])
         assert outcomes == {True, False, "BudgetError"}
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=["C5", "K4", "petersen", "R12"])
-    def test_graph_encodings_match_the_pairwise_scan(self, graph):
+    def test_graph_encodings_match_the_pairwise_scan(self, graph, monkeypatch):
         encodings = [
             encode_hardcore(graph, Fraction(1, 3)),
             encode_sink_free(graph),
@@ -92,7 +95,8 @@ class TestIsExtremal:
         ]
         for inst in encodings:
             for cap in (MAX_PAIR_STATES, 3 ** 8):
-                got = _outcome(is_extremal, inst, max_pair_states=cap)
+                monkeypatch.setattr(model, "MAX_PAIR_STATES", cap)
+                got = _outcome(is_extremal, inst)
                 assert got == _outcome(ref.is_extremal_pairwise, inst, max_pair_states=cap)
 
     @pytest.mark.parametrize(
@@ -152,6 +156,7 @@ def _cap_cases(width):
     }
 
 
+@pytest.mark.stream
 class TestWidthCap:
     """Every builder raises the ``MAX_EVENT_VARS`` BudgetError for an event
     over the cap, with EventSpec's message, and builds one at the cap."""
@@ -259,6 +264,7 @@ def _assert_behaves_as_record(made, rebuilt):
             delattr(made, name)
 
 
+@pytest.mark.stream
 class TestConstructions:
     """Each builder makes what the former, fully checked builder makes,
     which is what the public constructors make again of it."""
@@ -383,7 +389,7 @@ class TestParseEdgeList:
 _ODD_JSON = (-1, 0, 1, 2, 3, MAX_EVENT_VARS + 1, 2 ** 64, True, 1.5, "1/2", "x", None, [], {}, [0], [[0]])
 _ODD_DIMACS = ("0", "-0", "1", "-1", "2", "-3", "25", "99", "+1", "1.5", "x", "p", "c", "\u0661", "p cnf 3 2")
 _ODD_EDGES = ("0", "1", "-1", "2", "5", "40", "+1", "-0", "x", "#", "1 2 3", "\u0662")
-_FORBIDDEN = {"TypeError", "KeyError", "IndexError"}
+_FORBIDDEN = {"TypeError", "KeyError", "IndexError", "OverflowError", "ZeroDivisionError", "MemoryError"}
 
 
 def _any_outcome(fn, *args):
@@ -511,11 +517,30 @@ def _fuzz_inputs(fmt: str, seed: int, count: int):
     return _mutants(bases, lambda t, rng: _mutate_text(t, rng, _ODD_EDGES), rng, count)
 
 
+# Per format, the command lines a mutant file is given to, in turn; the
+# round cap ends a sampler on an instance with no valid assignment soon.
+_SAMPLE = ["--seed", "1", "--round-cap", "50"]
+_CLI_COMMANDS = {
+    "json": (["sample", "instance", *_SAMPLE, "--file"], ["analyze", "instance", "--file"]),
+    "dimacs": (["sample", "cnf", *_SAMPLE, "--file"], ["analyze", "cnf", "--file"]),
+    "edges": (
+        ["sample", "sink-free", *_SAMPLE, "--graph"],
+        ["analyze", "graph", "--app", "spanning-tree", "--file"],
+        ["sample", "hardcore", "--lam", "1/3", *_SAMPLE, "--graph"],
+        ["analyze", "graph", "--app", "sink-free", "--file"],
+        ["sample", "spanning-tree", *_SAMPLE, "--graph"],
+        ["analyze", "graph", "--app", "hardcore", "--file"],
+    ),
+}
+
+
+@pytest.mark.stream
 class TestMutationFuzz:
     """Seeded mutants of valid instance JSON, DIMACS and edge lists: the
     current loaders and the former ones, which check every spec again, load
     equal instances or raise the same error with the same message, and no
-    mutant ends in a TypeError, KeyError or IndexError."""
+    mutant ends in a TypeError, KeyError, IndexError, OverflowError,
+    ZeroDivisionError or MemoryError. The CLI exits 0, 1 or 2 on each."""
 
     @pytest.mark.parametrize("fmt,count", [("json", 4000), ("dimacs", 4000), ("edges", 1500)])
     def test_mutants_load_alike(self, fmt, count):
@@ -529,3 +554,20 @@ class TestMutationFuzz:
             outcomes[got[0] if failed else "loaded"] += 1
         # The mutants reach the checks, and one in twenty or more loads.
         assert outcomes["ValueError"] and outcomes["loaded"] * 20 >= count
+
+    def test_cli_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "mutant"
+        # A weightless domain too large for any index, then the mutants.
+        big = {"variables": [{"id": 0, "domain": 2 ** 64}], "events": []}
+        for fmt, commands in _CLI_COMMANDS.items():
+            texts = _fuzz_inputs(fmt, 2026, 250)
+            if fmt == "json":
+                texts = map(json.dumps, [big, *texts])
+            codes = Counter()
+            for k, text in enumerate(texts):
+                path.write_text(text, encoding="utf-8")
+                code = main([*commands[k % len(commands)], str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and "Traceback" not in err, (fmt, code, err, text)
+                codes[code] += 1
+            assert codes[0] and codes[1], fmt

@@ -129,6 +129,21 @@ class TestQValues:
         with pytest.raises(BudgetError):
             q_empty(big, [F(0)] * 31)
 
+    def test_enumeration_budget(self, monkeypatch, capsys):
+        from prsampling.cli import main
+
+        # PATH3 has five independent sets, and two adjacent events three.
+        monkeypatch.setattr(shearer, "MAX_ENUMERATED_SETS", 5)
+        assert len(list(independent_sets(PATH3))) == 5
+        monkeypatch.setattr(shearer, "MAX_ENUMERATED_SETS", 4)
+        with pytest.raises(BudgetError, match="exceeded budget of 4 sets"):
+            list(independent_sets(PATH3))
+        with pytest.raises(BudgetError, match="exceeded budget of 4 sets"):
+            all_q_values(PATH3, [F(1, 6), F(1, 7), F(1, 8)])
+        monkeypatch.setattr(shearer, "MAX_ENUMERATED_SETS", 2)
+        assert main(["verify", "first-round", "--case", "two-events", "--n", "5"]) == 1
+        assert "exceeded budget of 2 sets" in capsys.readouterr().err
+
     def test_probability_vector_validation(self):
         with pytest.raises(ValueError):
             q_empty(PAIR, [F(1, 4)])
@@ -311,21 +326,6 @@ class TestConditionCheckers:
         with pytest.raises(ValueError, match=message):
             gprs_condition_values(p, r, delta)
 
-    @pytest.mark.parametrize(
-        "constants,message",
-        [
-            # -6 * e * p * delta^2 <= 1 holds, yet the product was taken as is.
-            ({"c1": -6}, "c1 = -6 is negative"),
-            ({"c2": -1}, "c2 = -1 is negative"),
-            ({"c1": 6.0}, "c1 = 6.0 is not an integer"),
-            ({"c2": F(3)}, "c2 = Fraction\\(3, 1\\) is not an integer"),
-            ({"c2": False}, "c2 = False is not an integer"),
-        ],
-    )
-    def test_gprs_rejects_bad_constants(self, constants, message):
-        with pytest.raises(ValueError, match=message):
-            gprs_condition_values(F(1, 100), F(0), 3, **constants)
-
     def test_gprs_accepts_the_closed_interval(self):
         assert gprs_condition_values(F(0), F(0), 0).applicable is False
         assert gprs_condition_values(F(0), F(0), 3).ok is True
@@ -346,11 +346,19 @@ class TestConditionCheckers:
         assert check.ok is None
         assert check.cond1 is None and check.cond2 is None
 
-    def test_gprs_custom_constants(self):
+    def test_gprs_cond1_boundary(self):
+        # c1*e*p*delta^2 <= 1 at c1 = 6, delta = 2: holds at p = 1/66
+        # (24e/66 = 0.988...) and fails at p = 1/65 (24e/65 = 1.004...).
+        assert gprs_condition_values(F(1, 66), F(0), 2).cond1 is True
+        assert gprs_condition_values(F(1, 65), F(0), 2).cond1 is False
+
+    def test_gprs_custom_constants(self, monkeypatch):
         # c1*e*p*delta^2 <= 1 with p = 1/100, delta = 2: passes at c1 = 9
         # (9e/25 = 0.978...) and fails at c1 = 10 (10e/25 = 1.087...).
-        assert gprs_condition_values(F(1, 100), F(0), 2, c1=9).cond1 is True
-        assert gprs_condition_values(F(1, 100), F(0), 2, c1=10).cond1 is False
+        monkeypatch.setattr(shearer, "GPRS_C1", 9)
+        assert gprs_condition_values(F(1, 100), F(0), 2).cond1 is True
+        monkeypatch.setattr(shearer, "GPRS_C1", 10)
+        assert gprs_condition_values(F(1, 100), F(0), 2).cond1 is False
 
     def test_check_gprs_from_instance(self):
         from prsampling.verify import two_adjacent_events_instance
@@ -532,6 +540,7 @@ def probability_vectors(graph, base, rng):
     yield [rng.choice(choices) for _ in range(graph.num_events)]
 
 
+@pytest.mark.stream
 class TestIntegerArithmetic:
     """The integer analysis against the ``Fraction`` one in
     ``tests/reference_analysis.py``."""
@@ -813,6 +822,7 @@ FROZEN_ANALYSIS_DIGESTS = {
 }
 
 
+@pytest.mark.stream
 class TestFrozenAnalysis:
     @pytest.mark.parametrize("label", sorted(FROZEN_ANALYSIS_DIGESTS))
     def test_report_unchanged(self, label):
@@ -856,6 +866,7 @@ def assert_sweep_matches(graph, p):
     return ev
 
 
+@pytest.mark.stream
 class TestReverseSweep:
     """Every q_i from one reverse sweep over q_empty's memo, against one
     recursion per event."""
