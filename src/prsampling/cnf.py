@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .certified import e_leq, e_mult_leq_two_pow_half, two_pow_3e_leq
 from .graphs import Graph, decimal_int
-from .model import Instance, _event, _instance, _shared_variables, _uniform_weights
-from .records import FrozenRecord, fields_json
+from .model import Instance, _events, _instance, _shared_variables, _uniform_weights
+from .records import FrozenRecord, _unchecked, fields_json
 from .sampler import SamplerConfig, run_sampler
 
 
@@ -126,7 +126,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError(
             "header declares %d clauses but %d were given" % (num_clauses, len(clauses))
         )
-    return CnfFormula(num_vars, tuple(clauses))
+    # Each clause is checked above as CnfFormula would check it.
+    return _unchecked(CnfFormula, num_vars, tuple(clauses))
 
 
 def write_dimacs(formula: CnfFormula) -> str:
@@ -236,13 +237,12 @@ def cnf_to_instance(formula: CnfFormula) -> Instance:
     only the width cap runs, since no clause length is bounded.
     """
     variables = _shared_variables(formula.num_vars, 2, _uniform_weights(2))
-    events = []
-    for ci, clause in enumerate(formula.clauses):
+    vbls, violating = [], []
+    for clause in formula.clauses:
         clause = sorted(clause, key=abs)
-        vbl = tuple([abs(lit) - 1 for lit in clause])
-        violating = frozenset({tuple([0 if lit > 0 else 1 for lit in clause])})
-        events.append(_event(ci, vbl, violating))
-    return _instance(variables, tuple(events))
+        vbls.append(tuple([abs(lit) - 1 for lit in clause]))
+        violating.append(frozenset({tuple([0 if lit > 0 else 1 for lit in clause])}))
+    return _instance(variables, _events(vbls, violating))
 
 
 def sample_cnf(formula: CnfFormula, sampler_kind: str, config: SamplerConfig):

@@ -41,12 +41,13 @@ from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
 from .model import (
     Instance,
+    VariableSpec,
     _ascending,
-    _event,
+    _events,
     _instance,
+    _records,
     _shared_variables,
     _uniform_weights,
-    _variable,
 )
 from .records import FrozenRecord, fields_json
 from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
@@ -129,16 +130,13 @@ def encode_sink_free(graph: Graph) -> Instance:
     """
     variables = _shared_variables(graph.num_edges, 2, _uniform_weights(2))
     heads = [v for _, v in graph.edges]
-    shared = {}  # violating tuple -> the one set of it that its events share
-    events = []
+    vbls, tuples = [], []
     for v, inc in enumerate(graph.incident_edges):
         if inc:
-            tup = tuple([0 if heads[eid] == v else 1 for eid in inc])
-            violating = shared.get(tup)
-            if violating is None:
-                violating = shared[tup] = frozenset((tup,))
-            events.append(_event(len(events), inc, violating))
-    return _instance(variables, tuple(events))
+            vbls.append(inc)
+            tuples.append(tuple([0 if heads[eid] == v else 1 for eid in inc]))
+    shared = {t: frozenset((t,)) for t in set(tuples)}  # the one set that equal tuples share
+    return _instance(variables, _events(vbls, map(shared.__getitem__, tuples)))
 
 
 # --- spanning trees via cycle popping ------------------------------------
@@ -262,10 +260,10 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
     vertices = spanning_tree_variables(graph, root)
     var_of = {v: k for k, v in enumerate(vertices)}
     degrees = [len(graph.adjacency[v]) for v in vertices]
-    variables = tuple(
-        map(_variable, range(len(vertices)), degrees, map(_uniform_weights, degrees))
+    variables = _records(
+        VariableSpec, len(vertices), range(len(vertices)), degrees, map(_uniform_weights, degrees)
     )
-    events = []
+    vbls, violating = [], []
 
     def nbr_index(v: int, u: int) -> int:
         return graph.adjacency[v].index(u)
@@ -274,13 +272,8 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
         if u == root or v == root:
             continue
         # var_of ascends with the vertex, so u < v gives an ascending vbl.
-        events.append(
-            _event(
-                len(events),
-                (var_of[u], var_of[v]),
-                frozenset({(nbr_index(u, v), nbr_index(v, u))}),
-            )
-        )
+        vbls.append((var_of[u], var_of[v]))
+        violating.append(frozenset({(nbr_index(u, v), nbr_index(v, u))}))
     for cyc in simple_cycles(graph):
         if root in cyc:
             continue
@@ -290,10 +283,10 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
         backward = tuple(
             nbr_index(cyc[i], cyc[(i - 1) % len(cyc)]) for i in range(len(cyc))
         )
-        events.append(
-            _event(len(events), *_ascending([var_of[v] for v in cyc], [forward, backward]))
-        )
-    return _instance(variables, tuple(events))
+        vbl, vio = _ascending([var_of[v] for v in cyc], [forward, backward])
+        vbls.append(vbl)
+        violating.append(vio)
+    return _instance(variables, _events(vbls, violating))
 
 
 def assignment_to_arrows(graph: Graph, root: int, assignment) -> tuple[int, ...]:
@@ -402,8 +395,7 @@ def encode_hardcore(graph: Graph, lam) -> Instance:
         raise ValueError("lam must be nonnegative")
     w = (1 / (1 + lam), lam / (1 + lam))
     variables = _shared_variables(graph.num_vertices, 2, w)
-    events = tuple(map(_event, range(graph.num_edges), graph.edges, repeat(_BOTH_OCCUPIED)))
-    return _instance(variables, events)
+    return _instance(variables, _events(graph.edges, repeat(_BOTH_OCCUPIED)))
 
 
 def hardcore_condition(lam, d: int) -> bool:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import cached_property
 from itertools import chain
-from operator import eq
+from operator import eq, lt
 
 from .errors import BudgetError
-from .records import FrozenRecord
+from .records import FrozenRecord, _unchecked
 
 MAX_CYCLE_SPACE_DIM = 20
 MAX_ENUMERATED_CYCLES = 10 ** 5
@@ -211,12 +212,24 @@ def decimal_int(token: str) -> int:
     return int(token)
 
 
+# The text write_edge_list writes: a 'u v' line per edge, each one ended.
+_CANONICAL_EDGE_LIST = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
 def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
     """Parse 'u v' lines ('#' starts a comment) into a Graph.
 
     Vertex labels are arbitrary nonnegative decimal integers and are
     compacted to dense ids; the returned list maps dense id -> original label.
+
+    Text in the form :func:`write_edge_list` writes, with u < v on every
+    line, no edge twice and the labels 0 to n - 1, is read in one pass; any
+    other text line by line, which names the line of each problem.
     """
+    if _CANONICAL_EDGE_LIST.fullmatch(text):
+        parsed = _parse_canonical(text)
+        if parsed is not None:
+            return parsed
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
@@ -227,17 +240,17 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
                 "line %d: expected 'u v', got %r" % (lineno, raw.rstrip())
             )
         u, v = parts
-        if u.isdigit() and v.isdigit() and u.isascii() and v.isascii():
-            u, v = int(u), int(v)
-        else:
-            try:
+        try:  # int also raises for a label past the interpreter's digit limit
+            if u.isdigit() and v.isdigit() and u.isascii() and v.isascii():
+                u, v = int(u), int(v)
+            else:
                 u, v = decimal_int(u), decimal_int(v)
-            except ValueError:
-                raise ValueError(
-                    "line %d: vertex labels must be integers, got %r" % (lineno, raw.rstrip())
-                ) from None
-            if u < 0 or v < 0:
-                raise ValueError("line %d: vertex labels must be nonnegative" % lineno)
+        except ValueError:
+            raise ValueError(
+                "line %d: vertex labels must be integers, got %r" % (lineno, raw.rstrip())
+            ) from None
+        if u < 0 or v < 0:
+            raise ValueError("line %d: vertex labels must be nonnegative" % lineno)
         if u == v:
             raise ValueError("line %d: self-loop %d-%d not allowed" % (lineno, u, v))
         pairs.append((u, v))
@@ -253,6 +266,28 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
         dense = {lab: i for i, lab in enumerate(labels)}
         edges = [(dense[u], dense[v]) for u, v in edges]
     return Graph(len(labels), tuple(edges)), labels
+
+
+def _parse_canonical(text: str) -> tuple[Graph, list[int]] | None:
+    """:func:`parse_edge_list` of a text ``_CANONICAL_EDGE_LIST`` matches,
+    or None where it needs the line parser: a pair not ascending, a label
+    missing below the largest, an edge twice, or a label too long for
+    ``int``. These are ``Graph``'s checks, so the graph is made unchecked."""
+    try:
+        labels = list(map(int, text.split()))
+    except ValueError:  # over the interpreter's digit limit
+        return None
+    us, vs = labels[::2], labels[1::2]
+    n = max(vs, default=-1) + 1  # every label is below its pair's v
+    if not all(map(lt, us, vs)) or len(set(labels)) != n:
+        return None
+    # One int object per vertex, which its edges and the labels share,
+    # where each line parsed its own: a third of the ints on a cubic graph.
+    ids = list(range(n))
+    edges = sorted(zip(map(ids.__getitem__, us), map(ids.__getitem__, vs)))
+    if any(map(eq, edges, edges[1:])):
+        return None
+    return _unchecked(Graph, n, tuple(edges)), ids
 
 
 def write_edge_list(graph: Graph, labels: list[int] | None = None) -> str:

@@ -13,12 +13,18 @@ and tuple arities, ``Instance`` its dense ids and that every vbl and value
 is in range. The builders whose input is checked already (the encoders of
 ``graph_apps``, ``cnf.cnf_to_instance`` and :func:`instance_from_json`,
 whose docstrings say what each relies on) skip those checks through the
-private helpers ``_variable``, ``_shared_variables``, ``_event`` and
-``_instance``. They check each weight vector they parse or compute through
-one ``VariableSpec``, however many variables share it (uniform weights, on
-at most ``MAX_UNIFORM_DOMAIN`` values, are valid as made), and every event
-against the width cap, which no input layer bounds. Each vector is scaled
+private helpers ``_variable``, ``_shared_variables``, ``_event``,
+``_events`` and ``_instance``; the two plural ones fill each field of all
+their specs in one pass (``_records``). They check each weight vector they
+parse or compute through one ``VariableSpec``, however many variables
+share it (uniform weights, on at most ``MAX_UNIFORM_DOMAIN`` values, are
+valid as made), and every event against the width cap, which no input
+layer bounds (``_events`` once, by its widest event). Each vector is scaled
 to integers once per computation, not once per variable that shares it.
+The parsers below do the same: ``graphs.parse_edge_list`` makes its
+``Graph`` unchecked when its one-pass read of a canonical edge list has
+made ``Graph``'s checks, and ``cnf.parse_dimacs`` its ``CnfFormula`` from
+the clauses it has checked.
 
 The caps are module constants, read when a function runs; exceeding one
 raises ``BudgetError`` rather than degrading.
@@ -49,7 +55,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -57,13 +63,14 @@ from itertools import accumulate, chain, count, groupby, product, repeat
 from operator import attrgetter, itemgetter, lt
 
 from .errors import BudgetError
-from .records import FrozenRecord
+from .records import FrozenRecord, _unchecked
 from .rng import byte_tables, cumulative_table, draw_indices
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 
 MAX_EVENT_VARS = 24
 MAX_PAIR_STATES = 2 ** 24  # joint states of an event pair, or of an enumerated instance
 MAX_UNIFORM_DOMAIN = 2 ** 22
+SHARED_UNIFORM_DOMAIN = 256  # uniform weights up to this many values are made once
 
 
 class VariableSpec(FrozenRecord):
@@ -92,15 +99,24 @@ class VariableSpec(FrozenRecord):
             raise ValueError("variable %d: weights sum to %s, not 1" % (id, sum(weights)))
 
 
-@lru_cache(maxsize=32, typed=True)
 def _uniform_weights(domain_size: int) -> tuple[Fraction, ...]:
     """The uniform weights on ``domain_size`` values; none below one value,
-    for ``VariableSpec`` to reject."""
+    for ``VariableSpec`` to reject. Every call for a domain of at most
+    ``SHARED_UNIFORM_DOMAIN`` values returns one tuple, which variables and
+    their sampling tables then share; a larger domain gets a new tuple,
+    which no cache keeps alive after its instance."""
     if domain_size > MAX_UNIFORM_DOMAIN:
         raise BudgetError(
             "uniform domain of %d values; cap is %d" % (domain_size, MAX_UNIFORM_DOMAIN)
         )
-    return (Fraction(1, domain_size),) * domain_size if domain_size > 0 else ()
+    if domain_size <= SHARED_UNIFORM_DOMAIN:
+        return _shared_uniform_weights(domain_size) if domain_size > 0 else ()
+    return (Fraction(1, domain_size),) * domain_size
+
+
+@lru_cache(maxsize=None, typed=True)
+def _shared_uniform_weights(domain_size: int) -> tuple[Fraction, ...]:
+    return (Fraction(1, domain_size),) * domain_size
 
 
 def uniform_variable(vid: int, domain_size: int) -> VariableSpec:
@@ -284,6 +300,16 @@ _VARIABLE_SETTERS = tuple(VariableSpec.__dict__[f].__set__ for f in VariableSpec
 _EVENT_SETTERS = tuple(EventSpec.__dict__[f].__set__ for f in EventSpec._fields)
 
 
+def _records(cls, count: int, *columns) -> tuple:
+    """``count`` records of the slotted class ``cls``, unchecked, field k
+    of record i from ``columns[k][i]``: one pass of a slot setter per
+    field, not a Python call per record."""
+    records = tuple(map(_new, repeat(cls, count)))
+    for name, column in zip(cls._fields, columns):
+        deque(map(cls.__dict__[name].__set__, records, column), maxlen=0)
+    return records
+
+
 def _variable(vid: int, domain_size: int, weights: tuple[Fraction, ...]) -> VariableSpec:
     """A VariableSpec, unchecked: the caller guarantees ``vid >= 0`` and a
     checked ``weights`` of ``domain_size`` entries."""
@@ -300,8 +326,8 @@ def _shared_variables(count: int, domain_size: int, weights) -> tuple[VariableSp
     a checked VariableSpec, checks."""
     if not count:
         return ()
-    first = VariableSpec(0, domain_size, weights)
-    return (first, *map(_variable, range(1, count), repeat(domain_size), repeat(weights)))
+    VariableSpec(0, domain_size, weights)
+    return _records(VariableSpec, count, range(count), repeat(domain_size), repeat(weights))
 
 
 def _event(eid: int, vbl: tuple[int, ...], violating: frozenset) -> EventSpec:
@@ -318,14 +344,20 @@ def _event(eid: int, vbl: tuple[int, ...], violating: frozenset) -> EventSpec:
     return e
 
 
+def _events(vbls: Sequence[tuple[int, ...]], violating: Iterable[frozenset]) -> tuple:
+    """Events 0 to len(vbls) - 1, event i on ``vbls[i]`` with the i-th
+    violating set, checked for the width cap only, as by :func:`_event`,
+    which raises the same ``BudgetError`` for the first event over it."""
+    if max(map(len, vbls), default=0) > MAX_EVENT_VARS:
+        return tuple(map(_event, count(), vbls, violating))
+    return _records(EventSpec, len(vbls), range(len(vbls)), vbls, violating)
+
+
 def _instance(variables: tuple[VariableSpec, ...], events: tuple[EventSpec, ...]) -> Instance:
     """An Instance, unchecked: the caller guarantees dense variable and
     event ids, every vbl in range and every violating value in its
     variable's domain."""
-    instance = _new(Instance)
-    object.__setattr__(instance, "variables", variables)
-    object.__setattr__(instance, "events", events)
-    return instance
+    return _unchecked(Instance, variables, events)
 
 
 class DependencyGraph(FrozenRecord):
@@ -654,15 +686,17 @@ def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
 def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:
     """Per-variable cumulative sampling tables.
 
-    Variables with equal weight vectors share one table object. Samplers
-    read them through ``Instance.sampling_tables``, built once per instance.
-    Each weight tuple object is hashed once, since hashing Fractions is slow.
+    Variables with equal tables share one table object. Samplers read them
+    through ``Instance.sampling_tables``, built once per instance. Each
+    weight vector object is tabled once, and no ``Fraction`` is hashed: the
+    floats of its table say which table it shares.
     """
-    shared: dict[tuple[Fraction, ...], tuple[float, ...]] = {}
+    shared: dict[tuple[float, ...], tuple[float, ...]] = {}
     by_object: dict[int, tuple[float, ...]] = {}  # id(weights) -> table
     for v in instance.variables:
         if id(v.weights) not in by_object:
-            by_object[id(v.weights)] = shared.setdefault(v.weights, cumulative_table(v.weights))
+            table = cumulative_table(v.weights)
+            by_object[id(v.weights)] = shared.setdefault(table, table)
     return tuple(by_object[id(v.weights)] for v in instance.variables)
 
 
@@ -770,6 +804,7 @@ def instance_from_json(obj) -> Instance:
     variables = []
     # Weight strings -> the weights, once a checked VariableSpec has taken them.
     checked: dict[tuple, tuple[Fraction, ...]] = {}
+    uniform: dict[int, tuple[Fraction, ...]] = {}  # domain -> its uniform weights
     typed = _typed_variables(obj["variables"])  # if so, only the values are left to check
     for k, raw in enumerate(obj["variables"]):
         if not (typed or isinstance(raw, dict) and "id" in raw and "domain" in raw):
@@ -780,7 +815,9 @@ def instance_from_json(obj) -> Instance:
         if dom < 1:
             raise ValueError("variables[%d]: 'domain' must be at least 1, got %d" % (k, dom))
         if "weights" not in raw:
-            weights = _uniform_weights(dom)  # valid as made
+            weights = uniform.get(dom)
+            if weights is None:  # valid as made, and shared by this instance
+                weights = uniform[dom] = _uniform_weights(dom)
         else:
             ws = raw["weights"]
             if not isinstance(ws, list) or len(ws) != dom:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from operator import getitem
 
 _MASK64 = (1 << 64) - 1
@@ -44,8 +45,16 @@ def cumulative_table(weights) -> tuple[float, ...]:
 
     ``weights`` are exact rationals summing to 1; the returned table has
     one threshold per domain value except the last, for use with
-    ``draw_index``.
+    ``draw_index``. The uniform weights on d values, one ``Fraction(1, d)``
+    d times, give k / d at k = 1 to d - 1: ``int / int`` rounds the exact
+    quotient once, as ``float`` does each prefix sum, so the floats are the
+    same, without d ``Fraction`` additions.
     """
+    d = len(weights)
+    first = weights[0] if d else None
+    if type(first) is Fraction and first.numerator == 1 and first.denominator == d:
+        if weights.count(first) == d:
+            return tuple([k / d for k in range(1, d)])
     acc = 0
     out = []
     for w in weights[:-1]:

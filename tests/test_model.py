@@ -118,8 +118,16 @@ class TestVariableSpec:
             VariableSpec(1, 2, weights)
 
     def test_uniform_weights_shared_per_domain_size(self):
+        # Sampling tables and watch rows are keyed by the weights' id, so a
+        # small domain's variables must share one tuple; a large domain's
+        # tuple must not outlive its instance in a cache.
         assert uniform_variable(0, 3).weights is uniform_variable(7, 3).weights
         assert uniform_variable(0, 2).weights != uniform_variable(0, 3).weights
+        assert model._uniform_weights(2) is model._uniform_weights(2)
+        assert model._uniform_weights(256) is model._uniform_weights(256)
+        large = model._uniform_weights(2 ** 20)
+        assert large is not model._uniform_weights(2 ** 20)
+        assert large[0] == Fraction(1, 2 ** 20) and large.count(large[0]) == 2 ** 20
 
     @pytest.mark.parametrize("domain_size", [0, -1])
     def test_uniform_helper_rejects_an_empty_domain(self, domain_size):

@@ -51,6 +51,16 @@ class TestTables:
     def test_cumulative_table_shape(self):
         t = cumulative_table((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
         assert t == (0.25, 0.5)
+        # A first weight of 1/d does not make the weights uniform.
+        assert cumulative_table((Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))) == (1 / 3, 0.5)
+
+    def test_uniform_tables_equal_the_prefix_sums(self):
+        # k / d and float(the exact prefix sum k/d) are both correctly rounded.
+        for d in [*range(1, 301), 2 ** 10, 2 ** 16, 2 ** 18]:
+            weights = (Fraction(1, d),) * d
+            sums = tuple(float(s) for s in itertools.accumulate(weights[:-1]))
+            assert cumulative_table(weights) == sums, d
+            assert cumulative_table(list(weights)) == sums, d
 
     def test_draw_index_consumes_one_variate(self):
         rng = make_rng(5)

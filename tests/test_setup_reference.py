@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_setup as ref
 from conftest import petersen_graph, random_cubic_graph
-from prsampling import cnf, model
+from prsampling import cnf, graphs, model
 from prsampling.cli import main
 from prsampling.cnf import CnfFormula, cnf_to_instance
 from prsampling.errors import BudgetError
@@ -340,6 +340,14 @@ class TestConstructions:
         first, *rest = instance_from_json(obj).variables
         assert all(v.weights is first.weights for v in rest)
 
+    def test_equal_weightless_domains_share_one_tuple(self):
+        # Past the domains whose uniform weights are made once per process.
+        obj = {"variables": [{"id": v, "domain": 1000} for v in range(3)], "events": []}
+        instance = instance_from_json(obj)
+        first, *rest = instance.variables
+        assert all(v.weights is first.weights for v in rest)
+        assert len(set(map(id, instance.sampling_tables))) == 1
+
     def test_specs_behave_as_records(self):
         graph = random_cubic_graph(30, 2)
         built = [
@@ -369,7 +377,54 @@ _edge = st.tuples(_label, _label, st.sampled_from(["", "  # note", "#", "\t"])).
 _line = st.one_of(_edge, _edge, _edge, st.sampled_from(["", "# comment", "   ", "1 2 3", "7"]))
 
 
+@st.composite
+def _written_edge_lists(draw):
+    """``write_edge_list`` of a random graph, its labels dense or sparse, with
+    at most one mutation: a reversed pair, a repeated line, a self-loop, a
+    leading zero, no final newline or CRLF line ends."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sparse = st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True)
+    labels = draw(st.one_of(st.none(), sparse))
+    lines = write_edge_list(make_graph(n, edges), labels).splitlines(keepends=True)
+    mutation = draw(st.sampled_from(["", "reverse", "repeat", "loop", "zero", "unended", "crlf"]))
+    if lines and mutation in ("reverse", "repeat", "loop", "zero"):
+        i = draw(st.integers(0, len(lines) - 1))
+        u, v = lines[i].split()
+        if mutation == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            pair = {"reverse": (v, u), "loop": (u, u), "zero": ("0" + u, v)}[mutation]
+            lines[i] = "%s %s\n" % pair
+    text = "".join(lines)
+    if mutation == "unended":
+        return text.removesuffix("\n")
+    return text.replace("\n", "\r\n") if mutation == "crlf" else text
+
+
+@pytest.mark.stream
 class TestParseEdgeList:
+    """The one-pass read of a written edge list and the line parser give
+    what the former parser gives, error messages included."""
+
+    @settings(max_examples=500)
+    @given(_written_edge_lists())
+    def test_written_lists_match_the_former_parser(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(ref.parse_edge_list, text)
+
+    @pytest.mark.parametrize("first", ["1 1\n", "2 1\n", "0 1\n"])
+    def test_labels_past_the_digit_limit_go_line_by_line(self, first):
+        text = first + "9" * 5000 + " 3\n"  # past int's default limit of 4300 digits
+        assert _outcome(parse_edge_list, text) == _outcome(ref.parse_edge_list, text)
+
+    @pytest.mark.parametrize("graph", SEEDED_GRAPHS, ids=SEEDED_IDS)
+    def test_written_lists_read_back_in_one_pass(self, graph):
+        expected = graph, list(range(graph.num_vertices))
+        text = write_edge_list(graph)
+        assert graphs._parse_canonical(text) == expected
+        assert parse_edge_list(text) == expected
+
     @settings(max_examples=500)
     @given(st.lists(_line, max_size=25))
     def test_matches_the_former_parser(self, lines):
