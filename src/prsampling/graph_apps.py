@@ -33,22 +33,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import sqrt
 from operator import getitem
 
 from .certified import sqrt_e_leq
 from .graphs import Graph, make_graph, simple_cycles
-from .model import (
-    Instance,
-    VariableSpec,
-    _ascending,
-    _events,
-    _instance,
-    _records,
-    _shared_variables,
-    _uniform_weights,
-)
+from .model import Instance, _ascending, _instance, _uniform_weights
 from .records import FrozenRecord, fields_json
 from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
@@ -128,7 +119,6 @@ def encode_sink_free(graph: Graph) -> Instance:
     vertex's incident edge ids ascend and are in range), so only the width
     cap is checked. Events with equal violating tuples share one set.
     """
-    variables = _shared_variables(graph.num_edges, 2, _uniform_weights(2))
     heads = [v for _, v in graph.edges]
     vbls, tuples = [], []
     for v, inc in enumerate(graph.incident_edges):
@@ -136,7 +126,8 @@ def encode_sink_free(graph: Graph) -> Instance:
             vbls.append(inc)
             tuples.append(tuple([0 if heads[eid] == v else 1 for eid in inc]))
     shared = {t: frozenset((t,)) for t in set(tuples)}  # the one set that equal tuples share
-    return _instance(variables, _events(vbls, map(shared.__getitem__, tuples)))
+    m, violating = graph.num_edges, [shared[t] for t in tuples]
+    return _instance((2,) * m, (_uniform_weights(2),) * m, vbls, violating)
 
 
 # --- spanning trees via cycle popping ------------------------------------
@@ -260,9 +251,7 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
     vertices = spanning_tree_variables(graph, root)
     var_of = {v: k for k, v in enumerate(vertices)}
     degrees = [len(graph.adjacency[v]) for v in vertices]
-    variables = _records(
-        VariableSpec, len(vertices), range(len(vertices)), degrees, map(_uniform_weights, degrees)
-    )
+    weights = [*map(_uniform_weights, degrees)]
     vbls, violating = [], []
 
     def nbr_index(v: int, u: int) -> int:
@@ -286,7 +275,7 @@ def encode_spanning_tree(graph: Graph, root: int) -> Instance:
         vbl, vio = _ascending([var_of[v] for v in cyc], [forward, backward])
         vbls.append(vbl)
         violating.append(vio)
-    return _instance(variables, _events(vbls, violating))
+    return _instance(degrees, weights, vbls, violating)
 
 
 def assignment_to_arrows(graph: Graph, root: int, assignment) -> tuple[int, ...]:
@@ -393,9 +382,9 @@ def encode_hardcore(graph: Graph, lam) -> Instance:
     lam = _exact(lam)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    n, m = graph.num_vertices, graph.num_edges
     w = (1 / (1 + lam), lam / (1 + lam))
-    variables = _shared_variables(graph.num_vertices, 2, w)
-    return _instance(variables, _events(graph.edges, repeat(_BOTH_OCCUPIED)))
+    return _instance((2,) * n, (w,) * n, graph.edges, (_BOTH_OCCUPIED,) * m)
 
 
 def hardcore_condition(lam, d: int) -> bool:

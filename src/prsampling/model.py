@@ -10,21 +10,19 @@ Each check runs once, at the layer that owns it. The public constructors
 check everything, on every call: ``VariableSpec`` its id, arity and
 weights, ``EventSpec`` its id, ascending vbl, width cap ``MAX_EVENT_VARS``
 and tuple arities, ``Instance`` its dense ids and that every vbl and value
-is in range. The builders whose input is checked already (the encoders of
-``graph_apps``, ``cnf.cnf_to_instance`` and :func:`instance_from_json`,
-whose docstrings say what each relies on) skip those checks through the
-private helpers ``_variable``, ``_shared_variables``, ``_event``,
-``_events`` and ``_instance``; the two plural ones fill each field of all
-their specs in one pass (``_records``). They check each weight vector they
-parse or compute through one ``VariableSpec``, however many variables
-share it (uniform weights, on at most ``MAX_UNIFORM_DOMAIN`` values, are
-valid as made), and every event against the width cap, which no input
-layer bounds (``_events`` once, by its widest event). Each vector is scaled
-to integers once per computation, not once per variable that shares it.
-The parsers below do the same: ``graphs.parse_edge_list`` makes its
-``Graph`` unchecked when its one-pass read of a canonical edge list has
-made ``Graph``'s checks, and ``cnf.parse_dimacs`` its ``CnfFormula`` from
-the clauses it has checked.
+is in range. The encoders of ``graph_apps`` and ``cnf.cnf_to_instance``,
+whose input is checked already (their docstrings say how), pass an
+instance's columns to the private :func:`_instance`, which makes no record.
+It checks the first weight vector, which every other variable shares
+unless its weights are uniform (valid as made, on at most
+``MAX_UNIFORM_DOMAIN`` values), and the width cap, which no input layer
+bounds. :func:`instance_from_json` checks shapes and types itself, makes
+its specs through ``_variable`` and ``_event``, and leaves ids and ranges
+to ``Instance``. Each weight vector is scaled to integers once per
+computation, not once per variable that shares it. The parsers below do
+the same: ``graphs.parse_edge_list`` makes its ``Graph`` unchecked when its
+one-pass read of a canonical edge list has made ``Graph``'s checks, and
+``cnf.parse_dimacs`` its ``CnfFormula`` from the clauses it has checked.
 
 The caps are module constants, read when a function runs; exceeding one
 raises ``BudgetError`` rather than degrading.
@@ -35,13 +33,14 @@ and return one ``Fraction`` per event, or the largest r_ij (:func:`r_max`). Samp
 variable from a double-precision cumulative table built from the exact
 weights.
 
-An instance compiles what the samplers need on first use and keeps it: the
-variable-to-events index, each event's occurrence test (an ``itemgetter``
-over its variables and the set that value is looked up in), the watch
-index, the value rows of the resampling-set selector, the sampling tables
-with their byte tables for a whole product draw, and the extremality
-verdict; the dependency graph is kept too, for the analyses. :func:`occurs`
-stays the reference definition the compiled tests must agree with.
+An instance compiles what the samplers need from its columns on first use
+and keeps it: the variable-to-events index, each event's occurrence test
+(an ``itemgetter`` over its variables and the set that value is looked up
+in), the watch index, the value rows of the resampling-set selector, the
+sampling tables with their byte tables for a whole product draw, and the
+extremality verdict; the dependency graph is kept too, for the analyses.
+:func:`occurs` stays the reference definition the compiled tests must
+agree with.
 
 The watch index lets a sampler find the events occurring under a fresh
 draw without testing every event: each event is watched at one variable,
@@ -55,15 +54,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import accumulate, chain, count, groupby, product, repeat
-from operator import attrgetter, itemgetter, lt
+from itertools import accumulate, chain, count, groupby, product, repeat, starmap
+from operator import itemgetter, lt
 
 from .errors import BudgetError
-from .records import FrozenRecord, _unchecked
+from .records import FrozenRecord
 from .rng import byte_tables, cumulative_table, draw_indices
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 
@@ -176,14 +175,19 @@ def _ascending(variables: Sequence[int], tuples) -> tuple[tuple[int, ...], froze
 class Instance(FrozenRecord):
     """A product distribution plus bad events over its variables.
 
-    What the samplers and analyses derive from an instance (the
+    An instance keeps four columns: per variable its domain size and weight
+    vector object (``domains``, ``weights``), per event its ``vbls`` entry
+    and ``violating`` set. What the samplers and analyses derive (the
     variable-to-events index, the compiled occurrence tests, the watch
     index, the selector's value rows, the dependency graph, the sampling
-    tables, their byte tables and the extremality verdict) is built on
-    first use and kept for every later call on the same object; the
-    instance is immutable, so none of it can go stale. The cached values
-    take no part in ``==`` or ``hash``. No sampler builds the dependency
-    graph; the analyses and the verification suites do.
+    tables, their byte tables and the extremality verdict) is built from
+    the columns on first use and kept; the instance is immutable, so none
+    of it can go stale. An encoder stores the columns only, and the
+    ``variables`` and ``events`` records are made on first read;
+    ``Instance(variables, events)`` stores the records and derives the
+    columns on first read. ``==`` and ``hash`` compare the records. No
+    sampler builds the dependency graph; the analyses and the verification
+    suites do.
     """
 
     _fields = ("variables", "events")
@@ -216,21 +220,45 @@ class Instance(FrozenRecord):
                             % (e.id, val, v)
                         )
 
+    @cached_property
+    def variables(self) -> tuple[VariableSpec, ...]:
+        return tuple(map(_variable, count(), self.domains, self.weights))
+
+    @cached_property
+    def events(self) -> tuple[EventSpec, ...]:
+        return tuple(map(_event, count(), self.vbls, self.violating))
+
+    @cached_property
+    def domains(self) -> tuple[int, ...]:
+        return tuple([v.domain_size for v in self.variables])
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple([v.weights for v in self.variables])
+
+    @cached_property
+    def vbls(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([e.vbl for e in self.events])
+
+    @cached_property
+    def violating(self) -> tuple[frozenset, ...]:
+        return tuple([e.violating for e in self.events])
+
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.domains)
 
     @property
     def num_events(self) -> int:
-        return len(self.events)
+        return len(self.vbls)
 
     @cached_property
     def var_events(self) -> tuple[tuple[int, ...], ...]:
         """For each variable, the ids of the events depending on it, ascending."""
-        index: list[list[int]] = [[] for _ in self.variables]
-        for e in self.events:
-            for v in e.vbl:
-                index[v].append(e.id)
+        index: list[list[int]] = [[] for _ in self.domains]
+        for i, vbl in enumerate(self.vbls):
+            for v in vbl:
+                index[v].append(i)
         return tuple(map(tuple, index))
 
     @cached_property
@@ -242,10 +270,10 @@ class Instance(FrozenRecord):
         one-variable event, so that event's set holds scalars; every other
         event's set is its own ``violating``, not a copy.
         """
-        keys = tuple(itemgetter(*e.vbl) for e in self.events)
+        keys = tuple(starmap(itemgetter, self.vbls))
         violating = tuple(
-            e.violating if len(e.vbl) > 1 else frozenset(t for (t,) in e.violating)
-            for e in self.events
+            vio if len(vbl) > 1 else frozenset(t for (t,) in vio)
+            for vbl, vio in zip(self.vbls, self.violating)
         )
         return keys, violating
 
@@ -289,25 +317,14 @@ class Instance(FrozenRecord):
             return False
 
 
-# --- specs from checked values ---------------------------------------------
+# --- instances from checked values ----------------------------------------
 #
-# For the builders of the module docstring: each sets the fields through
-# the slot setters. Copies and pickles of what they make go through the
-# checked constructors.
+# For the builders of the module docstring. Copies and pickles of what they
+# make go through the checked constructors.
 
 _new = object.__new__
 _VARIABLE_SETTERS = tuple(VariableSpec.__dict__[f].__set__ for f in VariableSpec._fields)
 _EVENT_SETTERS = tuple(EventSpec.__dict__[f].__set__ for f in EventSpec._fields)
-
-
-def _records(cls, count: int, *columns) -> tuple:
-    """``count`` records of the slotted class ``cls``, unchecked, field k
-    of record i from ``columns[k][i]``: one pass of a slot setter per
-    field, not a Python call per record."""
-    records = tuple(map(_new, repeat(cls, count)))
-    for name, column in zip(cls._fields, columns):
-        deque(map(cls.__dict__[name].__set__, records, column), maxlen=0)
-    return records
 
 
 def _variable(vid: int, domain_size: int, weights: tuple[Fraction, ...]) -> VariableSpec:
@@ -321,21 +338,10 @@ def _variable(vid: int, domain_size: int, weights: tuple[Fraction, ...]) -> Vari
     return v
 
 
-def _shared_variables(count: int, domain_size: int, weights) -> tuple[VariableSpec, ...]:
-    """Variables 0 to count - 1 on one weight vector, which the first one,
-    a checked VariableSpec, checks."""
-    if not count:
-        return ()
-    VariableSpec(0, domain_size, weights)
-    return _records(VariableSpec, count, range(count), repeat(domain_size), repeat(weights))
-
-
 def _event(eid: int, vbl: tuple[int, ...], violating: frozenset) -> EventSpec:
-    """An EventSpec checked for the width cap only: the caller guarantees
-    ``eid >= 0``, a strictly ascending ``vbl`` and violating tuples of its
-    arity."""
-    if len(vbl) > MAX_EVENT_VARS:
-        return EventSpec(eid, vbl, violating)  # which raises the BudgetError
+    """An EventSpec, unchecked: the caller guarantees ``eid >= 0``, a
+    strictly ascending ``vbl`` within the width cap and violating tuples of
+    its arity."""
     e = _new(EventSpec)
     set_id, set_vbl, set_violating = _EVENT_SETTERS
     set_id(e, eid)
@@ -344,20 +350,23 @@ def _event(eid: int, vbl: tuple[int, ...], violating: frozenset) -> EventSpec:
     return e
 
 
-def _events(vbls: Sequence[tuple[int, ...]], violating: Iterable[frozenset]) -> tuple:
-    """Events 0 to len(vbls) - 1, event i on ``vbls[i]`` with the i-th
-    violating set, checked for the width cap only, as by :func:`_event`,
-    which raises the same ``BudgetError`` for the first event over it."""
+def _instance(domains: Sequence[int], weights: Sequence, vbls: Sequence, violating: Sequence):
+    """The Instance on these columns, with no record made. The caller
+    guarantees every weight vector to be the first one or uniform, each vbl
+    strictly ascending and in range, and each violating set's tuples of its
+    arity, with values in their variables' domains. Checked here: the first
+    weight vector, and the width cap, with ``EventSpec``'s error for the
+    first event over it."""
+    if domains:
+        VariableSpec(0, domains[0], weights[0])
     if max(map(len, vbls), default=0) > MAX_EVENT_VARS:
-        return tuple(map(_event, count(), vbls, violating))
-    return _records(EventSpec, len(vbls), range(len(vbls)), vbls, violating)
-
-
-def _instance(variables: tuple[VariableSpec, ...], events: tuple[EventSpec, ...]) -> Instance:
-    """An Instance, unchecked: the caller guarantees dense variable and
-    event ids, every vbl in range and every violating value in its
-    variable's domain."""
-    return _unchecked(Instance, variables, events)
+        eid = next(i for i, vbl in enumerate(vbls) if len(vbl) > MAX_EVENT_VARS)
+        EventSpec(eid, vbls[eid], violating[eid])  # which raises the BudgetError
+    instance = _new(Instance)
+    instance.__dict__.update(
+        domains=tuple(domains), weights=tuple(weights), vbls=tuple(vbls), violating=tuple(violating)
+    )
+    return instance
 
 
 class DependencyGraph(FrozenRecord):
@@ -382,15 +391,13 @@ class DependencyGraph(FrozenRecord):
 
 def build_dependency_graph(instance: Instance) -> DependencyGraph:
     """Pairwise shared-variable dependency graph of the instance's events."""
-    neigh: list[set[int]] = [set() for _ in instance.events]
+    neigh: list[set[int]] = [set() for _ in instance.vbls]
     for ids in instance.var_events:
         for i in ids:
             for j in ids:
                 if i != j:
                     neigh[i].add(j)
-    return DependencyGraph(
-        len(instance.events), tuple(tuple(sorted(s)) for s in neigh)
-    )
+    return DependencyGraph(instance.num_events, tuple(tuple(sorted(s)) for s in neigh))
 
 
 def build_watch_index(instance: Instance) -> tuple | None:
@@ -409,8 +416,8 @@ def build_watch_index(instance: Instance) -> tuple | None:
     that every variable is binary and x is 1, so that the variables valued
     x are those whose value is true, found without comparing.
     """
-    n, events = instance.num_variables, instance.events
-    if n >= len(events):
+    n, vbls, violating = instance.num_variables, instance.vbls, instance.violating
+    if n >= len(vbls):
         return None
     tables = instance.sampling_tables
     table_ids = list(map(id, tables))
@@ -422,25 +429,25 @@ def build_watch_index(instance: Instance) -> tuple | None:
     # watched alike; with one weight vector the violating set alone decides.
     if len(probs) == 1:
         (p,) = probs.values()
-        groups = list(map(attrgetter("violating"), events))
+        groups = violating
         chosen = {g: _watch(g, repeat(p)) for g in dict.fromkeys(groups)}
     else:
-        groups = [(e.violating, tuple(map(table_ids.__getitem__, e.vbl))) for e in events]
+        groups = [(vio, tuple(map(table_ids.__getitem__, vbl))) for vbl, vio in zip(vbls, violating)]
         chosen = {g: _watch(g[0], map(probs.__getitem__, g[1])) for g in dict.fromkeys(groups)}
     watches = list(map(chosen.__getitem__, groups))
     values = set().union(*(vals for _, vals, _ in chosen.values()))
-    if len(values) * n + sum(map(itemgetter(2), watches)) >= len(events):
+    if len(values) * n + sum(map(itemgetter(2), watches)) >= len(vbls):
         return None
-    watched = [e.vbl[k] for e, (k, _, _) in zip(events, watches)]
+    watched = [vbl[k] for vbl, (k, _, _) in zip(vbls, watches)]
     var_events = instance.var_events
-    binary = {v.domain_size for v in instance.variables} == {2}
+    binary = set(instance.domains) == {2}
     index = []
     # Rows are cut from one sorted list, not appended to a list per
     # variable: n lists would add n objects for the cyclic collector to
     # walk, which cost a one-draw run a full collection.
     for x in sorted(values):
         listed = sorted(
-            [e.id for e, (_, vals, _) in zip(events, watches) if x in vals],
+            [i for i, (_, vals, _) in enumerate(watches) if x in vals],
             key=watched.__getitem__,
         )
         row = [()] * n
@@ -466,10 +473,8 @@ def build_value_rows(instance: Instance) -> tuple:
     not a copy, and the rows take one key per domain value, so their size
     is the sum of the domain sizes.
     """
-    events, var_events = instance.events, instance.var_events
-    domains = [v.domain_size for v in instance.variables]
+    var_events, domains, violating = instance.var_events, instance.domains, instance.violating
     base = tuple(accumulate(domains, initial=0))
-    violating = list(map(attrgetter("violating"), events))
     # The values each position of a violating set takes; a set with no
     # tuple takes none, at every position.
     columns = {
@@ -489,8 +494,7 @@ def build_value_rows(instance: Instance) -> tuple:
         live = [()] * base[-1]
         dead = list(chain.from_iterable(map(repeat, var_events, domains)))
         listed = defaultdict(list)  # key -> the events live there
-        vbls = map(attrgetter("vbl"), events)
-        for i, vbl, cols in zip(count(), vbls, map(columns.__getitem__, violating)):
+        for i, vbl, cols in zip(count(), instance.vbls, map(columns.__getitem__, violating)):
             for v, values in zip(vbl, cols):
                 b = base[v]
                 for x in values:
@@ -550,10 +554,11 @@ def occurring_events(instance: Instance, assignment) -> list[int]:
     return [e.id for e in instance.events if occurs(e, assignment)]
 
 
-def _project(event: EventSpec, shared) -> tuple[list[int], set[tuple[int, ...]]]:
-    """The variables of ``event`` in ``shared``, ascending, and its violating tuples on them."""
-    pos = [k for k, v in enumerate(event.vbl) if v in shared]
-    return [event.vbl[k] for k in pos], {tuple([t[k] for k in pos]) for t in event.violating}
+def _project(vbl, violating, shared) -> tuple[list[int], set[tuple[int, ...]]]:
+    """The variables of an event on ``vbl`` in ``shared``, ascending, and
+    its ``violating`` tuples on them."""
+    pos = [k for k, v in enumerate(vbl) if v in shared]
+    return [vbl[k] for k in pos], {tuple([t[k] for k in pos]) for t in violating}
 
 
 def is_extremal(instance: Instance) -> bool:
@@ -568,32 +573,31 @@ def is_extremal(instance: Instance) -> bool:
     if they share no other variable they do, else they are projected onto
     their shared variables.
     """
-    events, variables, cap = instance.events, instance.variables, MAX_PAIR_STATES
+    vbls, violating, domains = instance.vbls, instance.violating, instance.domains
+    cap = MAX_PAIR_STATES
 
     def states(i, j):
-        union = set(events[i].vbl) | set(events[j].vbl)
-        return math.prod(variables[v].domain_size for v in union)
+        return math.prod(map(domains.__getitem__, set(vbls[i]) | set(vbls[j])))
 
     over = None  # the first dependent pair over the cap
     # Two bounds that spare the scan: a pair has at most twice the variables
     # of the widest event, and no more than the instance has.
-    widest = max((len(e.vbl) for e in events), default=0)
-    if (
-        max((v.domain_size for v in variables), default=1) ** (2 * widest) > cap
-        and joint_state_count(instance) > cap
-    ):
+    widest = max(map(len, vbls), default=0)
+    if max(domains, default=1) ** (2 * widest) > cap and joint_state_count(instance) > cap:
         dependent = {(i, j) for ids in instance.var_events for i in ids for j in ids if i < j}
         over = min((p for p in dependent if states(*p) > cap), default=None)
     requiring: dict[tuple[int, int], list[int]] = {}  # (variable, value) -> event ids
     tried = set()
-    for j, e in enumerate(events):
-        for v, column in zip(e.vbl, zip(*e.violating)):
+    for j, (vbl, vio) in enumerate(zip(vbls, violating)):
+        for v, column in zip(vbl, zip(*vio)):
             for val in set(column):
                 for i in requiring.setdefault((v, val), []):
                     if (i, j) not in tried and (over is None or (i, j) < over):
                         tried.add((i, j))
-                        s = set(events[i].vbl).intersection(e.vbl)
-                        if len(s) == 1 or _project(e, s)[1] & _project(events[i], s)[1]:
+                        s = set(vbls[i]).intersection(vbl)
+                        if len(s) == 1 or (
+                            _project(vbl, vio, s)[1] & _project(vbls[i], violating[i], s)[1]
+                        ):
                             return False
                 requiring[v, val].append(j)
     if over is not None:
@@ -610,10 +614,9 @@ def _scale(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple([w.numerator * den // w.denominator for w in weights]), den
 
 
-def _scaled_rows(variables: Sequence[VariableSpec]) -> list[tuple[tuple[int, ...], int]]:
+def _scaled_rows(weights: Sequence[tuple[Fraction, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """Each variable's :func:`_scale` row; each distinct weight vector object
     is scaled once, and the variables that share it share its row."""
-    weights = [v.weights for v in variables]
     rows = {id(ws): ws for ws in weights}
     rows = {k: _scale(ws) for k, ws in rows.items()}
     return [rows[id(ws)] for ws in weights]
@@ -638,13 +641,13 @@ def _weight_sum(scaled, vbl: Sequence[int], tuples) -> tuple[int, int]:
 
 def event_probability(instance: Instance, event: EventSpec) -> Fraction:
     """Exact probability that the event occurs under the product measure."""
-    scaled = {v: _scale(instance.variables[v].weights) for v in event.vbl}
+    scaled = {v: _scale(instance.weights[v]) for v in event.vbl}
     return Fraction(*_weight_sum(scaled, event.vbl, event.violating))
 
 
 def event_probabilities(instance: Instance) -> list[Fraction]:
-    scaled = _scaled_rows(instance.variables)
-    return [Fraction(*_weight_sum(scaled, e.vbl, e.violating)) for e in instance.events]
+    scaled = _scaled_rows(instance.weights)
+    return [Fraction(*_weight_sum(scaled, *e)) for e in zip(instance.vbls, instance.violating)]
 
 
 def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
@@ -662,10 +665,10 @@ def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
     instance's dependency graph; sums are compared as integer cross-products.
     """
     graph, var_events = graph or instance.dependency_graph, instance.var_events
-    events, scaled, best_num, best_den = instance.events, _scaled_rows(instance.variables), 0, 1
-    for event, adjacent in zip(events, graph.adjacency):
+    vbls, scaled, best_num, best_den = instance.vbls, _scaled_rows(instance.weights), 0, 1
+    for vbl, vio, adjacent in zip(vbls, instance.violating, graph.adjacency):
         over = {}  # v -> w_jv, for the shared variables whose w_jv beats the best
-        for v, column in zip(event.vbl, zip(*event.violating)):
+        for v, column in zip(vbl, zip(*vio)):
             if len(var_events[v]) > 1:
                 nums, den = scaled[v]
                 num = sum(map(nums.__getitem__, set(column)))
@@ -673,10 +676,10 @@ def r_max(instance: Instance, graph: DependencyGraph | None = None) -> Fraction:
                     over[v] = num, den
         if not over:
             continue
-        vj = frozenset(event.vbl)
-        for s in sorted({vj.intersection(events[i].vbl) for i in adjacent}, key=len):
+        vj = frozenset(vbl)
+        for s in sorted({vj.intersection(vbls[i]) for i in adjacent}, key=len):
             if over.keys() >= s:  # singles come first, and are weighed already
-                num, den = over[min(s)] if len(s) == 1 else _weight_sum(scaled, *_project(event, s))
+                num, den = over[min(s)] if len(s) == 1 else _weight_sum(scaled, *_project(vbl, vio, s))
                 if num * best_den > best_num * den:
                     best_num, best_den = num, den
                     over = {v: w for v, w in over.items() if w[0] * best_den > best_num * w[1]}
@@ -693,11 +696,11 @@ def cumulative_tables(instance: Instance) -> tuple[tuple[float, ...], ...]:
     """
     shared: dict[tuple[float, ...], tuple[float, ...]] = {}
     by_object: dict[int, tuple[float, ...]] = {}  # id(weights) -> table
-    for v in instance.variables:
-        if id(v.weights) not in by_object:
-            table = cumulative_table(v.weights)
-            by_object[id(v.weights)] = shared.setdefault(table, table)
-    return tuple(by_object[id(v.weights)] for v in instance.variables)
+    for ws in instance.weights:
+        if id(ws) not in by_object:
+            table = cumulative_table(ws)
+            by_object[id(ws)] = shared.setdefault(table, table)
+    return tuple(by_object[id(ws)] for ws in instance.weights)
 
 
 def sample_product(instance: Instance, rng) -> list[int]:
@@ -708,10 +711,7 @@ def sample_product(instance: Instance, rng) -> list[int]:
 
 
 def joint_state_count(instance: Instance) -> int:
-    n = 1
-    for v in instance.variables:
-        n *= v.domain_size
-    return n
+    return math.prod(instance.domains)
 
 
 def enumerate_assignments(instance: Instance):
@@ -722,14 +722,14 @@ def enumerate_assignments(instance: Instance):
         raise BudgetError(
             "instance has %d joint states; enumeration cap is %d" % (states, MAX_PAIR_STATES)
         )
-    return product(*(range(v.domain_size) for v in instance.variables))
+    return product(*map(range, instance.domains))
 
 
 def assignment_probability(instance: Instance, assignment: Sequence[int]) -> Fraction:
     """Exact product-measure probability of one total assignment."""
     w = Fraction(1)
-    for v, val in zip(instance.variables, assignment):
-        w *= v.weights[val]
+    for ws, val in zip(instance.weights, assignment):
+        w *= ws[val]
     return w
 
 
@@ -906,7 +906,7 @@ def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as ex:
+        except ValueError as ex:  # bad JSON, or an integer past the digit limit
             raise ValueError("%s: invalid JSON: %s" % (path, ex)) from None
     return instance_from_json(obj)
 

@@ -19,11 +19,11 @@ A class that checks its input (``Graph``, ``VariableSpec``, ``EventSpec``,
 ``Instance``, ``CnfFormula``) keeps its own ``__init__``, which sets each
 field with ``object.__setattr__`` before its checks and runs them all on
 every call. A builder holding values its own layer has checked makes the
-record through :func:`_unchecked` instead. The encoders and the JSON loader
-make tens of thousands of ``VariableSpec``s and ``EventSpec``s that way, and
-set their slots through ``model``'s private helpers: a fixed signature
-binds faster than this loop does, and the slot setters faster still,
-fastest one column of records at a time.
+record through :func:`_unchecked` instead. The encoders make no
+``VariableSpec`` or ``EventSpec``: an ``Instance`` they build keeps columns
+and makes its records when they are first read, through ``model``'s
+``_variable`` and ``_event``, as the JSON loader does. Their fixed
+signatures and slot setters bind faster than this loop does.
 """
 
 from __future__ import annotations

@@ -183,8 +183,8 @@ def _occurring(instance: Instance, sigma, events=None) -> list[int]:
 
 def _with_variables(instance: Instance, chosen: list[int]):
     """``chosen`` and the union of its events' variables, ascending."""
-    events = instance.events
-    return chosen, sorted({v for i in chosen for v in events[i].vbl})
+    vbls = instance.vbls
+    return chosen, sorted({v for i in chosen for v in vbls[i]})
 
 
 def _resample_events(instance: Instance, config: SamplerConfig, choose_events, live_rows=False):
@@ -288,11 +288,11 @@ def select_resampling_set(
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc', got %r" % order)
     bad = _occurring(instance, sigma) if _bad is None else _bad
-    events = instance.events
+    vbls, violating = instance.vbls, instance.violating
     base, live, dead = instance.value_rows
     in_r = set(bad)
     marked = set(bad)  # R and the events excluded from it
-    fixed = {v for i in bad for v in events[i].vbl}  # the variables of R
+    fixed = {v for i in bad for v in vbls[i]}  # the variables of R
     fresh = [base[v] + sigma[v] for v in fixed]  # keys of the variables fixed last
     for k in fresh:
         marked.update(dead[k])
@@ -304,9 +304,9 @@ def select_resampling_set(
             if j in marked:  # excluded at a variable fixed earlier this round
                 continue
             marked.add(j)
-            vbl, violating = events[j].vbl, events[j].violating
-            if len(violating) > 1 and not any(
-                all(sigma[v] == x for v, x in zip(vbl, t) if v in fixed) for t in violating
+            vbl, tuples = vbls[j], violating[j]
+            if len(tuples) > 1 and not any(
+                all(sigma[v] == x for v, x in zip(vbl, t) if v in fixed) for t in tuples
             ):
                 continue
             in_r.add(j)

@@ -30,9 +30,11 @@ def r_matrix(
 ) -> dict[tuple[int, int], Fraction]:
     """For each ordered dependent pair (i, j): the probability that a fresh
     draw of the shared variables leaves event j still able to occur."""
-    vsets, scaled = [frozenset(e.vbl) for e in instance.events], _scaled_rows(instance.variables)
+    events = [(e.vbl, e.violating) for e in instance.events]
+    vsets = [frozenset(vbl) for vbl, _ in events]
+    scaled = _scaled_rows([v.weights for v in instance.variables])
     return {
-        (i, j): Fraction(*_weight_sum(scaled, *_project(instance.events[j], vsets[i])))
+        (i, j): Fraction(*_weight_sum(scaled, *_project(*events[j], vsets[i])))
         for i, adjacent in enumerate((graph or instance.dependency_graph).adjacency)
         for j in adjacent
     }

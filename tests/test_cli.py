@@ -14,6 +14,7 @@ import pytest
 
 from conftest import MALFORMED_INSTANCE_JSON, random_cubic_graph
 import prsampling
+from prsampling import cnf
 from prsampling.cli import main
 from prsampling.cnf import CnfFormula, cnf_to_instance, write_dimacs
 from prsampling.graphs import cycle_graph, path_graph, write_edge_list
@@ -247,6 +248,37 @@ class TestSample:
         bad.write_text("p cnf 2 1\n1 1 0\n")
         code, _, err = run_cli(capsys, "sample", "cnf", "--file", str(bad))
         assert code == 1 and "repeated" in err
+
+    def test_declared_variables_over_the_cap_exit_one(self, capsys, tmp_path):
+        huge = tmp_path / "huge.cnf"
+        huge.write_text("p cnf %d 1\n1 0\n" % 2 ** 70)
+        code, out, err = run_cli(capsys, "sample", "cnf", "--file", str(huge), "--seed", "1")
+        assert code == 1 and out == ""
+        message = "formula declares %d variables; cap is %d" % (2 ** 70, cnf.MAX_CNF_VARS)
+        assert err == "input exceeds an exact-computation guard: %s\n" % message
+
+    def test_declared_variables_at_and_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cnf, "MAX_CNF_VARS", 40)
+        path = tmp_path / "wide.cnf"
+        for n, code in ((40, 0), (41, 1)):
+            path.write_text("p cnf %d 1\n1 0\n" % n)
+            got, out, err = run_cli(capsys, "sample", "cnf", "--file", str(path), "--seed", "1")
+            assert got == code, err
+            if code:
+                assert out == "" and "formula declares 41 variables; cap is 40" in err
+            else:
+                assert len(out.splitlines()[0]) == 40 and err == ""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_number_past_the_digit_limit_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"variables": [{"id": 0, "domain": 1%s}], "events": []}' % ("0" * 5000))
+        code, out, err = run_cli(capsys, command, "instance", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s: invalid JSON: Exceeds the limit" % path)
 
     @pytest.mark.parametrize("obj,where", MALFORMED_INSTANCE_JSON)
     def test_malformed_instance_json_exit_one(self, capsys, tmp_path, obj, where):

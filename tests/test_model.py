@@ -552,11 +552,11 @@ class TestRMatrix:
         assert weighed == []
 
     def test_one_scaled_row_per_weight_vector(self):
-        occupied = encode_hardcore(cycle_graph(5), Fraction(1, 3)).variables
+        occupied = encode_hardcore(cycle_graph(5), Fraction(1, 3)).weights
         scaled = model._scaled_rows(occupied)
         assert scaled[0] == ((3, 1), 4)
         assert all(scaled[v] is scaled[0] for v in range(5))
-        equal = tuple(VariableSpec(v, 2, (Fraction(3, 4), Fraction(1, 4))) for v in range(2))
+        equal = [VariableSpec(v, 2, (Fraction(3, 4), Fraction(1, 4))).weights for v in range(2)]
         scaled = model._scaled_rows(equal)
         assert scaled[0] == scaled[1] == ((3, 1), 4)
 

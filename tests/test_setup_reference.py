@@ -4,7 +4,9 @@
 parser, ``make_event``, ``uniform_variable``, encoders, ``cnf_to_instance``
 and JSON loader. The current ones must give the same verdicts, graphs,
 instances and error messages: on seeded inputs, on every builder at the
-event width cap, and on seeded mutants of each input format.
+event width cap, and on seeded mutants of each input format. The encoders
+store an instance's columns, which must equal those the public constructor
+derives, and make its records only when they are read.
 """
 
 import copy
@@ -44,6 +46,8 @@ from prsampling.model import (
     is_extremal,
     make_event,
 )
+from prsampling.sampler import SamplerConfig, run_sampler
+from prsampling.shearer import analyze_instance
 from prsampling.verify import (
     random_extremal_instance,
     random_instance,
@@ -235,6 +239,10 @@ def _built(graph: Graph):
     return [(_outcome(new, *args), _outcome(former, *args)) for new, former, args in calls]
 
 
+def _columns(instance: Instance):
+    return instance.domains, instance.weights, instance.vbls, instance.violating
+
+
 def _cached_properties(instance: Instance):
     keys, violating = instance.occurrence_tests
     return (
@@ -274,6 +282,7 @@ class TestConstructions:
         for current, former in _built(graph):
             assert current == former
             if isinstance(current, Instance):  # not the cycle space's BudgetError
+                assert _columns(current) == _columns(former) == _columns(_rebuilt(current))
                 assert current == _rebuilt(current)
                 assert hash(current) == hash(former)
 
@@ -282,10 +291,13 @@ class TestConstructions:
     def test_degenerate_graphs(self, graph):
         for current, former in _built(graph):
             assert current == former
+            if isinstance(current, Instance):
+                assert _columns(current) == _columns(former)
 
     def test_formulas_equal_the_former_construction(self):
         for formula in _seeded_formulas(5, 300):
             current = cnf_to_instance(formula)
+            assert _columns(current) == _columns(ref.cnf_to_instance(formula))
             assert current == ref.cnf_to_instance(formula) == _rebuilt(current)
             assert hash(current) == hash(ref.cnf_to_instance(formula))
 
@@ -363,6 +375,49 @@ class TestConstructions:
             for spec, twin in zip(made.variables + made.events, rebuilt.variables + rebuilt.events):
                 _assert_behaves_as_record(spec, twin)
             assert _cached_properties(made) == _cached_properties(rebuilt)
+
+
+LAZY_GRAPH = random_cubic_graph(16, 5)
+ENCODINGS = {
+    "hardcore": lambda: encode_hardcore(LAZY_GRAPH, 1),
+    "sink-free": lambda: encode_sink_free(LAZY_GRAPH),
+    "spanning-tree": lambda: encode_spanning_tree(LAZY_GRAPH, 0),
+    "cnf": lambda: cnf_to_instance(cnf.monotone_cnf_from_graph(LAZY_GRAPH, 2)),
+}
+
+
+class TestRecordsOnFirstRead:
+    """An encoder stores columns only: a draw or an analysis reads them and
+    makes no ``VariableSpec`` or ``EventSpec``."""
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_one_draw_makes_no_record(self, encoding):
+        kinds = ["general_prs", "moser_tardos"]
+        if ENCODINGS[encoding]().extremal:
+            kinds.append("extremal_prs")
+        for kind in kinds:
+            instance = ENCODINGS[encoding]()
+            _, stats = run_sampler(kind, instance, SamplerConfig(seed=1, record_log=False))
+            assert stats.rounds and not {"events", "variables"} & set(vars(instance)), kind
+
+    def test_extremal_draws_are_covered(self):
+        assert {name for name, encode in ENCODINGS.items() if encode().extremal} == {
+            "sink-free",
+            "spanning-tree",
+        }
+
+    @pytest.mark.parametrize("graph", [cycle_graph(7), PETERSEN], ids=["C7", "petersen"])
+    def test_an_analysis_makes_no_record(self, graph):
+        encoded = (encode_sink_free(graph), encode_hardcore(graph, 1), encode_spanning_tree(graph, 0))
+        for instance in encoded:
+            analyze_instance(instance)
+            assert not {"events", "variables"} & set(vars(instance))
+
+    def test_records_once_read_are_kept(self):
+        instance = ENCODINGS["cnf"]()
+        variables, events = instance.variables, instance.events
+        assert instance.variables is variables and instance.events is events
+        assert {"events", "variables"} <= set(vars(instance))
 
 
 # Edge-list lines: edges over a few labels, sparse or dense, repeated or
