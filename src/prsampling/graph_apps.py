@@ -43,7 +43,7 @@ from .model import Instance, _ascending, _instance, _uniform_weights
 from .records import FrozenRecord, fields_json
 from .rng import byte_tables, cumulative_table, derive_seed, draw_indices, make_rng
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
-from .sampler import SamplerConfig, resample_until_valid
+from .sampler import DEFAULT_ROUND_CAP, SamplerConfig, resample_until_valid
 
 
 def _exact(lam) -> Fraction:
@@ -496,7 +496,7 @@ def disjoint_paths_graph(n: int, L: int) -> Graph:
 
 
 def disjoint_paths_experiment(
-    n: int, L: int, lam, trials: int, base_seed: int, round_cap: int = 10 ** 6
+    n: int, L: int, lam, trials: int, base_seed: int, round_cap: int = DEFAULT_ROUND_CAP
 ) -> dict:
     """Sample hard-core configurations on disjoint L-paths.
 

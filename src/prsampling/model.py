@@ -16,13 +16,14 @@ instance's columns to the private :func:`_instance`, which makes no record.
 It checks the first weight vector, which every other variable shares
 unless its weights are uniform (valid as made, on at most
 ``MAX_UNIFORM_DOMAIN`` values), and the width cap, which no input layer
-bounds. :func:`instance_from_json` checks shapes and types itself, makes
-its specs through ``_variable`` and ``_event``, and leaves ids and ranges
-to ``Instance``. Each weight vector is scaled to integers once per
-computation, not once per variable that shares it. The parsers below do
-the same: ``graphs.parse_edge_list`` makes its ``Graph`` unchecked when its
-one-pass read of a canonical edge list has made ``Graph``'s checks, and
-``cnf.parse_dimacs`` its ``CnfFormula`` from the clauses it has checked.
+bounds. :func:`instance_from_json` checks shapes and types itself, fills
+the columns, and runs ``Instance``'s id and range checks on them before it
+hands them to :func:`_instance`. Each weight vector is scaled to integers
+once per computation, not once per variable that shares it. The parsers
+do the same: ``graphs.parse_edge_list`` makes its ``Graph`` unchecked when
+its one-pass read of a canonical edge list has made ``Graph``'s checks,
+and ``cnf.parse_dimacs`` its ``CnfFormula`` from the clauses it has
+checked.
 
 The caps are module constants, read when a function runs; exceeding one
 raises ``BudgetError`` rather than degrading.
@@ -62,7 +63,7 @@ from itertools import accumulate, chain, count, groupby, product, repeat, starma
 from operator import itemgetter, lt
 
 from .errors import BudgetError
-from .records import FrozenRecord
+from .records import FrozenRecord, _unchecked
 from .rng import byte_tables, cumulative_table, draw_indices
 from .rng import draw_index  # noqa: F401 (bench/tracing.py counts calls through this name)
 
@@ -175,19 +176,20 @@ def _ascending(variables: Sequence[int], tuples) -> tuple[tuple[int, ...], froze
 class Instance(FrozenRecord):
     """A product distribution plus bad events over its variables.
 
-    An instance keeps four columns: per variable its domain size and weight
+    An instance stores four columns: per variable its domain size and weight
     vector object (``domains``, ``weights``), per event its ``vbls`` entry
-    and ``violating`` set. What the samplers and analyses derive (the
+    and ``violating`` set. Its fields, which ``repr`` shows, are the
+    ``variables`` and ``events`` records, but ``==`` and ``hash`` read the
+    columns, which instances of equal records have equal. The records are
+    views: ``Instance(variables, events)`` keeps the records it was given,
+    and any other instance makes them on first read. Copies and pickles go
+    through that constructor. What the samplers and analyses derive (the
     variable-to-events index, the compiled occurrence tests, the watch
     index, the selector's value rows, the dependency graph, the sampling
     tables, their byte tables and the extremality verdict) is built from
     the columns on first use and kept; the instance is immutable, so none
-    of it can go stale. An encoder stores the columns only, and the
-    ``variables`` and ``events`` records are made on first read;
-    ``Instance(variables, events)`` stores the records and derives the
-    columns on first read. ``==`` and ``hash`` compare the records. No
-    sampler builds the dependency graph; the analyses and the verification
-    suites do.
+    of it can go stale. No sampler builds the dependency graph; the
+    analyses and the verification suites do.
     """
 
     _fields = ("variables", "events")
@@ -195,54 +197,27 @@ class Instance(FrozenRecord):
     def __init__(self, variables: tuple[VariableSpec, ...], events: tuple[EventSpec, ...]):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "events", events)
-        for k, v in enumerate(variables):
-            if v.id != k:
-                raise ValueError(
-                    "variable ids must be dense and ascending: position %d has id %d"
-                    % (k, v.id)
-                )
-        domains = [v.domain_size for v in variables]
-        for k, e in enumerate(events):
-            if e.id != k:
-                raise ValueError(
-                    "event ids must be dense and ascending: position %d has id %d"
-                    % (k, e.id)
-                )
-            # vbl ascends, so its two ends bound all of it.
-            if e.vbl[0] < 0 or e.vbl[-1] >= len(domains):
-                v = next(v for v in e.vbl if not 0 <= v < len(domains))
-                raise ValueError("event %d references unknown variable %d" % (e.id, v))
-            for t in e.violating:
-                for v, val in zip(e.vbl, t):
-                    if not 0 <= val < domains[v]:
-                        raise ValueError(
-                            "event %d: value %d out of range for variable %d"
-                            % (e.id, val, v)
-                        )
+        domains = tuple([v.domain_size for v in variables])
+        vbls, violating = tuple([e.vbl for e in events]), tuple([e.violating for e in events])
+        _check_ids_and_ranges(
+            [v.id for v in variables], domains, [e.id for e in events], vbls, violating
+        )
+        weights = tuple([v.weights for v in variables])
+        self.__dict__.update(domains=domains, weights=weights, vbls=vbls, violating=violating)
+
+    def _values(self) -> tuple:
+        return self.domains, self.weights, self.vbls, self.violating
+
+    def __reduce__(self):
+        return Instance, (self.variables, self.events)
 
     @cached_property
     def variables(self) -> tuple[VariableSpec, ...]:
-        return tuple(map(_variable, count(), self.domains, self.weights))
+        return tuple(map(_unchecked, repeat(VariableSpec), count(), self.domains, self.weights))
 
     @cached_property
     def events(self) -> tuple[EventSpec, ...]:
-        return tuple(map(_event, count(), self.vbls, self.violating))
-
-    @cached_property
-    def domains(self) -> tuple[int, ...]:
-        return tuple([v.domain_size for v in self.variables])
-
-    @cached_property
-    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple([v.weights for v in self.variables])
-
-    @cached_property
-    def vbls(self) -> tuple[tuple[int, ...], ...]:
-        return tuple([e.vbl for e in self.events])
-
-    @cached_property
-    def violating(self) -> tuple[frozenset, ...]:
-        return tuple([e.violating for e in self.events])
+        return tuple(map(_unchecked, repeat(EventSpec), count(), self.vbls, self.violating))
 
     @property
     def num_variables(self) -> int:
@@ -319,50 +294,50 @@ class Instance(FrozenRecord):
 
 # --- instances from checked values ----------------------------------------
 #
-# For the builders of the module docstring. Copies and pickles of what they
-# make go through the checked constructors.
-
-_new = object.__new__
-_VARIABLE_SETTERS = tuple(VariableSpec.__dict__[f].__set__ for f in VariableSpec._fields)
-_EVENT_SETTERS = tuple(EventSpec.__dict__[f].__set__ for f in EventSpec._fields)
+# Instance's checks over columns, and the builders of the module docstring.
+# Copies and pickles of what they make go through the checked constructors.
 
 
-def _variable(vid: int, domain_size: int, weights: tuple[Fraction, ...]) -> VariableSpec:
-    """A VariableSpec, unchecked: the caller guarantees ``vid >= 0`` and a
-    checked ``weights`` of ``domain_size`` entries."""
-    v = _new(VariableSpec)
-    set_id, set_domain, set_weights = _VARIABLE_SETTERS
-    set_id(v, vid)
-    set_domain(v, domain_size)
-    set_weights(v, weights)
-    return v
-
-
-def _event(eid: int, vbl: tuple[int, ...], violating: frozenset) -> EventSpec:
-    """An EventSpec, unchecked: the caller guarantees ``eid >= 0``, a
-    strictly ascending ``vbl`` within the width cap and violating tuples of
-    its arity."""
-    e = _new(EventSpec)
-    set_id, set_vbl, set_violating = _EVENT_SETTERS
-    set_id(e, eid)
-    set_vbl(e, vbl)
-    set_violating(e, violating)
-    return e
+def _check_ids_and_ranges(var_ids, domains, event_ids, vbls, violating) -> None:
+    """``Instance``'s checks, over columns: the ids are dense and ascending,
+    and every vbl and violating value is in range. The caller guarantees
+    each vbl strictly ascending and each violating tuple of its arity."""
+    for k, vid in enumerate(var_ids):
+        if vid != k:
+            raise ValueError(
+                "variable ids must be dense and ascending: position %d has id %d" % (k, vid)
+            )
+    n = len(domains)
+    for k, eid, vbl, vio in zip(count(), event_ids, vbls, violating):
+        if eid != k:
+            raise ValueError(
+                "event ids must be dense and ascending: position %d has id %d" % (k, eid)
+            )
+        # vbl ascends, so its two ends bound all of it.
+        if vbl[0] < 0 or vbl[-1] >= n:
+            v = next(v for v in vbl if not 0 <= v < n)
+            raise ValueError("event %d references unknown variable %d" % (eid, v))
+        for t in vio:
+            for v, val in zip(vbl, t):
+                if not 0 <= val < domains[v]:
+                    raise ValueError(
+                        "event %d: value %d out of range for variable %d" % (eid, val, v)
+                    )
 
 
 def _instance(domains: Sequence[int], weights: Sequence, vbls: Sequence, violating: Sequence):
     """The Instance on these columns, with no record made. The caller
-    guarantees every weight vector to be the first one or uniform, each vbl
-    strictly ascending and in range, and each violating set's tuples of its
-    arity, with values in their variables' domains. Checked here: the first
-    weight vector, and the width cap, with ``EventSpec``'s error for the
-    first event over it."""
+    guarantees every weight vector to be the first one, uniform or checked
+    already, each vbl strictly ascending and in range, and each violating
+    set's tuples of its arity, with values in their variables' domains.
+    Checked here: the first weight vector, and the width cap, with
+    ``EventSpec``'s error for the first event over it."""
     if domains:
         VariableSpec(0, domains[0], weights[0])
     if max(map(len, vbls), default=0) > MAX_EVENT_VARS:
         eid = next(i for i, vbl in enumerate(vbls) if len(vbl) > MAX_EVENT_VARS)
         EventSpec(eid, vbls[eid], violating[eid])  # which raises the BudgetError
-    instance = _new(Instance)
+    instance = object.__new__(Instance)
     instance.__dict__.update(
         domains=tuple(domains), weights=tuple(weights), vbls=tuple(vbls), violating=tuple(violating)
     )
@@ -792,16 +767,18 @@ def instance_from_json(obj) -> Instance:
     Malformed input raises ValueError naming where it is, such as
     ``events[2].violating[0]``. The loader checks the shapes and types
     itself, and each new weight vector through one ``VariableSpec``. An
-    event whose id, vars and tuples pass one test per entry is made without
-    ``EventSpec``'s checks, any other through ``make_event``, which raises
-    what it did before; ``Instance`` still checks the ids and ranges.
+    event whose id, vars and tuples pass one test per entry joins the
+    columns without ``EventSpec``'s checks, any other through
+    ``make_event``, which raises what it did before. ``Instance``'s id and
+    range checks run last, on the columns, which :func:`_instance` then
+    stores; no record is made.
     """
     if not isinstance(obj, dict) or "variables" not in obj or "events" not in obj:
         raise ValueError("instance JSON must contain 'variables' and 'events'")
     for key in ("variables", "events"):
         if not isinstance(obj[key], list):
             raise ValueError("'%s' must be a list, got %s" % (key, type(obj[key]).__name__))
-    variables = []
+    var_ids, domains, weights = [], [], []
     # Weight strings -> the weights, once a checked VariableSpec has taken them.
     checked: dict[tuple, tuple[Fraction, ...]] = {}
     uniform: dict[int, tuple[Fraction, ...]] = {}  # domain -> its uniform weights
@@ -815,27 +792,28 @@ def instance_from_json(obj) -> Instance:
         if dom < 1:
             raise ValueError("variables[%d]: 'domain' must be at least 1, got %d" % (k, dom))
         if "weights" not in raw:
-            weights = uniform.get(dom)
-            if weights is None:  # valid as made, and shared by this instance
-                weights = uniform[dom] = _uniform_weights(dom)
+            ws = uniform.get(dom)
+            if ws is None:  # valid as made, and shared by this instance
+                ws = uniform[dom] = _uniform_weights(dom)
         else:
-            ws = raw["weights"]
-            if not isinstance(ws, list) or len(ws) != dom:
+            strings = raw["weights"]
+            if not isinstance(strings, list) or len(strings) != dom:
                 raise ValueError("variables[%d]: 'weights' must list %d entries" % (k, dom))
             try:
-                weights = checked[tuple(ws)]
+                ws = checked[tuple(strings)]
             except (KeyError, TypeError):  # TypeError: a list or dict among them
-                weights = tuple(
+                ws = tuple(
                     parse_rational(w, "variables[%d].weights[%d]" % (k, i))
-                    for i, w in enumerate(ws)
+                    for i, w in enumerate(strings)
                 )
-                variables.append(VariableSpec(vid, dom, weights))  # which checks them
-                checked[tuple(ws)] = weights
-                continue
-        # The weights are valid and dom long, so only the id is left to check.
-        make = _variable if vid >= 0 else VariableSpec
-        variables.append(make(vid, dom, weights))
-    events = []
+                VariableSpec(vid, dom, ws)  # which checks them
+                checked[tuple(strings)] = ws
+        if vid < 0:  # the weights are valid and dom long, so only the id is left
+            VariableSpec(vid, dom, ws)  # which raises its error
+        var_ids.append(vid)
+        domains.append(dom)
+        weights.append(ws)
+    event_ids, vbls, violating = [], [], []
     # Violating lists -> one frozenset per distinct list, and its tuples' lengths.
     shared: dict[tuple, tuple[frozenset, set[int]]] = {}
     typed = _typed_events(obj["events"])  # if so, only repeats and arities are left to check
@@ -849,14 +827,16 @@ def instance_from_json(obj) -> Instance:
             entry = shared.get(key)
             if entry is None:
                 entry = shared[key] = frozenset(key), {*map(len, key)}
-            violating, arities = entry
+            vio, arities = entry
             if (
                 eid >= 0
                 and 0 < len(vbl) <= MAX_EVENT_VARS
                 and arities <= {len(vbl)}
                 and all(map(lt, vbl, vbl[1:]))
             ):
-                events.append(_event(eid, tuple(vbl), violating))
+                event_ids.append(eid)
+                vbls.append(tuple(vbl))
+                violating.append(vio)
                 continue
         if not (typed or isinstance(raw, dict) and raw.keys() >= {"id", "vars", "violating"}):
             raise ValueError("events[%d] must have 'id', 'vars' and 'violating'" % k)
@@ -876,28 +856,25 @@ def instance_from_json(obj) -> Instance:
                 raise ValueError(
                     "events[%d].violating[%d] has %d values for %d vars" % (k, i, len(t), len(vbl))
                 )
-        events.append(make_event(eid, vbl, tuples))
-    return Instance(tuple(variables), tuple(events))
+        event = make_event(eid, vbl, tuples)
+        event_ids.append(event.id)
+        vbls.append(event.vbl)
+        violating.append(event.violating)
+    _check_ids_and_ranges(var_ids, domains, event_ids, vbls, violating)
+    return _instance(domains, weights, vbls, violating)
 
 
 def instance_to_json(instance: Instance) -> dict:
-    """Serialize an Instance to the JSON object format (weights as 'a/b')."""
+    """Serialize an Instance to the JSON object format (weights as 'a/b'),
+    from its columns, with no record made."""
     return {
         "variables": [
-            {
-                "id": v.id,
-                "domain": v.domain_size,
-                "weights": [str(w) for w in v.weights],
-            }
-            for v in instance.variables
+            {"id": k, "domain": d, "weights": [str(w) for w in ws]}
+            for k, d, ws in zip(count(), instance.domains, instance.weights)
         ],
         "events": [
-            {
-                "id": e.id,
-                "vars": list(e.vbl),
-                "violating": sorted(list(t) for t in e.violating),
-            }
-            for e in instance.events
+            {"id": k, "vars": list(vbl), "violating": sorted(map(list, vio))}
+            for k, vbl, vio in zip(count(), instance.vbls, instance.violating)
         ],
     }
 

@@ -13,7 +13,9 @@ from names) as an independent reference for
 * ``encode_sink_free``, ``encode_spanning_tree``, ``encode_hardcore``,
   ``cnf_to_instance`` and ``instance_from_json`` build every spec and the
   instance through the checked constructors, each check run again on
-  values their input layer has already checked.
+  values their input layer has already checked;
+* ``instance_to_json`` writes an instance from its ``variables`` and
+  ``events`` records.
 """
 
 from __future__ import annotations
@@ -296,3 +298,25 @@ def instance_from_json(obj) -> Instance:
             violating = shared[key] = frozenset(key)
         events.append(model.make_event(eid, vbl, violating))
     return Instance(tuple(variables), tuple(events))
+
+
+def instance_to_json(instance: Instance) -> dict:
+    """Serialize an Instance to the JSON object format (weights as 'a/b')."""
+    return {
+        "variables": [
+            {
+                "id": v.id,
+                "domain": v.domain_size,
+                "weights": [str(w) for w in v.weights],
+            }
+            for v in instance.variables
+        ],
+        "events": [
+            {
+                "id": e.id,
+                "vars": list(e.vbl),
+                "violating": sorted(list(t) for t in e.violating),
+            }
+            for e in instance.events
+        ],
+    }

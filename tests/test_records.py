@@ -170,7 +170,13 @@ class TestFrozenRecords:
         label, cls, fields, _ = case
         a, b = cls(*fields.values()), cls(*fields.values())
         assert a == b and not a != b
-        assert hash(a) == hash(b) == hash(tuple(fields.values()))
+        # An Instance stores and hashes its four columns, not its record views.
+        values = (
+            ((2, 2), (HALVES, HALVES), ((0, 1),), (frozenset({(0, 1)}),))
+            if cls is Instance
+            else tuple(fields.values())
+        )
+        assert hash(a) == hash(b) == hash(values)
         name, value = OTHER_VALUE[label]
         other = cls(**{**fields, name: value})
         assert a != other and not a == other

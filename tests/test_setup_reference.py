@@ -343,6 +343,14 @@ class TestConstructions:
             current = instance_from_json(obj)
             assert current == ref.instance_from_json(obj) == _rebuilt(current)
 
+    def test_instance_to_json_writes_what_the_records_write(self):
+        rng = random.Random(13)
+        generators = (random_instance, random_extremal_instance, random_weighted_instance)
+        drawn = [generators[k % 3](rng) for k in range(300)]
+        encoded = [encode() for encode in ENCODINGS.values()]
+        for instance in drawn + encoded:
+            assert instance_to_json(instance) == ref.instance_to_json(instance)
+
     def test_equal_weight_strings_share_one_tuple(self):
         weights = ["1/3", "2/3"]
         obj = {
@@ -386,9 +394,36 @@ ENCODINGS = {
 }
 
 
+def _records(instance: Instance) -> set:
+    """The record views an instance has made."""
+    return {"events", "variables"} & set(vars(instance))
+
+
+# The Petersen encodings as instance JSON, for the loader.
+LOADED = {
+    "hardcore": instance_to_json(encode_hardcore(PETERSEN, 1)),
+    "sink-free": instance_to_json(encode_sink_free(PETERSEN)),
+    "spanning-tree": instance_to_json(encode_spanning_tree(PETERSEN, 0)),
+    "cnf": instance_to_json(cnf_to_instance(cnf.monotone_cnf_from_graph(PETERSEN, 2))),
+}
+
+# What may be done to a loaded instance, and to a second load of its JSON.
+_STEPS = {
+    "nothing": lambda instance, again: None,
+    "general_prs": lambda instance, again: run_sampler(
+        "general_prs", instance, SamplerConfig(seed=1, record_log=False)
+    ),
+    "analysis": lambda instance, again: analyze_instance(instance),
+    "equality": lambda instance, again: instance == again or pytest.fail("loads differ"),
+    "hash": lambda instance, again: hash(instance) == hash(again) or pytest.fail("hashes differ"),
+    "instance_to_json": lambda instance, again: instance_to_json(instance),
+}
+
+
 class TestRecordsOnFirstRead:
-    """An encoder stores columns only: a draw or an analysis reads them and
-    makes no ``VariableSpec`` or ``EventSpec``."""
+    """An encoder and the JSON loader store columns only: a draw, an
+    analysis, ``==``, ``hash`` and ``instance_to_json`` read them and make
+    no ``VariableSpec`` or ``EventSpec``."""
 
     @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     def test_one_draw_makes_no_record(self, encoding):
@@ -398,7 +433,7 @@ class TestRecordsOnFirstRead:
         for kind in kinds:
             instance = ENCODINGS[encoding]()
             _, stats = run_sampler(kind, instance, SamplerConfig(seed=1, record_log=False))
-            assert stats.rounds and not {"events", "variables"} & set(vars(instance)), kind
+            assert stats.rounds and not _records(instance), kind
 
     def test_extremal_draws_are_covered(self):
         assert {name for name, encode in ENCODINGS.items() if encode().extremal} == {
@@ -411,7 +446,26 @@ class TestRecordsOnFirstRead:
         encoded = (encode_sink_free(graph), encode_hardcore(graph, 1), encode_spanning_tree(graph, 0))
         for instance in encoded:
             analyze_instance(instance)
-            assert not {"events", "variables"} & set(vars(instance))
+            assert not _records(instance)
+
+    def test_every_builder_stores_the_columns(self):
+        encoded = [encode() for encode in ENCODINGS.values()]
+        built = encoded + [_rebuilt(encoded[0])] + list(map(instance_from_json, LOADED.values()))
+        for instance in built:
+            assert set(vars(instance)) >= {"domains", "weights", "vbls", "violating"}
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_equality_of_two_encodings_makes_no_record(self, encoding):
+        a, b = ENCODINGS[encoding](), ENCODINGS[encoding]()
+        assert a == b and hash(a) == hash(b)
+        assert not _records(a) and not _records(b)
+
+    @pytest.mark.parametrize("step", list(_STEPS))
+    @pytest.mark.parametrize("encoding", sorted(LOADED))
+    def test_a_loaded_instance_makes_no_record(self, encoding, step):
+        instance, again = instance_from_json(LOADED[encoding]), instance_from_json(LOADED[encoding])
+        _STEPS[step](instance, again)
+        assert not _records(instance) and not _records(again)
 
     def test_records_once_read_are_kept(self):
         instance = ENCODINGS["cnf"]()
